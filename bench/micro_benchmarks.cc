@@ -9,6 +9,7 @@
 // (scripts/run_all_benches.sh exports them into build/obs/):
 // `decode_cached_vs_full` (tokens/sec for both paths plus speedup),
 // `gemm_isa_dtype` (single-thread GEMM throughput per backend/dtype),
+// `gemm_decode_shapes` (the 1- and 4-row kernels at decode weight shapes),
 // `decode_weight_bytes` (weight traffic per generated token per dtype),
 // and `checkpoint_save_load` (checkpoint latency and size).
 
@@ -390,6 +391,22 @@ void ReportDecodeCachedVsFull() {
                    full_secs / cached_secs});
 }
 
+/// Best wall time of `reps` timed calls of fn, after one untimed warm-up.
+template <typename Fn>
+double BestSeconds(int reps, Fn&& fn) {
+  fn();
+  double best = 1e30;
+  for (int rep = 0; rep < reps; ++rep) {
+    const auto t0 = std::chrono::steady_clock::now();
+    fn();
+    const double secs = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - t0)
+                            .count();
+    best = std::min(best, secs);
+  }
+  return best;
+}
+
 /// Times the single-thread 256x512x512 GEMM under every backend x weight
 /// dtype and prints `gemm_isa_dtype` rows: GFLOP/s plus the speedup over
 /// the strict-IEEE scalar float32 baseline (mirrored to VIST5_BENCH_JSON).
@@ -409,20 +426,6 @@ void ReportGemmIsaDtype() {
   rt::SetThreads(1);
   const double flops = 2.0 * kM * kK * kN;
 
-  auto best_of = [&](auto&& fn) {
-    fn();  // warm-up (untimed)
-    double best = 1e30;
-    for (int rep = 0; rep < kReps; ++rep) {
-      const auto t0 = std::chrono::steady_clock::now();
-      fn();
-      const double secs = std::chrono::duration<double>(
-                              std::chrono::steady_clock::now() - t0)
-                              .count();
-      best = std::min(best, secs);
-    }
-    return best;
-  };
-
   bench::PrintHeader("gemm_isa_dtype", {"gflops", "vs_scalar_f32"});
   double scalar_f32_secs = -1.0;
   for (const simd::Isa isa : {simd::Isa::kScalar, simd::Isa::kAvx2}) {
@@ -433,10 +436,10 @@ void ReportGemmIsaDtype() {
                    simd::IsaName(isa));
       continue;
     }
-    const double f32_secs =
-        best_of([&] { benchmark::DoNotOptimize(ops::MatMul(a, b)); });
-    const double i8_secs =
-        best_of([&] { benchmark::DoNotOptimize(ops::MatMulInt8(a, q)); });
+    const double f32_secs = BestSeconds(
+        kReps, [&] { benchmark::DoNotOptimize(ops::MatMul(a, b)); });
+    const double i8_secs = BestSeconds(
+        kReps, [&] { benchmark::DoNotOptimize(ops::MatMulInt8(a, q)); });
     if (isa == simd::Isa::kScalar) scalar_f32_secs = f32_secs;
     const std::string name = simd::IsaName(isa);
     bench::PrintRow(name + "_float32",
@@ -445,6 +448,95 @@ void ReportGemmIsaDtype() {
     bench::PrintRow(name + "_int8",
                     {flops / i8_secs / 1e9,
                      scalar_f32_secs > 0 ? scalar_f32_secs / i8_secs : -1.0});
+  }
+}
+
+/// Weight shapes [K, N] of one decode step's products: t5_small's
+/// attention projections, FFN in/out and tied logits (vocab 963), then
+/// the d128 model's (perfbench mixed_wire, serve_bench's base model).
+struct DecodeGemmShape {
+  const char* name;
+  int k;
+  int n;
+};
+constexpr DecodeGemmShape kDecodeGemmShapes[] = {
+    {"t5_small_64x64", 64, 64},    {"t5_small_64x256", 64, 256},
+    {"t5_small_256x64", 256, 64},  {"t5_small_64x963", 64, 963},
+    {"base128_128x128", 128, 128}, {"base128_128x512", 128, 512},
+    {"base128_512x128", 512, 128},
+};
+
+/// One decode-shaped product: 1 or 4 activation rows (greedy, or beam 4
+/// and the 4-row group of a 5-row verify) against a [K, N] weight, in
+/// float32 or int8. Run() calls the dispatched kernel ops::MatMul would
+/// pick for that row group directly, so the rate is the kernel's, without
+/// the per-op allocation around it.
+class DecodeGemm {
+ public:
+  DecodeGemm(const DecodeGemmShape& shape, int rows, bool int8)
+      : k_(shape.k), n_(shape.n), rows_(rows), int8_(int8) {
+    Rng rng(3);
+    a_ = Tensor::Randn({rows, k_}, 1.0f, &rng).data();
+    const Tensor b = Tensor::Randn({k_, n_}, 1.0f, &rng);
+    b_ = b.data();
+    q_ = ops::QuantizeWeights(b);
+    c_.resize(static_cast<size_t>(rows) * n_);
+  }
+  double flops() const { return 2.0 * rows_ * k_ * n_; }
+  void Run() {
+    const simd::KernelSet& ks = simd::ActiveKernels();
+    if (int8_) {
+      (rows_ == 4 ? ks.gemm4_row_nn_zero_i8 : ks.gemm_row_nn_zero_i8)(
+          a_.data(), q_.data.data(), q_.scales.data(), c_.data(), k_, n_);
+    } else {
+      (rows_ == 4 ? ks.gemm4_row_nn_zero : ks.gemm_row_nn_zero)(
+          a_.data(), b_.data(), c_.data(), k_, n_);
+    }
+    benchmark::DoNotOptimize(c_.data());
+    benchmark::ClobberMemory();
+  }
+
+ private:
+  int k_, n_, rows_;
+  bool int8_;
+  std::vector<float> a_, b_, c_;
+  ops::QuantizedMatrix q_;
+};
+
+/// Prints `gemm_decode_shapes` rows (mirrored to VIST5_BENCH_JSON): the
+/// single-thread GFLOP/s of the 1- and 4-row kernels at each decode weight
+/// shape, per backend and dtype, each the best of five batches of about
+/// 40 MFLOP. The weight stays cache-resident across calls; a decode step
+/// reads every layer's weights between two uses of one, so it can run
+/// below these rates. Backends the host cannot run print "-".
+void ReportGemmDecodeShapes() {
+  constexpr double kBatchFlops = 4e7;
+  constexpr int kReps = 5;
+  rt::SetThreads(1);
+  bench::PrintHeader("gemm_decode_shapes",
+                     {"scalar_f32", "scalar_i8", "avx2_f32", "avx2_i8"});
+  for (const DecodeGemmShape& shape : kDecodeGemmShapes) {
+    for (const int rows : {1, 4}) {
+      std::vector<double> gflops;
+      for (const simd::Isa isa : {simd::Isa::kScalar, simd::Isa::kAvx2}) {
+        IsaGuard isa_guard(isa);
+        for (const bool int8 : {false, true}) {
+          if (!isa_guard.ok()) {
+            gflops.push_back(-1.0);
+            continue;
+          }
+          DecodeGemm gemm(shape, rows, int8);
+          const int calls =
+              std::max(1, static_cast<int>(kBatchFlops / gemm.flops()));
+          const double secs = BestSeconds(kReps, [&] {
+            for (int i = 0; i < calls; ++i) gemm.Run();
+          });
+          gflops.push_back(gemm.flops() * calls / secs / 1e9);
+        }
+      }
+      bench::PrintRow(std::string(shape.name) + "_m" + std::to_string(rows),
+                      gflops);
+    }
   }
 }
 
@@ -563,6 +655,7 @@ int main(int argc, char** argv) {
   benchmark::Shutdown();
   vist5::ReportDecodeCachedVsFull();
   vist5::ReportGemmIsaDtype();
+  vist5::ReportGemmDecodeShapes();
   vist5::ReportDecodeWeightBytes();
   vist5::ReportCheckpointSaveLoad();
   return 0;

@@ -1,6 +1,7 @@
 #include "serve/scheduler.h"
 
 #include <future>
+#include <string>
 #include <utility>
 
 #include "model/checkpoint.h"
@@ -137,13 +138,25 @@ Status BatchScheduler::Submit(Request req, Completion done) {
                            std::chrono::milliseconds(req.options.deadline_ms)
                      : Clock::time_point::max();
   const uint64_t id = req.id;
-  if (req.tokens.empty()) {
+  // Request data that the model would reject with a VIST5_CHECK fails
+  // this request instead of aborting the process.
+  const auto fail = [&](const std::string& error) {
     Response r;
     r.id = id;
     r.status = ResponseStatus::kError;
-    r.error = "empty token sequence";
+    r.error = error;
     done(std::move(r));
-    return Status::InvalidArgument("empty token sequence");
+    return Status::InvalidArgument(error);
+  };
+  if (req.tokens.empty()) return fail("empty token sequence");
+  const int vocab = model_->transformer().config().vocab_size;
+  for (size_t i = 0; i < req.tokens.size(); ++i) {
+    if (req.tokens[i] < 0 || req.tokens[i] >= vocab) {
+      return fail("token id " + std::to_string(req.tokens[i]) +
+                  " at position " + std::to_string(i) +
+                  " is outside the vocabulary [0, " + std::to_string(vocab) +
+                  ")");
+    }
   }
   if (const std::string spec_error =
           SpecAdmissionError(req.options, options_);
@@ -151,12 +164,7 @@ Status BatchScheduler::Submit(Request req, Completion done) {
     static obs::Counter* spec_rejected =
         obs::GetCounter("spec/admission_rejected");
     spec_rejected->Add();
-    Response r;
-    r.id = id;
-    r.status = ResponseStatus::kError;
-    r.error = spec_error;
-    done(std::move(r));
-    return Status::InvalidArgument(spec_error);
+    return fail(spec_error);
   }
   // Keep a handle on the callback: Push consumes the entry even when it
   // rejects, and a rejected request still owes its caller a response.

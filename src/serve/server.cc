@@ -1098,7 +1098,15 @@ void Server::DispatchLine(const std::shared_ptr<Conn>& conn,
         answer(error_line("\"tokens\" must hold numbers"));
         return;
       }
-      req.tokens.push_back(static_cast<int>(toks->at(i).number_value()));
+      // Checked before the cast, which is undefined outside int's range.
+      // The vocabulary bound is the scheduler's (BatchScheduler::Submit).
+      const double d = toks->at(i).number_value();
+      if (!(d >= 0) || !(d <= std::numeric_limits<int>::max()) ||
+          d != std::floor(d)) {
+        answer(error_line("\"tokens\" must hold non-negative integers"));
+        return;
+      }
+      req.tokens.push_back(static_cast<int>(d));
     }
   } else if (const JsonValue* txt = doc.Find("text")) {
     if (!txt->is_string()) {

@@ -25,6 +25,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <type_traits>
 
 #define VIST5_AVX2 __attribute__((target("avx2,fma")))
 
@@ -66,63 +67,124 @@ VIST5_AVX2 void GemmRowNT(const float* arow, const float* b, float* crow,
   }
 }
 
-// crow[N] = arow[K] · B[K,N], vectorized across eight columns: each lane
-// is the scalar kernels' exact std::fma chain over p ascending, so the
-// result is bit-identical to the scalar backend.
+// Widens eight consecutive int8 weights to a float vector. The int8 range
+// [-127, 127] converts exactly, so lane values equal the scalar kernels'
+// static_cast<float>(int8).
+VIST5_AVX2 inline __m256 LoadI8AsFloat(const int8_t* p) {
+  const __m128i raw = _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p));
+  return _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(raw));
+}
+
+// Eight consecutive weights of B as floats, for either weight dtype.
+VIST5_AVX2 inline __m256 LoadB8(const float* p) { return _mm256_loadu_ps(p); }
+VIST5_AVX2 inline __m256 LoadB8(const int8_t* p) { return LoadI8AsFloat(p); }
+
+// Columns [j0, j0 + 8*S) of c[R,N] = a[R,K] · B[K,N]: R rows times S
+// adjacent 8-column strips, R*S accumulators. One accumulator alone is
+// latency-bound, since each fma waits for the previous one; R*S
+// independent chains keep the FMA units busy (docs/KERNELS.md, "Small-M
+// products"). Every lane still runs the scalar backend's exact chain
+// acc = fma(a[r][p], b[p][j], acc) over p ascending from zero, so the
+// result is bit-identical to it. int8 weights are widened exactly and
+// their column scales multiply once at store, as in the scalar kernels.
+template <int R, int S, typename W>
+VIST5_AVX2 inline void NNBlock(const float* a, const W* b, const float* scales,
+                               float* c, int k, int n, int j0) {
+  __m256 acc[R][S];
+  for (int r = 0; r < R; ++r) {
+    for (int s = 0; s < S; ++s) acc[r][s] = _mm256_setzero_ps();
+  }
+  for (int p = 0; p < k; ++p) {
+    const W* bp = b + static_cast<size_t>(p) * n + j0;
+    __m256 bv[S];
+    for (int s = 0; s < S; ++s) bv[s] = LoadB8(bp + 8 * s);
+    for (int r = 0; r < R; ++r) {
+      const __m256 av = _mm256_set1_ps(a[static_cast<size_t>(r) * k + p]);
+      for (int s = 0; s < S; ++s) {
+        acc[r][s] = _mm256_fmadd_ps(av, bv[s], acc[r][s]);
+      }
+    }
+  }
+  for (int r = 0; r < R; ++r) {
+    float* crow = c + static_cast<size_t>(r) * n + j0;
+    for (int s = 0; s < S; ++s) {
+      __m256 v = acc[r][s];
+      if constexpr (std::is_same_v<W, int8_t>) {
+        v = _mm256_mul_ps(v, _mm256_loadu_ps(scales + j0 + 8 * s));
+      }
+      _mm256_storeu_ps(crow + 8 * s, v);
+    }
+  }
+}
+
+// Columns [j0, N) of `rows` output rows, one scalar fma chain each.
+template <typename W>
+VIST5_AVX2 inline void NNTail(const float* a, const W* b, const float* scales,
+                              float* c, int rows, int k, int n, int j0) {
+  for (int r = 0; r < rows; ++r) {
+    const float* arow = a + static_cast<size_t>(r) * k;
+    float* crow = c + static_cast<size_t>(r) * n;
+    for (int j = j0; j < n; ++j) {
+      float acc = 0.0f;
+      for (int p = 0; p < k; ++p) {
+        acc = std::fma(
+            arow[p], static_cast<float>(b[static_cast<size_t>(p) * n + j]),
+            acc);
+      }
+      if constexpr (std::is_same_v<W, int8_t>) acc *= scales[j];
+      crow[j] = acc;
+    }
+  }
+}
+
+// One output row: 64-, 32-, 16- and 8-column blocks (8/4/2/1 strips), so
+// all but the last few strips of a row run eight fma chains at once.
+template <typename W>
+VIST5_AVX2 inline void RowNNZero(const float* arow, const W* b,
+                                 const float* scales, float* crow, int k,
+                                 int n) {
+  int j0 = 0;
+  for (; j0 + 64 <= n; j0 += 64) NNBlock<1, 8>(arow, b, scales, crow, k, n, j0);
+  if (j0 + 32 <= n) {
+    NNBlock<1, 4>(arow, b, scales, crow, k, n, j0);
+    j0 += 32;
+  }
+  if (j0 + 16 <= n) {
+    NNBlock<1, 2>(arow, b, scales, crow, k, n, j0);
+    j0 += 16;
+  }
+  if (j0 + 8 <= n) {
+    NNBlock<1, 1>(arow, b, scales, crow, k, n, j0);
+    j0 += 8;
+  }
+  NNTail(arow, b, scales, crow, 1, k, n, j0);
+}
+
+// Four output rows sharing each B load: 16-column blocks (2 strips x 4
+// rows = 8 chains), then one 8-column block.
+template <typename W>
+VIST5_AVX2 inline void FourRowNNZero(const float* a, const W* b,
+                                     const float* scales, float* c, int k,
+                                     int n) {
+  int j0 = 0;
+  for (; j0 + 16 <= n; j0 += 16) NNBlock<4, 2>(a, b, scales, c, k, n, j0);
+  if (j0 + 8 <= n) {
+    NNBlock<4, 1>(a, b, scales, c, k, n, j0);
+    j0 += 8;
+  }
+  NNTail(a, b, scales, c, 4, k, n, j0);
+}
+
+// crow[N] = arow[K] · B[K,N].
 VIST5_AVX2 void GemmRowNNZero(const float* arow, const float* b, float* crow,
                               int k, int n) {
-  int j0 = 0;
-  for (; j0 + 8 <= n; j0 += 8) {
-    __m256 acc = _mm256_setzero_ps();
-    for (int p = 0; p < k; ++p) {
-      acc = _mm256_fmadd_ps(
-          _mm256_set1_ps(arow[p]),
-          _mm256_loadu_ps(b + static_cast<size_t>(p) * n + j0), acc);
-    }
-    _mm256_storeu_ps(crow + j0, acc);
-  }
-  for (; j0 < n; ++j0) {
-    float acc = 0.0f;
-    for (int p = 0; p < k; ++p) {
-      acc = std::fma(arow[p], b[static_cast<size_t>(p) * n + j0], acc);
-    }
-    crow[j0] = acc;
-  }
+  RowNNZero(arow, b, nullptr, crow, k, n);
 }
 
 // c[4,N] = a[4,K] · B[K,N] with one B load per four output rows.
 VIST5_AVX2 void Gemm4RowNNZero(const float* a, const float* b, float* c,
                                int k, int n) {
-  int j0 = 0;
-  for (; j0 + 8 <= n; j0 += 8) {
-    __m256 acc0 = _mm256_setzero_ps();
-    __m256 acc1 = _mm256_setzero_ps();
-    __m256 acc2 = _mm256_setzero_ps();
-    __m256 acc3 = _mm256_setzero_ps();
-    for (int p = 0; p < k; ++p) {
-      const __m256 bv =
-          _mm256_loadu_ps(b + static_cast<size_t>(p) * n + j0);
-      acc0 = _mm256_fmadd_ps(_mm256_set1_ps(a[p]), bv, acc0);
-      acc1 = _mm256_fmadd_ps(_mm256_set1_ps(a[k + p]), bv, acc1);
-      acc2 = _mm256_fmadd_ps(_mm256_set1_ps(a[2 * k + p]), bv, acc2);
-      acc3 = _mm256_fmadd_ps(_mm256_set1_ps(a[3 * k + p]), bv, acc3);
-    }
-    _mm256_storeu_ps(c + j0, acc0);
-    _mm256_storeu_ps(c + n + j0, acc1);
-    _mm256_storeu_ps(c + 2 * n + j0, acc2);
-    _mm256_storeu_ps(c + 3 * n + j0, acc3);
-  }
-  for (int row = 0; row < 4 && j0 < n; ++row) {
-    const float* arow = a + static_cast<size_t>(row) * k;
-    float* crow = c + static_cast<size_t>(row) * n;
-    for (int j = j0; j < n; ++j) {
-      float acc = 0.0f;
-      for (int p = 0; p < k; ++p) {
-        acc = std::fma(arow[p], b[static_cast<size_t>(p) * n + j], acc);
-      }
-      crow[j] = acc;
-    }
-  }
+  FourRowNNZero(a, b, nullptr, c, k, n);
 }
 
 // c[8,N] = a[8,K] · B[K,N] with one B load per eight output rows.
@@ -172,74 +234,17 @@ VIST5_AVX2 void Gemm8RowNNZero(const float* a, const float* b, float* c,
   }
 }
 
-// Widens eight consecutive int8 weights to a float vector. The int8 range
-// [-127, 127] converts exactly, so lane values equal the scalar kernels'
-// static_cast<float>(int8).
-VIST5_AVX2 inline __m256 LoadI8AsFloat(const int8_t* p) {
-  const __m128i raw = _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p));
-  return _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(raw));
-}
-
+// The int8 twins: crow[N] = (arow[K] · float(B[K,N])) * scales[N].
 VIST5_AVX2 void GemmRowNNZeroI8(const float* arow, const int8_t* b,
                                 const float* scales, float* crow, int k,
                                 int n) {
-  int j0 = 0;
-  for (; j0 + 8 <= n; j0 += 8) {
-    __m256 acc = _mm256_setzero_ps();
-    for (int p = 0; p < k; ++p) {
-      acc = _mm256_fmadd_ps(
-          _mm256_set1_ps(arow[p]),
-          LoadI8AsFloat(b + static_cast<size_t>(p) * n + j0), acc);
-    }
-    _mm256_storeu_ps(crow + j0,
-                     _mm256_mul_ps(acc, _mm256_loadu_ps(scales + j0)));
-  }
-  for (; j0 < n; ++j0) {
-    float acc = 0.0f;
-    for (int p = 0; p < k; ++p) {
-      acc = std::fma(arow[p],
-                     static_cast<float>(b[static_cast<size_t>(p) * n + j0]),
-                     acc);
-    }
-    crow[j0] = acc * scales[j0];
-  }
+  RowNNZero(arow, b, scales, crow, k, n);
 }
 
 VIST5_AVX2 void Gemm4RowNNZeroI8(const float* a, const int8_t* b,
                                  const float* scales, float* c, int k,
                                  int n) {
-  int j0 = 0;
-  for (; j0 + 8 <= n; j0 += 8) {
-    __m256 acc0 = _mm256_setzero_ps();
-    __m256 acc1 = _mm256_setzero_ps();
-    __m256 acc2 = _mm256_setzero_ps();
-    __m256 acc3 = _mm256_setzero_ps();
-    for (int p = 0; p < k; ++p) {
-      const __m256 bv = LoadI8AsFloat(b + static_cast<size_t>(p) * n + j0);
-      acc0 = _mm256_fmadd_ps(_mm256_set1_ps(a[p]), bv, acc0);
-      acc1 = _mm256_fmadd_ps(_mm256_set1_ps(a[k + p]), bv, acc1);
-      acc2 = _mm256_fmadd_ps(_mm256_set1_ps(a[2 * k + p]), bv, acc2);
-      acc3 = _mm256_fmadd_ps(_mm256_set1_ps(a[3 * k + p]), bv, acc3);
-    }
-    const __m256 sv = _mm256_loadu_ps(scales + j0);
-    _mm256_storeu_ps(c + j0, _mm256_mul_ps(acc0, sv));
-    _mm256_storeu_ps(c + n + j0, _mm256_mul_ps(acc1, sv));
-    _mm256_storeu_ps(c + 2 * n + j0, _mm256_mul_ps(acc2, sv));
-    _mm256_storeu_ps(c + 3 * n + j0, _mm256_mul_ps(acc3, sv));
-  }
-  for (int row = 0; row < 4 && j0 < n; ++row) {
-    const float* arow = a + static_cast<size_t>(row) * k;
-    float* crow = c + static_cast<size_t>(row) * n;
-    for (int j = j0; j < n; ++j) {
-      float acc = 0.0f;
-      for (int p = 0; p < k; ++p) {
-        acc = std::fma(arow[p],
-                       static_cast<float>(b[static_cast<size_t>(p) * n + j]),
-                       acc);
-      }
-      crow[j] = acc * scales[j];
-    }
-  }
+  FourRowNNZero(a, b, scales, c, k, n);
 }
 
 VIST5_AVX2 void Gemm8RowNNZeroI8(const float* a, const int8_t* b,

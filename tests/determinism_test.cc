@@ -7,6 +7,7 @@
 // count only changes which thread runs a chunk, never the arithmetic or
 // accumulation order inside any output element.
 
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <string>
@@ -483,13 +484,25 @@ class SimdParity : public ::testing::Test {
   void TearDown() override { rt::SetThreads(1); }
 };
 
+// Appends {m, k, n} shapes whose column counts bracket every column block
+// of the AVX2 1- and 4-row kernels (8/16/32/64 wide) and their scalar
+// tails, plus the vocab sizes of the tied logit projections, at row counts
+// covering every remainder of the 8 -> 4 -> 1 row grouping in ops::MatMul.
+std::vector<std::array<int, 3>> WithColumnBlockShapes(
+    std::vector<std::array<int, 3>> shapes) {
+  for (int n : {15, 16, 17, 31, 32, 33, 63, 64, 65, 127, 128, 129, 303, 963}) {
+    for (int m : {1, 2, 3, 4, 5, 7, 8, 9}) shapes.push_back({m, 37, n});
+  }
+  return shapes;
+}
+
 TEST_F(SimdParity, NNMatMulBitIdenticalAcrossIsas) {
   NoGradGuard inference;
   Rng rng(99);
   // Covers the 8-row panel, the 4-row panel, and the single-row kernel,
   // plus non-multiple-of-8 column counts that exercise the scalar tail.
-  const int shapes[][3] = {{9, 33, 48}, {4, 17, 31}, {1, 7, 9}, {16, 64, 40}};
-  for (const auto& s : shapes) {
+  for (const auto& s : WithColumnBlockShapes(
+           {{9, 33, 48}, {4, 17, 31}, {1, 7, 9}, {16, 64, 40}})) {
     Tensor a = RandomTensor({s[0], s[1]}, &rng);
     Tensor b = RandomTensor({s[1], s[2]}, &rng);
     auto [scalar, avx2] =
@@ -501,8 +514,8 @@ TEST_F(SimdParity, NNMatMulBitIdenticalAcrossIsas) {
 TEST_F(SimdParity, Int8MatMulBitIdenticalAcrossIsas) {
   NoGradGuard inference;
   Rng rng(100);
-  const int shapes[][3] = {{9, 33, 48}, {4, 17, 31}, {1, 7, 9}};
-  for (const auto& s : shapes) {
+  for (const auto& s :
+       WithColumnBlockShapes({{9, 33, 48}, {4, 17, 31}, {1, 7, 9}})) {
     Tensor a = RandomTensor({s[0], s[1]}, &rng);
     ops::QuantizedMatrix q = ops::QuantizeWeights(RandomTensor({s[1], s[2]},
                                                                &rng));

@@ -240,6 +240,31 @@ TEST(BatchScheduler, BackpressureRejectsWithRetryAfter) {
   }
 }
 
+// Token ids outside [0, vocab) would reach the embedding's VIST5_CHECK and
+// abort the process, so Submit answers them with a per-request error and
+// the scheduler goes on serving valid requests.
+TEST(BatchScheduler, OutOfVocabularyTokensFailOnlyThatRequest) {
+  model::TransformerSeq2Seq m = MakeSmallModel();
+  const int vocab = m.transformer().config().vocab_size;
+  serve::BatchScheduler scheduler(&m, serve::SchedulerOptions{});
+  scheduler.Start();
+  for (const std::vector<int>& tokens :
+       std::vector<std::vector<int>>{{99999999}, {-1}, {4, vocab, 5}}) {
+    serve::Request req;
+    req.tokens = tokens;
+    const serve::Response r = scheduler.SubmitAndWait(std::move(req));
+    EXPECT_EQ(r.status, serve::ResponseStatus::kError);
+    EXPECT_NE(r.error.find("outside the vocabulary"), std::string::npos)
+        << r.error;
+  }
+  serve::Request ok;
+  ok.tokens = {4, vocab - 1, 5};
+  ok.options.max_len = 4;
+  EXPECT_EQ(scheduler.SubmitAndWait(std::move(ok)).status,
+            serve::ResponseStatus::kOk);
+  scheduler.Shutdown(/*drain=*/true);
+}
+
 // A request whose deadline expires mid-decode completes with
 // kDeadlineExpired and returns the tokens decoded so far — a prefix of the
 // sequence an unbounded request would produce.
@@ -1078,6 +1103,12 @@ TEST(ServerHttp, MalformedNumericFieldsAnswerErrors) {
       {R"({"tokens":[4,5,6],"priority":"high"})", "\"priority\" must be"},
       {R"({"tokens":[4,5,6],"draft":-1})", "\"draft\" must be"},
       {R"({"tokens":[4,5,6],"stream":"yes"})", "\"stream\" must be"},
+      // Token ids: one outside the vocabulary would abort the process in
+      // the embedding lookup, and casting 1e30 to int is undefined.
+      {R"({"tokens":[99999999]})", "outside the vocabulary"},
+      {R"({"tokens":[-1]})", "\"tokens\" must hold non-negative integers"},
+      {R"({"tokens":[1e30]})", "\"tokens\" must hold non-negative integers"},
+      {R"({"tokens":[2.5]})", "\"tokens\" must hold non-negative integers"},
   };
   serve::Client client;
   ASSERT_TRUE(client.Connect("127.0.0.1", f.port()).ok());

@@ -162,9 +162,13 @@ int main() {
 
   Lcg rng(7);
   // k sweeps odd/even and sub-/super-lane lengths; n brackets the tile
-  // width (tile - 1, tile, tile + 1) plus ragged multi-tile tails.
+  // width (tile - 1, tile, tile + 1), ragged multi-tile tails, and every
+  // column block of the AVX2 1- and 4-row kernels (16, 32 and 64 wide; 128
+  // is two 64-wide blocks) from one below to one above.
   const int ks[] = {1, 3, 8, 17, 64};
-  const int ns[] = {1, tile - 1, tile, tile + 1, 2 * tile, 2 * tile + 3, 33};
+  const int ns[] = {1,  tile - 1, tile, tile + 1, 2 * tile, 2 * tile + 3,
+                    15, 16,       17,   31,       32,       33,
+                    63, 64,       65,   127,      128,      129};
   for (int k : ks) {
     for (int n : ns) {
       if (n <= 0) continue;

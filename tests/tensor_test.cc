@@ -15,6 +15,16 @@
 namespace vist5 {
 namespace {
 
+// Evaluates `fn` and releases the graph it recorded. Each backward closure
+// holds its own output node, a reference cycle that only DetachGraph
+// breaks, so an undetached evaluation leaks every activation it made.
+float EvalAndRelease(const std::function<Tensor()>& fn) {
+  Tensor loss = fn();
+  const float value = loss.item();
+  loss.DetachGraph();
+  return value;
+}
+
 // Numerically checks d(loss)/d(param) against autograd for a scalar-valued
 // function of `params`.
 void CheckGradients(const std::vector<Tensor>& params,
@@ -27,15 +37,16 @@ void CheckGradients(const std::vector<Tensor>& params,
   Tensor loss = fn();
   ASSERT_EQ(loss.NumElements(), 1);
   loss.Backward();
+  loss.DetachGraph();
   for (size_t pi = 0; pi < params.size(); ++pi) {
     Tensor p = params[pi];
     ASSERT_FALSE(p.grad().empty()) << "param " << pi << " has no grad";
     for (size_t i = 0; i < p.data().size(); ++i) {
       const float orig = p.data()[i];
       p.mutable_data()[i] = orig + eps;
-      const float up = fn().item();
+      const float up = EvalAndRelease(fn);
       p.mutable_data()[i] = orig - eps;
-      const float down = fn().item();
+      const float down = EvalAndRelease(fn);
       p.mutable_data()[i] = orig;
       const float numeric = (up - down) / (2 * eps);
       const float analytic = p.grad()[i];
