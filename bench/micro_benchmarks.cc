@@ -1,13 +1,11 @@
 // Component micro-benchmarks (google-benchmark): tokenizer, DV-query
 // parser, standardizer, relational executor, schema filtration, GEMM,
-// attention forward, transformer training step, and greedy decoding
-// (KV-cached vs full-prefix). The GEMM and decode benchmarks sweep
-// threads x isa x dtype (docs/KERNELS.md) so the vectorization and
-// quantization wins are measured, not asserted. After the
-// google-benchmark run, summary rows are printed and, when
-// VIST5_BENCH_JSON is set, appended as JSON lines
+// attention forward, transformer training step, and KV-cached greedy
+// decoding. The GEMM and decode benchmarks sweep threads x isa x dtype
+// (docs/KERNELS.md) so the vectorization and quantization wins are
+// measured, not asserted. After the google-benchmark run, summary rows
+// are printed and, when VIST5_BENCH_JSON is set, appended as JSON lines
 // (scripts/run_all_benches.sh exports them into build/obs/):
-// `decode_cached_vs_full` (tokens/sec for both paths plus speedup),
 // `gemm_isa_dtype` (single-thread GEMM throughput per backend/dtype),
 // `gemm_decode_shapes` (the 1- and 4-row kernels at decode weight shapes),
 // `decode_weight_bytes` (weight traffic per generated token per dtype),
@@ -277,34 +275,31 @@ BENCHMARK(BM_TrainStep)->Arg(1)->Arg(2)->Arg(4)
 
 /// Forces a full `tokens`-long output: EOS is never allowed, so decoding
 /// runs to max_len regardless of the (untrained) weights.
-model::GenerationOptions FixedLengthDecode(int tokens, int eos_id,
-                                           bool use_kv_cache) {
+model::GenerationOptions FixedLengthDecode(int tokens, int eos_id) {
   model::GenerationOptions gen;
   gen.max_len = tokens;
-  gen.use_kv_cache = use_kv_cache;
   gen.allowed = [eos_id](int t) { return t != eos_id; };
   return gen;
 }
 
 void BM_GreedyDecode(benchmark::State& state) {
   Fixture& f = Shared();
-  ThreadsGuard threads(static_cast<int>(state.range(1)));
+  ThreadsGuard threads(static_cast<int>(state.range(0)));
   nn::TransformerConfig cfg =
       nn::TransformerConfig::T5Small(f.tokenizer.vocab_size());
   model::TransformerSeq2Seq m(cfg, f.tokenizer.pad_id(), f.tokenizer.eos_id(),
                               7);
   const std::vector<int> src = f.tokenizer.Encode(f.nvbench.front().question);
-  const model::GenerationOptions gen = FixedLengthDecode(
-      64, f.tokenizer.eos_id(), /*use_kv_cache=*/state.range(0) != 0);
+  const model::GenerationOptions gen =
+      FixedLengthDecode(64, f.tokenizer.eos_id());
   for (auto _ : state) {
     benchmark::DoNotOptimize(m.Generate(src, gen));
   }
   state.SetItemsProcessed(state.iterations() * 64);  // tokens
-  state.SetLabel(state.range(0) != 0 ? "kv-cached" : "full-prefix reference");
 }
 BENCHMARK(BM_GreedyDecode)
-    ->ArgsProduct({{1, 0}, {1, 2, 4}})
-    ->ArgNames({"cached", "threads"})
+    ->Arg(1)->Arg(2)->Arg(4)
+    ->ArgNames({"threads"})
     ->Unit(benchmark::kMillisecond);
 
 /// threads x isa x dtype rows for the KV-cached greedy decode: the
@@ -327,8 +322,7 @@ void BM_GreedyDecodeIsaDtype(benchmark::State& state) {
   model::TransformerSeq2Seq m(cfg, f.tokenizer.pad_id(), f.tokenizer.eos_id(),
                               7);
   const std::vector<int> src = f.tokenizer.Encode(f.nvbench.front().question);
-  model::GenerationOptions gen =
-      FixedLengthDecode(64, f.tokenizer.eos_id(), /*use_kv_cache=*/true);
+  model::GenerationOptions gen = FixedLengthDecode(64, f.tokenizer.eos_id());
   gen.weight_dtype = int8 ? WeightDtype::kInt8 : WeightDtype::kFloat32;
   m.Generate(src, gen);  // warm-up: quantize-at-load lands here
   for (auto _ : state) {
@@ -344,52 +338,6 @@ BENCHMARK(BM_GreedyDecodeIsaDtype)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace
-
-/// Times the cached vs full-prefix greedy decode of a 64-token output and
-/// prints a `decode_cached_vs_full` table row (mirrored to
-/// VIST5_BENCH_JSON). Also rechecks token-level parity between the paths:
-/// a speedup measured on divergent outputs would be meaningless.
-void ReportDecodeCachedVsFull() {
-  Fixture& f = Shared();
-  nn::TransformerConfig cfg =
-      nn::TransformerConfig::T5Small(f.tokenizer.vocab_size());
-  model::TransformerSeq2Seq m(cfg, f.tokenizer.pad_id(), f.tokenizer.eos_id(),
-                              7);
-  const std::vector<int> src = f.tokenizer.Encode(f.nvbench.front().question);
-  constexpr int kTokens = 64;
-  constexpr int kReps = 3;
-
-  auto run = [&](bool use_kv_cache) {
-    const model::GenerationOptions gen =
-        FixedLengthDecode(kTokens, f.tokenizer.eos_id(), use_kv_cache);
-    std::vector<int> out = m.Generate(src, gen);  // warm-up (untimed)
-    double best = 1e30;
-    for (int rep = 0; rep < kReps; ++rep) {
-      const auto t0 = std::chrono::steady_clock::now();
-      out = m.Generate(src, gen);
-      const double secs = std::chrono::duration<double>(
-                              std::chrono::steady_clock::now() - t0)
-                              .count();
-      best = std::min(best, secs);
-    }
-    return std::make_pair(best, out);
-  };
-
-  const auto [cached_secs, cached_out] = run(true);
-  const auto [full_secs, full_out] = run(false);
-  if (cached_out != full_out) {
-    std::fprintf(stderr,
-                 "decode_cached_vs_full: PARITY FAILURE — cached and "
-                 "full-prefix decode disagree\n");
-    std::exit(1);
-  }
-  const int emitted = static_cast<int>(cached_out.size());
-  bench::PrintHeader("decode_cached_vs_full",
-                     {"cached_tok_s", "full_tok_s", "speedup"});
-  bench::PrintRow("t5_small_greedy64",
-                  {emitted / cached_secs, emitted / full_secs,
-                   full_secs / cached_secs});
-}
 
 /// Best wall time of `reps` timed calls of fn, after one untimed warm-up.
 template <typename Fn>
@@ -558,8 +506,8 @@ void ReportDecodeWeightBytes() {
   constexpr int kTokens = 64;
 
   auto bytes_per_token = [&](WeightDtype dtype) {
-    model::GenerationOptions gen = FixedLengthDecode(
-        kTokens, f.tokenizer.eos_id(), /*use_kv_cache=*/true);
+    model::GenerationOptions gen =
+        FixedLengthDecode(kTokens, f.tokenizer.eos_id());
     gen.weight_dtype = dtype;
     m.Generate(src, gen);  // warm-up: quantize-at-load lands here
     const int64_t f0 = f32_bytes->value();
@@ -653,7 +601,6 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  vist5::ReportDecodeCachedVsFull();
   vist5::ReportGemmIsaDtype();
   vist5::ReportGemmDecodeShapes();
   vist5::ReportDecodeWeightBytes();

@@ -79,9 +79,9 @@ void ContinuousDecoder::Admit(uint64_t id, const std::vector<int>& src,
     fresh = model_->transformer().BeginDecode(memory, 1, src_len, lengths);
   }
   // Preallocate the self-attention caches to the row's full step budget.
-  // The zero capacity beyond the valid length is masked inside attention,
-  // and it lets every subsequent decode step write keys/values in place
-  // instead of reallocating the whole cache (ops::ScatterTimeInPlace).
+  // The capacity beyond a row's position is never read, and it lets every
+  // subsequent decode step write keys/values in place instead of
+  // reallocating the whole cache (ops::ScatterTime).
   const int capacity = std::max(options.max_len, 1);
   for (nn::DecodeState::LayerCache& layer : fresh.layers) {
     const int heads = layer.cross_k.dim(1);
@@ -140,7 +140,7 @@ std::vector<ContinuousDecoder::Finished> ContinuousDecoder::Step(
 
   std::vector<int> next_ids(rows_.size());
   for (size_t b = 0; b < rows_.size(); ++b) next_ids[b] = rows_[b].prev;
-  Tensor hidden = model_->transformer().DecodeStepRagged(next_ids, &state_);
+  Tensor hidden = model_->transformer().DecodeStep(next_ids, &state_);
   Tensor logits = model_->transformer().Logits(hidden);  // [B, V]
   const int vocab = logits.dim(1);
   const float* data = logits.data().data();
@@ -175,8 +175,7 @@ std::vector<std::vector<int>> TransformerSeq2Seq::GenerateBatch(
     const GenerationOptions& options) const {
   std::vector<std::vector<int>> out(srcs.size());
   if (srcs.empty()) return out;
-  if (options.beam_size > 1 || options.temperature > 0.0f ||
-      !options.use_kv_cache) {
+  if (options.beam_size > 1 || options.temperature > 0.0f) {
     for (size_t i = 0; i < srcs.size(); ++i) {
       out[i] = Generate(srcs[i], options);
     }

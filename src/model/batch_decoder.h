@@ -15,7 +15,7 @@ namespace model {
 /// Requests are admitted one at a time — each is prefilled exactly like a
 /// single Generate call (batch-of-one encode + cross K/V projection) and
 /// merged into the running decode batch at a step boundary. Every Step()
-/// advances all active rows by one token through DecodeStepRagged; rows
+/// advances all active rows by one token through one DecodeStep; rows
 /// that emit EOS, hit max_len, exhaust their vocabulary constraint, or
 /// blow their deadline are evicted and returned. Because every kernel on
 /// the decode path is batch-row-pure, each request's token stream is

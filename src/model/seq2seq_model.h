@@ -58,13 +58,8 @@ struct GenerationOptions {
   /// emitted. Null means unconstrained. When no token is allowed at some
   /// step, decoding treats it as end-of-sequence.
   std::function<bool(int token)> allowed;
-  /// Incremental KV-cached decoding (the fast path). False falls back to
-  /// re-running the decoder over the full prefix each step — kept as the
-  /// reference implementation; both produce bit-identical tokens (see
-  /// docs/INFERENCE.md).
-  bool use_kv_cache = true;
   /// Wall-clock decode budget in milliseconds, measured from the start of
-  /// decoding (0 = unlimited). On expiry the cached decoders return the
+  /// decoding (0 = unlimited). On expiry the decoders return the
   /// best result so far: greedy keeps the tokens emitted up to that point,
   /// beam search selects among finished and alive hypotheses exactly as it
   /// would when the step budget runs out. Serving uses this to bound

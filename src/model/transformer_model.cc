@@ -6,7 +6,6 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "tensor/ops.h"
 
 namespace vist5 {
 namespace model {
@@ -64,15 +63,7 @@ std::vector<float> LogSoftmaxRow(const float* row, int vocab) {
   return out;
 }
 
-/// One beam-search expansion. `logits` holds one row per alive hypothesis
-/// ([nb, V]). EOS continuations move into `finished` with length-normalized
-/// scores; a hypothesis whose every continuation is disallowed also
-/// finishes (constrained decoding reached a dead end). Shared by the
-/// cached and full-prefix beam paths so both expand identically.
-struct BeamExpansion {
-  std::vector<BeamHypothesis> beams;  ///< pruned to at most k
-  std::vector<int> parents;           ///< parent index per surviving beam
-};
+}  // namespace
 
 BeamExpansion ExpandBeams(
     const Tensor& logits, const std::vector<BeamHypothesis>& beams, int k,
@@ -145,8 +136,6 @@ BeamExpansion ExpandBeams(
   return next;
 }
 
-}  // namespace
-
 std::vector<int> SelectBeamResult(
     std::vector<std::pair<std::vector<int>, double>> finished,
     const std::vector<BeamHypothesis>& alive) {
@@ -182,22 +171,15 @@ std::vector<int> TransformerSeq2Seq::Generate(
     const std::vector<int>& src, const GenerationOptions& options) const {
   VIST5_TRACE_SPAN("model/generate");
   static obs::Counter* cached_calls = obs::GetCounter("decode/cached_calls");
-  static obs::Counter* full_calls = obs::GetCounter("decode/full_calls");
   static obs::Counter* tokens = obs::GetCounter("decode/tokens");
   static obs::Histogram* tps = obs::GetHistogram("decode/tokens_per_sec");
 
   const bool timed = obs::LatencySamplingEnabled();
   const auto start = timed ? std::chrono::steady_clock::now()
                            : std::chrono::steady_clock::time_point{};
-  std::vector<int> out;
-  if (options.beam_size <= 1) {
-    out = options.use_kv_cache ? GreedyDecode(src, options)
-                               : GreedyDecodeFull(src, options);
-  } else {
-    out = options.use_kv_cache ? BeamDecode(src, options)
-                               : BeamDecodeFull(src, options);
-  }
-  (options.use_kv_cache ? cached_calls : full_calls)->Add();
+  std::vector<int> out = options.beam_size <= 1 ? GreedyDecode(src, options)
+                                                : BeamDecode(src, options);
+  cached_calls->Add();
   tokens->Add(static_cast<int64_t>(out.size()));
   if (timed && !out.empty()) {
     const double secs =
@@ -242,38 +224,6 @@ std::vector<int> TransformerSeq2Seq::GreedyDecode(
   return out;
 }
 
-std::vector<int> TransformerSeq2Seq::GreedyDecodeFull(
-    const std::vector<int>& src, const GenerationOptions& options) const {
-  NoGradGuard guard;
-  WeightDtypeGuard dtype_guard(options.weight_dtype);
-  const int src_len = static_cast<int>(src.size());
-  const std::vector<int> src_lengths = {src_len};
-  Tensor memory = transformer_->Encode(src, 1, src_len, src_lengths,
-                                       /*train=*/false, nullptr);
-  std::vector<int> dec = {pad_id_};
-  std::vector<int> out;
-  for (int step = 0; step < options.max_len; ++step) {
-    const std::vector<int> dec_lengths = {static_cast<int>(dec.size())};
-    Tensor hidden = transformer_->Decode(dec, 1, static_cast<int>(dec.size()),
-                                         memory, src_len, src_lengths,
-                                         dec_lengths, /*train=*/false, nullptr);
-    // Only the newest position is read; project just that row instead of
-    // paying O(T * V) for logits that are thrown away.
-    Tensor last =
-        ops::GatherRows(hidden, {static_cast<int>(dec.size()) - 1});
-    Tensor logits = transformer_->Logits(last);  // [1, V]
-    const int vocab = logits.dim(1);
-    const float* row = logits.data().data();
-    const bool sample = options.temperature > 0 && options.rng != nullptr;
-    const int next = sample ? SampleToken(row, vocab, options)
-                            : BestAllowedToken(row, vocab, options.allowed);
-    if (next < 0 || next == eos_id_) break;
-    out.push_back(next);
-    dec.push_back(next);
-  }
-  return out;
-}
-
 std::vector<int> TransformerSeq2Seq::BeamDecode(
     const std::vector<int>& src, const GenerationOptions& options) const {
   NoGradGuard guard;
@@ -310,59 +260,6 @@ std::vector<int> TransformerSeq2Seq::BeamDecode(
         ExpandBeams(logits, beams, k, options, eos_id_, &finished);
     beams = std::move(next.beams);
     if (!beams.empty()) state.Reorder(next.parents);
-    if (static_cast<int>(finished.size()) >= k) break;
-  }
-  return SelectBeamResult(std::move(finished), beams);
-}
-
-std::vector<int> TransformerSeq2Seq::BeamDecodeFull(
-    const std::vector<int>& src, const GenerationOptions& options) const {
-  NoGradGuard guard;
-  WeightDtypeGuard dtype_guard(options.weight_dtype);
-  const int k = options.beam_size;
-  const int src_len = static_cast<int>(src.size());
-  const std::vector<int> one_length = {src_len};
-  Tensor memory = transformer_->Encode(src, 1, src_len, one_length,
-                                       /*train=*/false, nullptr);
-
-  std::vector<BeamHypothesis> beams = {{{pad_id_}, 0.0}};
-  std::vector<std::pair<std::vector<int>, double>> finished;
-
-  for (int step = 0; step < options.max_len && !beams.empty(); ++step) {
-    const int nb = static_cast<int>(beams.size());
-    const int dec_seq = static_cast<int>(beams[0].tokens.size());
-    // Pack all alive hypotheses (same length by construction) into one
-    // decoder batch; replicate the encoder memory per hypothesis.
-    std::vector<int> dec_ids;
-    dec_ids.reserve(static_cast<size_t>(nb) * dec_seq);
-    for (const BeamHypothesis& h : beams) {
-      dec_ids.insert(dec_ids.end(), h.tokens.begin(), h.tokens.end());
-    }
-    std::vector<float> mem_data;
-    mem_data.reserve(memory.data().size() * static_cast<size_t>(nb));
-    for (int b = 0; b < nb; ++b) {
-      mem_data.insert(mem_data.end(), memory.data().begin(),
-                      memory.data().end());
-    }
-    Tensor batched_memory({nb * src_len, memory.dim(1)}, std::move(mem_data));
-    std::vector<int> mem_lengths(static_cast<size_t>(nb), src_len);
-    std::vector<int> dec_lengths(static_cast<size_t>(nb), dec_seq);
-
-    Tensor hidden = transformer_->Decode(dec_ids, nb, dec_seq, batched_memory,
-                                         src_len, mem_lengths, dec_lengths,
-                                         /*train=*/false, nullptr);
-    // Keep only each hypothesis' newest position before the vocab
-    // projection (same O(T * V) fix as GreedyDecodeFull).
-    std::vector<int> last_rows(static_cast<size_t>(nb));
-    for (int b = 0; b < nb; ++b) {
-      last_rows[static_cast<size_t>(b)] = b * dec_seq + dec_seq - 1;
-    }
-    Tensor logits =
-        transformer_->Logits(ops::GatherRows(hidden, last_rows));  // [nb, V]
-
-    BeamExpansion next =
-        ExpandBeams(logits, beams, k, options, eos_id_, &finished);
-    beams = std::move(next.beams);
     if (static_cast<int>(finished.size()) >= k) break;
   }
   return SelectBeamResult(std::move(finished), beams);

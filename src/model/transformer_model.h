@@ -25,6 +25,21 @@ struct BeamHypothesis {
 int BestAllowedToken(const float* row, int vocab,
                      const std::function<bool(int)>& allowed);
 
+/// One beam-search expansion. `logits` holds one row per alive hypothesis
+/// ([nb, V]). EOS continuations move into `finished` with length-normalized
+/// scores; a hypothesis whose every continuation is disallowed also
+/// finishes (constrained decoding reached a dead end). Exposed so the
+/// full-prefix test oracle expands beams exactly as BeamDecode does.
+struct BeamExpansion {
+  std::vector<BeamHypothesis> beams;  ///< pruned to at most k
+  std::vector<int> parents;           ///< parent index per surviving beam
+};
+
+BeamExpansion ExpandBeams(
+    const Tensor& logits, const std::vector<BeamHypothesis>& beams, int k,
+    const GenerationOptions& options, int eos_id,
+    std::vector<std::pair<std::vector<int>, double>>* finished);
+
 /// Final beam selection. `finished` holds (output tokens, length-normalized
 /// score) pairs for hypotheses that emitted EOS; `alive` holds hypotheses
 /// still running when the step budget ended. Alive hypotheses are
@@ -83,8 +98,8 @@ class TransformerSeq2Seq : public Seq2SeqModel {
   /// Decodes all sources as one continuously batched greedy decode over a
   /// shared KV cache (ContinuousDecoder). Token-for-token identical to
   /// calling Generate on each source — rows are batch-pure, see
-  /// docs/SERVING.md. Beam, sampling, and full-prefix options fall back to
-  /// per-request Generate. Defined in batch_decoder.cc.
+  /// docs/SERVING.md. Beam and sampling options fall back to per-request
+  /// Generate. Defined in batch_decoder.cc.
   std::vector<std::vector<int>> GenerateBatch(
       const std::vector<std::vector<int>>& srcs,
       const GenerationOptions& options) const;
@@ -104,19 +119,12 @@ class TransformerSeq2Seq : public Seq2SeqModel {
   int eos_id() const { return eos_id_; }
 
  private:
-  /// KV-cached incremental decoding (the default fast path).
+  /// KV-cached incremental decoding. The full-prefix reference these are
+  /// pinned to lives in the test tree (tests/full_prefix_oracle.h).
   std::vector<int> GreedyDecode(const std::vector<int>& src,
                                 const GenerationOptions& options) const;
   std::vector<int> BeamDecode(const std::vector<int>& src,
                               const GenerationOptions& options) const;
-  /// Full-prefix reference implementations (options.use_kv_cache = false):
-  /// re-run the decoder stack over the whole prefix every step. Slower but
-  /// trivially correct; the parity property tests pin the cached paths to
-  /// these token-for-token.
-  std::vector<int> GreedyDecodeFull(const std::vector<int>& src,
-                                    const GenerationOptions& options) const;
-  std::vector<int> BeamDecodeFull(const std::vector<int>& src,
-                                  const GenerationOptions& options) const;
 
   std::unique_ptr<nn::Transformer> transformer_;
   int pad_id_;

@@ -48,12 +48,12 @@ int RelativePositionBias::Bucket(int relative_position, bool bidirectional,
   return bucket;
 }
 
-Tensor RelativePositionBias::Forward(int tq, int tk, int query_offset) const {
+Tensor RelativePositionBias::Forward(int tq, int tk) const {
   std::vector<int> buckets(static_cast<size_t>(tq) * tk);
   rt::ParallelFor(ops::RowOpGrain(tk), 0, tq, [&](int64_t lo, int64_t hi) {
     for (int64_t q = lo; q < hi; ++q) {
       for (int k = 0; k < tk; ++k) {
-        const int rel = k - (static_cast<int>(q) + query_offset);
+        const int rel = k - static_cast<int>(q);
         buckets[static_cast<size_t>(q) * tk + k] =
             Bucket(rel, bidirectional_, num_buckets_, max_distance_);
       }
@@ -66,40 +66,43 @@ Tensor RelativePositionBias::Forward(int tq, int tk, int query_offset) const {
 }
 
 Tensor RelativePositionBias::ForwardBatched(
-    const std::vector<int>& query_positions, int tk) const {
+    const std::vector<int>& query_positions, int span, int tk) const {
   VIST5_CHECK(!GradEnabled()) << "ForwardBatched is inference-only";
   const int b = static_cast<int>(query_positions.size());
   const float* table = table_.data().data();
   // Bias values are copied straight out of the learned table — the same
-  // floats Forward() would gather — so the ragged path stays bit-identical
-  // to the uniform one. Keys beyond a row's query position are zero-filled;
-  // they are masked out by per-row key lengths before the softmax.
-  std::vector<float> out(static_cast<size_t>(b) * heads_ * tk, 0.0f);
-  const size_t row_elems = static_cast<size_t>(heads_) * tk;
+  // floats Forward() would gather — so every decode step sees exactly the
+  // bias the teacher-forced Decode adds at those positions.
+  std::vector<float> out(static_cast<size_t>(b) * heads_ * span * tk, 0.0f);
+  const size_t row_elems = static_cast<size_t>(heads_) * span * tk;
   int prev_q = -1;
   for (int bi = 0; bi < b; ++bi) {
-    const int q = query_positions[bi];
-    VIST5_CHECK_LT(q, tk);
+    const int q0 = query_positions[bi];
+    VIST5_CHECK_LE(q0 + span, tk);
     float* row = out.data() + static_cast<size_t>(bi) * row_elems;
-    if (q == prev_q) {
-      // Rows at the same decode step share the whole [H, tk] slab — copy
+    if (q0 == prev_q) {
+      // Rows at the same position share the whole [H, span, tk] slab — copy
       // the floats just computed instead of re-deriving every bucket.
-      // GenerateBatch admits all rows at step zero, so this turns the
-      // O(B * tk) Bucket() walk into a single walk plus B - 1 memcpys.
+      // Beams and GenerateBatch's first step put every row at one position,
+      // so this turns the O(B * tk) Bucket() walk into a single walk plus
+      // B - 1 memcpys.
       std::copy_n(row - row_elems, row_elems, row);
       continue;
     }
-    prev_q = q;
-    for (int k = 0; k <= q; ++k) {
-      const int bucket =
-          Bucket(k - q, bidirectional_, num_buckets_, max_distance_);
-      for (int h = 0; h < heads_; ++h) {
-        row[static_cast<size_t>(h) * tk + k] =
-            table[static_cast<size_t>(bucket) * heads_ + h];
+    prev_q = q0;
+    for (int i = 0; i < span; ++i) {
+      const int q = q0 + i;
+      for (int k = 0; k <= q; ++k) {
+        const int bucket =
+            Bucket(k - q, bidirectional_, num_buckets_, max_distance_);
+        for (int h = 0; h < heads_; ++h) {
+          row[(static_cast<size_t>(h) * span + i) * tk + k] =
+              table[static_cast<size_t>(bucket) * heads_ + h];
+        }
       }
     }
   }
-  return Tensor({b, heads_, 1, tk}, std::move(out));
+  return Tensor({b, heads_, span, tk}, std::move(out));
 }
 
 MultiHeadAttention::MultiHeadAttention(int dim, int heads, bool bias,
@@ -142,20 +145,25 @@ Tensor MultiHeadAttention::ForwardCached(const Tensor& query, const Tensor& k,
 
   Tensor q = ops::SplitHeads(wq_.Forward(query), args.batch, args.tq, heads_);
 
-  // Single-query inference steps bound the score and context products by
-  // each row's visible-key count — the same prefix MaskedSoftmax keeps.
-  // The bounded ops run the identical row kernels on the identical
-  // elements, so results match the unbounded products bit-for-bit while
-  // skipping the masked tail: with preallocated KV capacity (continuous
-  // batching) that halves the K/V stream per step on average.
-  const bool bounded = !GradEnabled() && args.tq == 1;
+  // Decode steps bound the score and context products by each (row,
+  // query)'s visible-key count — the same prefix MaskedSoftmax keeps. The
+  // bounded ops run the identical row kernels on the identical elements,
+  // so results match the unbounded products bit-for-bit while skipping the
+  // masked tail: with preallocated KV capacity (continuous batching) that
+  // halves the K/V stream per step on average, and a cache's stale tail
+  // past a row's position (DecodeState::TruncateTo) is never read.
+  const bool bounded = args.query_positions != nullptr;
   std::vector<int> valid;
   if (bounded) {
-    valid.resize(static_cast<size_t>(args.batch));
+    valid.resize(static_cast<size_t>(args.batch) * args.tq);
     for (int b = 0; b < args.batch; ++b) {
-      int n = std::min((*args.key_lengths)[static_cast<size_t>(b)], args.tk);
-      if (args.causal) n = std::min(n, args.query_offset + 1);
-      valid[static_cast<size_t>(b)] = std::max(n, 0);
+      const int len = std::min((*args.key_lengths)[static_cast<size_t>(b)],
+                               args.tk);
+      const int q0 = (*args.query_positions)[static_cast<size_t>(b)];
+      for (int i = 0; i < args.tq; ++i) {
+        const int n = args.causal ? std::min(len, q0 + i + 1) : len;
+        valid[static_cast<size_t>(b) * args.tq + i] = std::max(n, 0);
+      }
     }
   }
   Tensor scores = bounded ? ops::BoundedAttnScores(q, k, valid)
@@ -164,14 +172,12 @@ Tensor MultiHeadAttention::ForwardCached(const Tensor& query, const Tensor& k,
     scores = ops::Scale(scores, 1.0f / std::sqrt(static_cast<float>(dh)));
   }
   if (args.position_bias != nullptr) {
-    scores = ops::AddBroadcast(scores, *args.position_bias);
-  }
-  if (args.batch_position_bias != nullptr) {
-    VIST5_CHECK(args.position_bias == nullptr);
-    scores = ops::Add(scores, *args.batch_position_bias);
+    scores = args.position_bias->ndim() == 4
+                 ? ops::Add(scores, *args.position_bias)
+                 : ops::AddBroadcast(scores, *args.position_bias);
   }
   Tensor attn = ops::MaskedSoftmax(scores, *args.key_lengths, args.causal,
-                                   args.query_offset);
+                                   args.query_positions);
   if (args.dropout_p > 0.0f && args.rng != nullptr) {
     attn = ops::Dropout(attn, args.dropout_p, args.rng);
   }

@@ -17,16 +17,19 @@ class RelativePositionBias : public Module {
   RelativePositionBias(int num_buckets, int max_distance, int heads,
                        bool bidirectional, Rng* rng);
 
-  /// Bias tensor of shape [heads, tq, tk]. `query_offset` shifts the
-  /// absolute position of the first query (incremental decoding).
-  Tensor Forward(int tq, int tk, int query_offset = 0) const;
+  /// Bias tensor of shape [heads, tq, tk] for queries and keys both
+  /// starting at position 0 (Encode and the teacher-forced Decode).
+  /// Differentiable: gradients flow into the table.
+  Tensor Forward(int tq, int tk) const;
 
-  /// Per-row bias for a ragged decode step: row b holds the bias of a
-  /// single query at absolute position `query_positions[b]` against keys
-  /// 0..tk-1, i.e. exactly Forward(1, q_b + 1, q_b) zero-padded to `tk`.
-  /// Returns [B, heads, 1, tk]. Inference-only (reads the table without
-  /// recording autograd history); must run under NoGradGuard.
-  Tensor ForwardBatched(const std::vector<int>& query_positions,
+  /// Per-row bias for a decode step: row b holds the bias of `span` queries
+  /// at absolute positions query_positions[b] .. query_positions[b] +
+  /// span - 1 against keys 0..tk-1 — the same table floats Forward
+  /// gathers, copied directly. Keys past a query's position are
+  /// zero-filled; the causal mask drops them. Returns [B, heads, span, tk].
+  /// Inference-only (reads the table without recording autograd history);
+  /// must run under NoGradGuard.
+  Tensor ForwardBatched(const std::vector<int>& query_positions, int span,
                         int tk) const;
 
   /// Maps a relative position (key_pos - query_pos) to a bucket index,
@@ -59,15 +62,16 @@ class MultiHeadAttention : public Module {
     /// Valid key length per batch element (padding mask).
     const std::vector<int>* key_lengths = nullptr;
     bool causal = false;
-    /// Optional additive bias [H, Tq, Tk], broadcast over the batch.
+    /// Optional additive bias: [H, Tq, Tk] broadcast over the batch, or
+    /// [B, H, Tq, Tk] per row (decode steps, where each row sits at its own
+    /// absolute position). The rank tells the two apart.
     const Tensor* position_bias = nullptr;
-    /// Optional additive per-row bias [B, H, Tq, Tk] (ragged decode steps,
-    /// where each batch row sits at a different absolute position).
-    /// Mutually exclusive with `position_bias`.
-    const Tensor* batch_position_bias = nullptr;
-    /// Absolute position of the first query row (causal masking during
-    /// incremental decoding).
-    int query_offset = 0;
+    /// Decode steps only: absolute position of each row's first query
+    /// ([B]). Shifts the causal mask per row, and bounds the score and
+    /// context products by each (row, query)'s visible-key count. Null for
+    /// Encode and the teacher-forced Decode: queries start at 0 and the
+    /// products run in full.
+    const std::vector<int>* query_positions = nullptr;
     float dropout_p = 0.0f;
     Rng* rng = nullptr;
   };
@@ -85,8 +89,8 @@ class MultiHeadAttention : public Module {
   /// Attention against pre-projected key/value tensors ([B, H, Tk, Dh],
   /// from ProjectKv / a decode cache). Identical arithmetic to Forward —
   /// Forward is ProjectKv + ForwardCached — so cached decoding is
-  /// bit-exact against the full-prefix path. args.tk must equal the cache
-  /// time dimension.
+  /// bit-exact against re-running Forward over the whole prefix. args.tk
+  /// must equal the cache time dimension.
   Tensor ForwardCached(const Tensor& query, const Tensor& k, const Tensor& v,
                        const ForwardArgs& args) const;
 

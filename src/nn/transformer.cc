@@ -77,19 +77,17 @@ void DecodeState::Reorder(const std::vector<int>& parents) {
     identity = parents[i] == static_cast<int>(i);
   }
   if (identity) return;
-  std::vector<int> new_steps(parents.size(), 0);
+  std::vector<int> new_steps(parents.size());
   int max_step = 0;
   for (size_t i = 0; i < parents.size(); ++i) {
-    if (!steps.empty()) {
-      new_steps[i] = steps[static_cast<size_t>(parents[i])];
-    }
+    new_steps[i] = steps[static_cast<size_t>(parents[i])];
     max_step = std::max(max_step, new_steps[i]);
   }
   for (LayerCache& layer : layers) {
     // Time capacity is kept as-is: surviving rows may be shorter than the
-    // cache's extent, but the tail is zero-filled and masked, and trimming
-    // it would throw away the preallocated capacity the in-place scatter
-    // path relies on (docs/SERVING.md).
+    // cache's extent, but decode steps never read past a row's position,
+    // and trimming would throw away the preallocated capacity the in-place
+    // scatter path relies on (docs/SERVING.md).
     layer.self_k = ops::GatherBatch(layer.self_k, parents);
     layer.self_v = ops::GatherBatch(layer.self_v, parents);
     layer.cross_k = ops::GatherBatch(layer.cross_k, parents);
@@ -100,10 +98,8 @@ void DecodeState::Reorder(const std::vector<int>& parents) {
     lengths[i] = memory_lengths[static_cast<size_t>(parents[i])];
   }
   memory_lengths = std::move(lengths);
-  if (!steps.empty()) {
-    steps = std::move(new_steps);
-    step = max_step;
-  }
+  steps = std::move(new_steps);
+  step = max_step;
   batch = static_cast<int>(parents.size());
 }
 
@@ -157,26 +153,6 @@ void DecodeState::MergeFrom(DecodeState&& other) {
 void DecodeState::TruncateTo(int len) {
   VIST5_CHECK_GE(len, 0);
   VIST5_CHECK_LE(len, step);
-  if (len == step) return;
-  for (LayerCache& layer : layers) {
-    if (!layer.self_k.defined()) continue;
-    if (len == 0) {
-      // Back to the pre-first-step state: AppendTime treats an undefined
-      // cache as empty, so the next step starts a fresh slab.
-      layer.self_k = Tensor();
-      layer.self_v = Tensor();
-    } else if (layer.self_k.dim(2) > len) {
-      // Physical truncation (not just a mask): the append-grown spec path
-      // relies on dim(2) == step so AppendTime lands the next chunk at the
-      // right time index. Preallocated-capacity caches (the continuous
-      // decoder's scatter path) never reach here — speculative requests
-      // run on the exclusive path with append-grown caches.
-      layer.self_k = ops::SliceTime(layer.self_k, len);
-      layer.self_v = ops::SliceTime(layer.self_v, len);
-    }
-    // cross_k / cross_v are deliberately untouched: encoder-derived, and
-    // possibly aliased from a shared immutable prefix-cache block.
-  }
   step = len;
   for (int& s : steps) s = std::min(s, len);
 }
@@ -314,33 +290,39 @@ void DecoderLayer::BeginDecode(const Tensor& memory, int batch, int enc_seq,
                         &cache->cross_v);
 }
 
-Tensor DecoderLayer::ForwardStep(const Tensor& x, int batch,
+Tensor DecoderLayer::ForwardStep(const Tensor& x, const std::vector<int>& steps,
+                                 int span,
                                  const std::vector<int>& memory_lengths,
-                                 const Tensor* self_bias, int step,
-                                 DecodeState::LayerCache* cache,
-                                 int span) const {
+                                 const Tensor* self_bias,
+                                 DecodeState::LayerCache* cache) const {
   // Self-attention keys/values are projected from the same per-row input
   // the full path uses (the pre-norm output for kPreRms, the raw residual
   // stream for kPostLayerNorm); both norms are row-local, so each token's
-  // cache entry never changes once written. A span > 1 appends all its
-  // positions in one chunk; causal masking below keeps query q from
-  // seeing keys past step + q, so the result matches `span` sequential
-  // one-token calls bit-for-bit.
+  // cache entry never changes once written. Row b's span lands at time
+  // indices steps[b].. — in place when the cache has the capacity
+  // (ContinuousDecoder preallocates max_len at admission), by copy
+  // otherwise. Causal masking from each row's own position keeps query i
+  // from seeing keys past steps[b] + i, so a span matches `span`
+  // sequential one-token calls bit-for-bit, and the padding or stale
+  // entries past a row's position are never read.
+  const int batch = static_cast<int>(steps.size());
   const Tensor self_input = IsPreRms(norm_style_) ? rms1_->Forward(x) : x;
   Tensor k_new, v_new;
   self_attn_.ProjectKv(self_input, batch, span, &k_new, &v_new);
-  cache->self_k = ops::AppendTime(cache->self_k, k_new);
-  cache->self_v = ops::AppendTime(cache->self_v, v_new);
+  ops::ScatterTime(&cache->self_k, k_new, steps);
+  ops::ScatterTime(&cache->self_v, v_new, steps);
 
+  std::vector<int> self_lengths(static_cast<size_t>(batch));
+  for (int b = 0; b < batch; ++b) {
+    self_lengths[static_cast<size_t>(b)] = steps[static_cast<size_t>(b)] + span;
+  }
   MultiHeadAttention::ForwardArgs self_args;
   self_args.batch = batch;
   self_args.tq = span;
-  self_args.tk = step + span;
-  const std::vector<int> self_lengths(static_cast<size_t>(batch),
-                                      step + span);
+  self_args.tk = cache->self_k.dim(2);
   self_args.key_lengths = &self_lengths;
   self_args.causal = true;
-  self_args.query_offset = step;
+  self_args.query_positions = &steps;
   self_args.position_bias = self_bias;
 
   MultiHeadAttention::ForwardArgs cross_args;
@@ -349,72 +331,7 @@ Tensor DecoderLayer::ForwardStep(const Tensor& x, int batch,
   cross_args.tk = cache->cross_k.dim(2);
   cross_args.key_lengths = &memory_lengths;
   cross_args.causal = false;
-
-  if (IsPreRms(norm_style_)) {
-    Tensor h = ops::Add(x, self_attn_.ForwardCached(self_input, cache->self_k,
-                                                    cache->self_v, self_args));
-    Tensor h2 = ops::Add(
-        h, cross_attn_.ForwardCached(rms2_->Forward(h), cache->cross_k,
-                                     cache->cross_v, cross_args));
-    return ops::Add(h2, ff_.Forward(rms3_->Forward(h2), 0.0f, nullptr));
-  }
-  Tensor h = ln1_->Forward(ops::Add(
-      x, self_attn_.ForwardCached(x, cache->self_k, cache->self_v,
-                                  self_args)));
-  Tensor h2 = ln2_->Forward(ops::Add(
-      h, cross_attn_.ForwardCached(h, cache->cross_k, cache->cross_v,
-                                   cross_args)));
-  return ln3_->Forward(ops::Add(h2, ff_.Forward(h2, 0.0f, nullptr)));
-}
-
-Tensor DecoderLayer::ForwardStepRagged(const Tensor& x, int batch,
-                                       const std::vector<int>& memory_lengths,
-                                       const Tensor* self_bias,
-                                       const std::vector<int>& steps,
-                                       DecodeState::LayerCache* cache) const {
-  const Tensor self_input = IsPreRms(norm_style_) ? rms1_->Forward(x) : x;
-  Tensor k_new, v_new;
-  self_attn_.ProjectKv(self_input, batch, 1, &k_new, &v_new);
-  // Row b's keys/values land at its own time index steps[b]; shorter rows
-  // carry zero padding past their valid length. When the cache was
-  // preallocated with enough time capacity (ContinuousDecoder sizes it to
-  // max_len at admission) the write is in place; otherwise the time extent
-  // grows to max(steps)+1 by copy. Either way the visible-key region is
-  // identical, and the zero tail is masked out by self_lengths below.
-  int needed_t = 0;
-  for (int s : steps) needed_t = std::max(needed_t, s + 1);
-  if (cache->self_k.defined() && cache->self_k.dim(2) >= needed_t &&
-      cache->self_k.impl().use_count() == 1 &&
-      cache->self_v.impl().use_count() == 1) {
-    ops::ScatterTimeInPlace(&cache->self_k, k_new, steps);
-    ops::ScatterTimeInPlace(&cache->self_v, v_new, steps);
-  } else {
-    cache->self_k = ops::ScatterTime(cache->self_k, k_new, steps);
-    cache->self_v = ops::ScatterTime(cache->self_v, v_new, steps);
-  }
-
-  // For a single query at absolute position s, causal masking is exactly a
-  // key-length mask of s+1 — the same visible-key set ForwardStep's
-  // (causal, query_offset) pair produces — so ragged rows reuse the padding
-  // mask and stay bit-identical to their uniform-step counterparts.
-  MultiHeadAttention::ForwardArgs self_args;
-  self_args.batch = batch;
-  self_args.tq = 1;
-  self_args.tk = cache->self_k.dim(2);
-  std::vector<int> self_lengths(static_cast<size_t>(batch));
-  for (int b = 0; b < batch; ++b) {
-    self_lengths[static_cast<size_t>(b)] = steps[static_cast<size_t>(b)] + 1;
-  }
-  self_args.key_lengths = &self_lengths;
-  self_args.causal = false;
-  self_args.batch_position_bias = self_bias;
-
-  MultiHeadAttention::ForwardArgs cross_args;
-  cross_args.batch = batch;
-  cross_args.tq = 1;
-  cross_args.tk = cache->cross_k.dim(2);
-  cross_args.key_lengths = &memory_lengths;
-  cross_args.causal = false;
+  cross_args.query_positions = &steps;
 
   if (IsPreRms(norm_style_)) {
     Tensor h = ops::Add(x, self_attn_.ForwardCached(self_input, cache->self_k,
@@ -501,15 +418,21 @@ void Transformer::EnableLora(int rank, float alpha, Rng* rng) {
 }
 
 Tensor Transformer::Embed(const std::vector<int>& ids, int batch, int seq,
-                          int offset, bool decoder_side, bool train,
-                          Rng* rng) const {
+                          bool train, Rng* rng,
+                          const std::vector<int>* offsets) const {
+  if (offsets != nullptr) {
+    VIST5_CHECK_EQ(static_cast<int>(offsets->size()), batch);
+  }
+  const auto position = [&](int b, int t) {
+    const int offset = offsets != nullptr ? (*offsets)[b] : 0;
+    return std::min(t + offset, config_.max_positions - 1);
+  };
   Tensor emb = embedding_.Forward(ids);
   if (config_.position_style == TransformerConfig::PositionStyle::kLearned) {
     std::vector<int> pos_ids(ids.size());
     for (int b = 0; b < batch; ++b) {
       for (int t = 0; t < seq; ++t) {
-        pos_ids[static_cast<size_t>(b) * seq + t] =
-            std::min(t + offset, config_.max_positions - 1);
+        pos_ids[static_cast<size_t>(b) * seq + t] = position(b, t);
       }
     }
     emb = ops::Add(emb, ops::Embedding(learned_positions_, pos_ids));
@@ -518,9 +441,9 @@ Tensor Transformer::Embed(const std::vector<int>& ids, int batch, int seq,
     std::vector<float> pos(ids.size() * static_cast<size_t>(config_.d_model));
     for (int b = 0; b < batch; ++b) {
       for (int t = 0; t < seq; ++t) {
-        const int p = std::min(t + offset, config_.max_positions - 1);
         std::copy_n(
-            sinusoidal_.data() + static_cast<size_t>(p) * config_.d_model,
+            sinusoidal_.data() +
+                static_cast<size_t>(position(b, t)) * config_.d_model,
             config_.d_model,
             pos.data() +
                 (static_cast<size_t>(b) * seq + t) * config_.d_model);
@@ -533,41 +456,6 @@ Tensor Transformer::Embed(const std::vector<int>& ids, int batch, int seq,
   if (train && config_.dropout > 0.0f) {
     emb = ops::Dropout(emb, config_.dropout, rng);
   }
-  (void)decoder_side;
-  return emb;
-}
-
-Tensor Transformer::EmbedStep(const std::vector<int>& ids,
-                              const std::vector<int>& positions) const {
-  // Per-row variant of Embed with seq == 1: row b sits at absolute position
-  // positions[b]. Same clamping and same position-table floats, so a ragged
-  // step embeds each row exactly as Embed(ids, B, 1, offset) would at a
-  // uniform offset. Inference-only, so dropout never applies.
-  VIST5_CHECK_EQ(ids.size(), positions.size());
-  const int batch = static_cast<int>(ids.size());
-  Tensor emb = embedding_.Forward(ids);
-  if (config_.position_style == TransformerConfig::PositionStyle::kLearned) {
-    std::vector<int> pos_ids(positions.size());
-    for (int b = 0; b < batch; ++b) {
-      pos_ids[static_cast<size_t>(b)] =
-          std::min(positions[static_cast<size_t>(b)],
-                   config_.max_positions - 1);
-    }
-    emb = ops::Add(emb, ops::Embedding(learned_positions_, pos_ids));
-  } else if (config_.position_style ==
-             TransformerConfig::PositionStyle::kSinusoidal) {
-    std::vector<float> pos(ids.size() * static_cast<size_t>(config_.d_model));
-    for (int b = 0; b < batch; ++b) {
-      const int p = std::min(positions[static_cast<size_t>(b)],
-                             config_.max_positions - 1);
-      std::copy_n(
-          sinusoidal_.data() + static_cast<size_t>(p) * config_.d_model,
-          config_.d_model,
-          pos.data() + static_cast<size_t>(b) * config_.d_model);
-    }
-    Tensor pos_tensor({batch, config_.d_model}, std::move(pos));
-    emb = ops::Add(emb, pos_tensor);
-  }
   return emb;
 }
 
@@ -576,7 +464,7 @@ Tensor Transformer::Encode(const std::vector<int>& ids, int batch, int seq,
                            Rng* rng) const {
   VIST5_CHECK_EQ(static_cast<int>(ids.size()), batch * seq);
   const float dropout_p = train ? config_.dropout : 0.0f;
-  Tensor h = Embed(ids, batch, seq, 0, /*decoder_side=*/false, train, rng);
+  Tensor h = Embed(ids, batch, seq, train, rng);
   Tensor bias;
   const Tensor* bias_ptr = nullptr;
   if (encoder_bias_) {
@@ -597,7 +485,7 @@ Tensor Transformer::Decode(const std::vector<int>& ids, int batch, int dec_seq,
                            Rng* rng) const {
   VIST5_CHECK_EQ(static_cast<int>(ids.size()), batch * dec_seq);
   const float dropout_p = train ? config_.dropout : 0.0f;
-  Tensor h = Embed(ids, batch, dec_seq, 0, /*decoder_side=*/true, train, rng);
+  Tensor h = Embed(ids, batch, dec_seq, train, rng);
   Tensor bias;
   const Tensor* bias_ptr = nullptr;
   if (decoder_bias_) {
@@ -634,63 +522,33 @@ Tensor Transformer::DecodeStep(const std::vector<int>& next_ids,
   VIST5_CHECK(state != nullptr);
   VIST5_CHECK_GE(span, 1);
   VIST5_CHECK_EQ(static_cast<int>(next_ids.size()), state->batch * span);
-  VIST5_CHECK_EQ(state->layers.size(), decoder_layers_.size());
-  Tensor h = Embed(next_ids, state->batch, /*seq=*/span,
-                   /*offset=*/state->step, /*decoder_side=*/true,
-                   /*train=*/false, nullptr);
-  Tensor bias;
-  const Tensor* bias_ptr = nullptr;
-  if (decoder_bias_) {
-    // Bias rows for queries at absolute positions step..step+span-1
-    // against keys 0..step+span-1 — the last `span` rows of the full
-    // [T, T] bias table.
-    bias = decoder_bias_->Forward(span, state->step + span, state->step);
-    bias_ptr = &bias;
-  }
-  for (size_t i = 0; i < decoder_layers_.size(); ++i) {
-    h = decoder_layers_[i]->ForwardStep(h, state->batch,
-                                        state->memory_lengths, bias_ptr,
-                                        state->step, &state->layers[i], span);
-  }
-  if (decoder_final_norm_) h = decoder_final_norm_->Forward(h);
-  state->step += span;
-  // Keep the per-row view coherent with the uniform counter so the same
-  // state can later be merged into a ragged batch.
-  for (int& s : state->steps) s += span;
-  return h;
-}
-
-Tensor Transformer::DecodeStepRagged(const std::vector<int>& next_ids,
-                                     DecodeState* state) const {
-  VIST5_CHECK(!GradEnabled()) << "DecodeStepRagged is inference-only";
-  VIST5_CHECK(state != nullptr);
-  VIST5_CHECK_EQ(static_cast<int>(next_ids.size()), state->batch);
   VIST5_CHECK_EQ(static_cast<int>(state->steps.size()), state->batch);
   VIST5_CHECK_EQ(state->layers.size(), decoder_layers_.size());
-  Tensor h = EmbedStep(next_ids, state->steps);
-  int tmax = 0;
-  for (int s : state->steps) tmax = std::max(tmax, s + 1);
-  // The bias spans the cache's full time extent, which can exceed
-  // max(steps)+1 when caches carry preallocated capacity; the surplus
-  // columns are zero-filled and masked away inside attention.
-  int bias_tk = tmax;
-  if (!state->layers.empty() && state->layers[0].self_k.defined()) {
-    bias_tk = std::max(bias_tk, state->layers[0].self_k.dim(2));
-  }
+  Tensor h = Embed(next_ids, state->batch, span, /*train=*/false, nullptr,
+                   &state->steps);
+  int needed = 0;
+  for (int s : state->steps) needed = std::max(needed, s + span);
   Tensor bias;
   const Tensor* bias_ptr = nullptr;
   if (decoder_bias_) {
-    bias = decoder_bias_->ForwardBatched(state->steps, bias_tk);
+    // The bias spans the cache's time extent after this step's write, which
+    // exceeds max(steps) + span when caches carry preallocated capacity or
+    // a truncated tail; those columns are never read.
+    int tk = needed;
+    if (!state->layers.empty() && state->layers[0].self_k.defined()) {
+      tk = std::max(tk, state->layers[0].self_k.dim(2));
+    }
+    bias = decoder_bias_->ForwardBatched(state->steps, span, tk);
     bias_ptr = &bias;
   }
   for (size_t i = 0; i < decoder_layers_.size(); ++i) {
-    h = decoder_layers_[i]->ForwardStepRagged(h, state->batch,
-                                              state->memory_lengths, bias_ptr,
-                                              state->steps, &state->layers[i]);
+    h = decoder_layers_[i]->ForwardStep(h, state->steps, span,
+                                        state->memory_lengths, bias_ptr,
+                                        &state->layers[i]);
   }
   if (decoder_final_norm_) h = decoder_final_norm_->Forward(h);
-  for (int& s : state->steps) ++s;
-  state->step = tmax;
+  for (int& s : state->steps) s += span;
+  state->step = needed;
   return h;
 }
 

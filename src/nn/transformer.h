@@ -53,14 +53,15 @@ struct TransformerConfig {
 };
 
 /// Per-layer attention caches for KV-cached incremental decoding (see
-/// docs/INFERENCE.md). Self-attention keys/values are appended one step at
-/// a time; cross-attention keys/values are projected from the encoder
-/// memory exactly once at BeginDecode. Inference-only: all tensors are
-/// built under NoGradGuard and carry no autograd history.
+/// docs/INFERENCE.md). Each row's self-attention keys/values are written at
+/// that row's own positions, one span at a time; cross-attention
+/// keys/values are projected from the encoder memory exactly once at
+/// BeginDecode. Inference-only: all tensors are built under NoGradGuard
+/// and carry no autograd history.
 struct DecodeState {
   struct LayerCache {
-    Tensor self_k;   ///< [B, H, step, Dh], grown by DecodeStep
-    Tensor self_v;   ///< [B, H, step, Dh]
+    Tensor self_k;   ///< [B, H, T, Dh], T >= step; written by DecodeStep
+    Tensor self_v;   ///< [B, H, T, Dh]
     Tensor cross_k;  ///< [B, H, T_enc, Dh], fixed after BeginDecode
     Tensor cross_v;  ///< [B, H, T_enc, Dh]
   };
@@ -68,35 +69,37 @@ struct DecodeState {
   std::vector<LayerCache> layers;  ///< one per decoder layer
   std::vector<int> memory_lengths;
   int batch = 0;
-  int step = 0;  ///< max decoder tokens consumed by any row (= time extent)
+  int step = 0;  ///< max decoder tokens consumed by any row
 
   /// Per-row decode progress: `steps[b]` tokens consumed by batch row b
-  /// (= absolute position of its next token). Rows advance together under
-  /// DecodeStep (all equal to `step`) but independently under
-  /// DecodeStepRagged — the continuous-batching serve path, where requests
-  /// admitted mid-flight start at 0 while older rows are many steps in.
+  /// (= absolute position of its next token). Rows need not agree: in the
+  /// continuous batch, requests admitted mid-flight start at 0 while older
+  /// rows are many steps in. Self-attention entries at or past a row's
+  /// position are never read.
   std::vector<int> steps;
 
   /// Reorders/expands the batch dimension after beam pruning or batch
   /// eviction: entry i of the new state is old entry `parents[i]`.
   /// `parents` may repeat (a hypothesis forked) or drop indices (a
-  /// hypothesis died / a request finished). Shrinks the self-attention
-  /// time dimension when the surviving rows no longer need its tail.
+  /// hypothesis died / a request finished). The self-attention time
+  /// capacity is kept as-is, so preallocated slabs stay preallocated.
   void Reorder(const std::vector<int>& parents);
 
   /// Joins `other`'s rows onto this state's batch (continuous batching:
   /// freshly prefilled requests merge into the running decode batch at a
   /// step boundary). Time dimensions are zero-padded to the pairwise max;
-  /// padded entries are masked by per-row lengths/steps. Both states must
-  /// come from the same Transformer.
+  /// padded entries lie past their row's position and are never read. Both
+  /// states must come from the same Transformer.
   void MergeFrom(DecodeState&& other);
 
   /// Rolls the decode position back to `len` tokens (0 <= len <= step):
-  /// self-attention K/V past `len` are discarded so the next DecodeStep
-  /// writes at position `len`, exactly as if the rejected tokens were
-  /// never fed. Cross-attention K/V are untouched — they depend only on
-  /// the encoder memory, and spliced prefix-cache states alias shared
-  /// immutable blocks that must never be mutated (docs/SPECULATIVE.md).
+  /// every row's position moves back to at most `len`, so the next
+  /// DecodeStep writes at position `len` exactly as if the rejected tokens
+  /// were never fed. Nothing is copied or freed: the next write overwrites
+  /// the tail, and decode steps never read past a row's position.
+  /// Cross-attention K/V are untouched — they depend only on the encoder
+  /// memory, and spliced prefix-cache states alias shared immutable blocks
+  /// that must never be mutated (docs/SPECULATIVE.md).
   void TruncateTo(int len);
 };
 
@@ -136,30 +139,16 @@ class DecoderLayer : public Module {
   void BeginDecode(const Tensor& memory, int batch, int enc_seq,
                    DecodeState::LayerCache* cache) const;
 
-  /// Incremental counterpart of Forward: consumes `span` already-embedded
-  /// tokens per batch row (`x` is [B*span, d], row-major), appends their
-  /// self-attention K/V to `cache`, and returns the block output
-  /// [B*span, d]. `step` is the absolute position of the first token;
-  /// `self_bias` is the [H, span, step+span] bias slab for those positions
-  /// (relative-bias configs only). span == 1 is the classic one-token
-  /// decode step; span > 1 is the speculative verify path, bit-identical
-  /// per row to `span` sequential calls (docs/SPECULATIVE.md).
-  Tensor ForwardStep(const Tensor& x, int batch,
+  /// Incremental counterpart of Forward: row b consumes `span`
+  /// already-embedded tokens (`x` is [B*span, d], row-major) at absolute
+  /// positions steps[b] .. steps[b] + span - 1, writes their self-attention
+  /// K/V there in `cache`, and returns the block output [B*span, d].
+  /// `self_bias` is the per-row [B, H, span, T] bias from
+  /// RelativePositionBias::ForwardBatched (relative-bias configs only).
+  Tensor ForwardStep(const Tensor& x, const std::vector<int>& steps, int span,
                      const std::vector<int>& memory_lengths,
-                     const Tensor* self_bias, int step,
-                     DecodeState::LayerCache* cache, int span = 1) const;
-
-  /// Ragged counterpart of ForwardStep: row b consumes one token at its
-  /// own absolute position `steps[b]`, writing its K/V at that time index
-  /// of a cache padded to max(steps)+1. `self_bias` is the per-row
-  /// [B, H, 1, max(steps)+1] bias (relative-bias configs only). Causal
-  /// masking degenerates to per-row key lengths: a query at position s
-  /// may see exactly keys 0..s.
-  Tensor ForwardStepRagged(const Tensor& x, int batch,
-                           const std::vector<int>& memory_lengths,
-                           const Tensor* self_bias,
-                           const std::vector<int>& steps,
-                           DecodeState::LayerCache* cache) const;
+                     const Tensor* self_bias,
+                     DecodeState::LayerCache* cache) const;
 
   void EnableLora(int rank, float alpha, Rng* rng) {
     self_attn_.EnableLora(rank, alpha, rng);
@@ -205,26 +194,25 @@ class Transformer : public Module {
   DecodeState BeginDecode(const Tensor& memory, int batch, int enc_seq,
                           const std::vector<int>& memory_lengths) const;
 
-  /// Feeds `span` tokens per batch row (`next_ids` is [B*span] row-major)
-  /// starting at position `state->step`, appends their keys/values to the
-  /// cache, and returns the new hidden rows [B*span, d]. Position
-  /// machinery (relative bias / learned / sinusoidal) is applied with
-  /// query_offset = step, so a DecodeStep loop is bit-exact against
-  /// Decode over the same prefix — and a span call is bit-exact against
-  /// `span` sequential one-token calls (the speculative verify contract,
-  /// docs/SPECULATIVE.md). Advances `state->step` by `span`.
+  /// The one decode step. Row b consumes `span` tokens (`next_ids` is
+  /// [B*span] row-major) starting at its own position `state->steps[b]`,
+  /// writes their keys/values into the cache, and returns the new hidden
+  /// rows [B*span, d]; each row's position advances by `span`. Position
+  /// machinery (relative bias / learned / sinusoidal) is applied at each
+  /// row's positions, so a DecodeStep loop is bit-exact against Decode over
+  /// the same prefix, a span call is bit-exact against `span` one-token
+  /// calls (the speculative verify contract, docs/SPECULATIVE.md), and a
+  /// row's result never depends on the other rows' positions (the
+  /// continuous-batching contract, docs/SERVING.md).
   Tensor DecodeStep(const std::vector<int>& next_ids, DecodeState* state,
                     int span = 1) const;
 
-  /// Ragged batched decode step: row b's token is consumed at that row's
-  /// own position `state->steps[b]` (rows need not agree — the continuous
-  /// batching invariant). Returns the new hidden row per batch element
-  /// [B, d] and advances each row's step. Bit-identical per row to
-  /// DecodeStep over a batch at uniform positions, and therefore to
-  /// single-request decoding — every kernel is batch-row-pure (see
-  /// docs/SERVING.md for the determinism contract).
+  /// Same as DecodeStep(next_ids, state). Kept only because the serving
+  /// benchmark (perfbench/layers.cc) times the step under this name.
   Tensor DecodeStepRagged(const std::vector<int>& next_ids,
-                          DecodeState* state) const;
+                          DecodeState* state) const {
+    return DecodeStep(next_ids, state);
+  }
 
   /// Projects decoder hidden states to vocabulary logits [rows, V].
   Tensor Logits(const Tensor& decoder_hidden) const;
@@ -244,13 +232,11 @@ class Transformer : public Module {
               const std::vector<int>& dec_lengths, bool train, Rng* rng) const;
 
  private:
-  Tensor Embed(const std::vector<int>& ids, int batch, int seq, int offset,
-               bool decoder_side, bool train, Rng* rng) const;
-
-  /// Embeds one token per batch row at per-row absolute positions
-  /// (ragged decode steps). Same arithmetic as Embed with seq == 1.
-  Tensor EmbedStep(const std::vector<int>& ids,
-                   const std::vector<int>& positions) const;
+  /// Token plus position embedding of `ids` ([B*seq] row-major). Token t
+  /// of row b sits at position t + (*offsets)[b]; null offsets (training,
+  /// Encode, Decode) start every row at 0.
+  Tensor Embed(const std::vector<int>& ids, int batch, int seq, bool train,
+               Rng* rng, const std::vector<int>* offsets = nullptr) const;
 
   TransformerConfig config_;
   EmbeddingLayer embedding_;

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <condition_variable>
 #include <fstream>
+#include <limits>
 #include <mutex>
 #include <thread>
 
@@ -52,7 +53,12 @@ StatusOr<std::vector<TraceEntry>> LoadTraceJsonl(const std::string& path) {
     }
     for (size_t i = 0; i < toks->size(); ++i) {
       if (!toks->at(i).is_number()) return bad("\"tokens\" must hold numbers");
-      entry.tokens.push_back(static_cast<int>(toks->at(i).number_value()));
+      int token = 0;
+      if (!JsonToInt(toks->at(i), 0, std::numeric_limits<int>::max(),
+                     &token)) {
+        return bad("\"tokens\" must hold non-negative integers");
+      }
+      entry.tokens.push_back(token);
     }
     entry.at_ms = prev_at_ms;
     if (const JsonValue* v = doc.Find("at_ms")) {
@@ -62,11 +68,12 @@ StatusOr<std::vector<TraceEntry>> LoadTraceJsonl(const std::string& path) {
       entry.at_ms = v->number_value();
     }
     prev_at_ms = entry.at_ms;
-    if (const JsonValue* v = doc.Find("max_len")) {
-      entry.max_len = static_cast<int>(v->number_value(-1));
-    }
-    if (const JsonValue* v = doc.Find("draft")) {
-      entry.draft_k = static_cast<int>(v->number_value(-1));
+    std::string field_error;
+    if (!ReadIntField(doc, "max_len", 1, kMaxRequestMaxLen, &entry.max_len,
+                      &field_error) ||
+        !ReadIntField(doc, "draft", 0, kMaxRequestDraftK, &entry.draft_k,
+                      &field_error)) {
+      return bad(field_error);
     }
     trace.push_back(std::move(entry));
   }

@@ -22,10 +22,11 @@ struct TraceEntry {
 };
 
 /// Parses a trace from a JSONL file: one object per line with required
-/// "tokens" (number array) and optional "at_ms" (default: previous
-/// entry's, i.e. issue immediately after), "max_len", and "draft" fields.
-/// Blank lines are skipped; any malformed line fails the whole load with
-/// its line number.
+/// "tokens" (array of non-negative integers) and optional "at_ms"
+/// (default: previous entry's, i.e. issue immediately after), "max_len",
+/// and "draft" fields, the last two range-checked exactly as the request
+/// wire checks them. Blank lines are skipped; any malformed line fails the
+/// whole load with its line number.
 StatusOr<std::vector<TraceEntry>> LoadTraceJsonl(const std::string& path);
 
 struct LoadGenOptions {

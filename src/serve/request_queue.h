@@ -23,6 +23,11 @@ namespace serve {
 /// (docs/SERVING.md).
 using TokenCallback = std::function<void(int token, size_t seq)>;
 
+/// Ranges the line-JSON wire and replayed trace files accept for a
+/// request's "max_len" and "draft" fields.
+inline constexpr int kMaxRequestMaxLen = 4096;
+inline constexpr int kMaxRequestDraftK = 1024;
+
 /// One tokenized generation request as it flows through the scheduler.
 struct Request {
   /// Internal id, assigned by BatchScheduler::Submit. Client-side ids live

@@ -30,13 +30,12 @@ int64_t Us(Clock::time_point t) {
 constexpr std::chrono::milliseconds kIdleWait{50};
 
 /// Requests that cannot share the continuous batch: beam search reorders
-/// the whole decode state, sampling consumes per-request RNG draws,
-/// use_kv_cache=false is the full-prefix reference path, and speculative
-/// requests (draft_k > 0) drive two models' caches through the
+/// the whole decode state, sampling consumes per-request RNG draws, and
+/// speculative requests (draft_k > 0) drive two models' caches through the
 /// DraftVerifyEngine. They run alone between batches.
 bool IsExclusive(const model::GenerationOptions& options) {
   return options.beam_size > 1 || options.temperature > 0.0f ||
-         !options.use_kv_cache || options.draft_k > 0;
+         options.draft_k > 0;
 }
 
 /// Admission-time validation for speculative requests (docs/SPECULATIVE.md):
@@ -53,9 +52,6 @@ std::string SpecAdmissionError(const model::GenerationOptions& options,
   }
   if (options.temperature > 0.0f) {
     return "speculative decoding is greedy-only: temperature must be 0";
-  }
-  if (!options.use_kv_cache) {
-    return "speculative decoding requires the KV-cached decode path";
   }
   if (options.weight_dtype != sched.draft_dtype) {
     return std::string("draft checkpoint is served at weight_dtype ") +

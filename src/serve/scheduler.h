@@ -57,7 +57,7 @@ struct SchedulerOptions {
 /// a running batch without waiting for it to drain, and finished rows free
 /// their slot immediately.
 ///
-/// Greedy requests batch together; beam/sampling/full-prefix requests are
+/// Greedy requests batch together; beam/sampling/speculative requests are
 /// "exclusive" — the loop lets the batch drain, runs them alone through
 /// Seq2SeqModel::Generate, then resumes batching. This trades their
 /// latency for a much simpler invariant (the KV cache is only ever shared

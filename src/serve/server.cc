@@ -10,7 +10,6 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
-#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
@@ -118,31 +117,6 @@ std::string BuildHttpResponse(int code, const std::string& content_type,
          "\r\nContent-Type: " + content_type +
          "\r\nContent-Length: " + std::to_string(body.size()) +
          "\r\nConnection: close\r\n\r\n" + body;
-}
-
-/// Reads an optional integer field, validating type and range. The
-/// pre-validation server coerced malformed numerics through
-/// number_value(fallback) — "max_len": "abc" silently became the default
-/// and "max_len": -5 / "beam": 0 / "deadline_ms": -1 passed through to
-/// the decoder unchecked. Absent fields leave *out untouched.
-bool ReadIntField(const JsonValue& doc, const char* key, long long min_value,
-                  long long max_value, int* out, std::string* error) {
-  const JsonValue* v = doc.Find(key);
-  if (v == nullptr) return true;
-  if (!v->is_number()) {
-    *error = std::string("\"") + key + "\" must be a number";
-    return false;
-  }
-  const double d = v->number_value();
-  if (!(d >= static_cast<double>(min_value)) ||
-      !(d <= static_cast<double>(max_value)) || d != std::floor(d)) {
-    *error = std::string("\"") + key + "\" must be an integer in [" +
-             std::to_string(min_value) + ", " + std::to_string(max_value) +
-             "]";
-    return false;
-  }
-  *out = static_cast<int>(d);
-  return true;
 }
 
 /// Serializes one scheduler response as the final wire line.
@@ -1098,15 +1072,14 @@ void Server::DispatchLine(const std::shared_ptr<Conn>& conn,
         answer(error_line("\"tokens\" must hold numbers"));
         return;
       }
-      // Checked before the cast, which is undefined outside int's range.
       // The vocabulary bound is the scheduler's (BatchScheduler::Submit).
-      const double d = toks->at(i).number_value();
-      if (!(d >= 0) || !(d <= std::numeric_limits<int>::max()) ||
-          d != std::floor(d)) {
+      int token = 0;
+      if (!JsonToInt(toks->at(i), 0, std::numeric_limits<int>::max(),
+                     &token)) {
         answer(error_line("\"tokens\" must hold non-negative integers"));
         return;
       }
-      req.tokens.push_back(static_cast<int>(d));
+      req.tokens.push_back(token);
     }
   } else if (const JsonValue* txt = doc.Find("text")) {
     if (!txt->is_string()) {
@@ -1123,8 +1096,8 @@ void Server::DispatchLine(const std::shared_ptr<Conn>& conn,
     return;
   }
   std::string field_error;
-  if (!ReadIntField(doc, "max_len", 1, 4096, &req.options.max_len,
-                    &field_error) ||
+  if (!ReadIntField(doc, "max_len", 1, kMaxRequestMaxLen,
+                    &req.options.max_len, &field_error) ||
       !ReadIntField(doc, "beam", 1, 64, &req.options.beam_size,
                     &field_error) ||
       !ReadIntField(doc, "deadline_ms", 0, 86400000,
@@ -1155,7 +1128,7 @@ void Server::DispatchLine(const std::shared_ptr<Conn>& conn,
   // mismatch) are rejected by the scheduler's admission guard with a clear
   // error rather than silently decoded plain (docs/SPECULATIVE.md).
   req.options.draft_k = options_.default_draft_k;
-  if (!ReadIntField(doc, "draft", 0, 1024, &req.options.draft_k,
+  if (!ReadIntField(doc, "draft", 0, kMaxRequestDraftK, &req.options.draft_k,
                     &field_error)) {
     answer(error_line(field_error));
     return;

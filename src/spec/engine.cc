@@ -42,8 +42,6 @@ std::vector<int> DraftVerifyEngine::Generate(
       << "DraftVerifyEngine requires draft_k >= 1";
   VIST5_CHECK(options.beam_size <= 1 && options.temperature <= 0.0f)
       << "speculative decoding is greedy-only";
-  VIST5_CHECK(options.use_kv_cache)
-      << "speculative decoding runs on the KV-cached path";
   NoGradGuard guard;
   WeightDtypeGuard dtype_guard(options.weight_dtype);
   const auto t_start = std::chrono::steady_clock::now();

@@ -518,32 +518,36 @@ Tensor BoundedAttnScores(const Tensor& q, const Tensor& k,
   VIST5_CHECK(!GradEnabled()) << "BoundedAttnScores is inference-only";
   VIST5_CHECK_EQ(q.ndim(), 4);
   VIST5_CHECK_EQ(k.ndim(), 4);
-  VIST5_CHECK_EQ(q.dim(2), 1);
   VIST5_CHECK_EQ(q.dim(0), k.dim(0));
   VIST5_CHECK_EQ(q.dim(1), k.dim(1));
   VIST5_CHECK_EQ(q.dim(3), k.dim(3));
   const int b = q.dim(0);
   const int h = q.dim(1);
+  const int tq = q.dim(2);
   const int tk = k.dim(2);
   const int dh = q.dim(3);
-  VIST5_CHECK_EQ(static_cast<int>(valid.size()), b);
-  std::vector<float> out(static_cast<size_t>(b) * h * tk, 0.0f);
+  VIST5_CHECK_EQ(static_cast<int64_t>(valid.size()),
+                 static_cast<int64_t>(b) * tq);
+  std::vector<float> out(static_cast<size_t>(b) * h * tq * tk, 0.0f);
   const float* qd = q.data().data();
   const float* kd = k.data().data();
   float* od = out.data();
   const tensor::simd::KernelSet& ks = tensor::simd::ActiveKernels();
+  // One output row per (b, h, query); its key plane is shared by the Tq
+  // rows of that (b, h).
   rt::ParallelFor(
-      GemmRowGrain(dh, tk), 0, static_cast<int64_t>(b) * h,
+      GemmRowGrain(dh, tk), 0, static_cast<int64_t>(b) * h * tq,
       [&](int64_t lo, int64_t hi) {
-        for (int64_t plane = lo; plane < hi; ++plane) {
-          const int bi = static_cast<int>(plane / h);
-          const int n = std::min(std::max(valid[static_cast<size_t>(bi)], 0),
+        for (int64_t row = lo; row < hi; ++row) {
+          const int64_t plane = row / tq;
+          const int64_t vi = plane / h * tq + row % tq;
+          const int n = std::min(std::max(valid[static_cast<size_t>(vi)], 0),
                                  tk);
-          ks.gemm_row_nt(qd + plane * dh, kd + plane * tk * dh,
-                         od + plane * tk, dh, n);
+          ks.gemm_row_nt(qd + row * dh, kd + plane * tk * dh, od + row * tk,
+                         dh, n);
         }
       });
-  return Tensor({b, h, 1, tk}, std::move(out));
+  return Tensor({b, h, tq, tk}, std::move(out));
 }
 
 Tensor BoundedAttnContext(const Tensor& probs, const Tensor& v,
@@ -551,32 +555,34 @@ Tensor BoundedAttnContext(const Tensor& probs, const Tensor& v,
   VIST5_CHECK(!GradEnabled()) << "BoundedAttnContext is inference-only";
   VIST5_CHECK_EQ(probs.ndim(), 4);
   VIST5_CHECK_EQ(v.ndim(), 4);
-  VIST5_CHECK_EQ(probs.dim(2), 1);
   VIST5_CHECK_EQ(probs.dim(0), v.dim(0));
   VIST5_CHECK_EQ(probs.dim(1), v.dim(1));
   VIST5_CHECK_EQ(probs.dim(3), v.dim(2));
   const int b = probs.dim(0);
   const int h = probs.dim(1);
+  const int tq = probs.dim(2);
   const int tk = v.dim(2);
   const int dh = v.dim(3);
-  VIST5_CHECK_EQ(static_cast<int>(valid.size()), b);
-  std::vector<float> out(static_cast<size_t>(b) * h * dh, 0.0f);
+  VIST5_CHECK_EQ(static_cast<int64_t>(valid.size()),
+                 static_cast<int64_t>(b) * tq);
+  std::vector<float> out(static_cast<size_t>(b) * h * tq * dh, 0.0f);
   const float* pd = probs.data().data();
   const float* vd = v.data().data();
   float* od = out.data();
   const tensor::simd::KernelSet& ks = tensor::simd::ActiveKernels();
   rt::ParallelFor(
-      GemmRowGrain(tk, dh), 0, static_cast<int64_t>(b) * h,
+      GemmRowGrain(tk, dh), 0, static_cast<int64_t>(b) * h * tq,
       [&](int64_t lo, int64_t hi) {
-        for (int64_t plane = lo; plane < hi; ++plane) {
-          const int bi = static_cast<int>(plane / h);
-          const int n = std::min(std::max(valid[static_cast<size_t>(bi)], 0),
+        for (int64_t row = lo; row < hi; ++row) {
+          const int64_t plane = row / tq;
+          const int64_t vi = plane / h * tq + row % tq;
+          const int n = std::min(std::max(valid[static_cast<size_t>(vi)], 0),
                                  tk);
-          ks.gemm_row_nn_zero(pd + plane * tk, vd + plane * tk * dh,
-                              od + plane * dh, n, dh);
+          ks.gemm_row_nn_zero(pd + row * tk, vd + plane * tk * dh,
+                              od + row * dh, n, dh);
         }
       });
-  return Tensor({b, h, 1, dh}, std::move(out));
+  return Tensor({b, h, tq, dh}, std::move(out));
 }
 
 namespace {
@@ -643,13 +649,16 @@ Tensor Softmax(const Tensor& x) {
 }
 
 Tensor MaskedSoftmax(const Tensor& scores, const std::vector<int>& key_lengths,
-                     bool causal, int query_offset) {
+                     bool causal, const std::vector<int>* query_offsets) {
   VIST5_CHECK_EQ(scores.ndim(), 4);
   const int b = scores.dim(0);
   const int h = scores.dim(1);
   const int tq = scores.dim(2);
   const int tk = scores.dim(3);
   VIST5_CHECK_EQ(static_cast<int>(key_lengths.size()), b);
+  if (query_offsets != nullptr) {
+    VIST5_CHECK_EQ(static_cast<int>(query_offsets->size()), b);
+  }
   auto valid_cols = [=, &key_lengths](int64_t row) {
     // row indexes [B, H, Tq] flattened. Both masks cut a suffix: keys at or
     // beyond the batch entry's length, and (causally) keys after the query.
@@ -657,7 +666,9 @@ Tensor MaskedSoftmax(const Tensor& scores, const std::vector<int>& key_lengths,
     int valid = std::min(key_lengths[batch], tk);
     if (causal) {
       const int q = static_cast<int>(row % tq);
-      valid = std::min(valid, q + query_offset + 1);
+      const int offset =
+          query_offsets != nullptr ? (*query_offsets)[batch] : 0;
+      valid = std::min(valid, q + offset + 1);
     }
     return std::max(valid, 0);
   };
@@ -1246,33 +1257,6 @@ Tensor ConcatRows(const std::vector<Tensor>& parts) {
   return result;
 }
 
-Tensor AppendTime(const Tensor& cache, const Tensor& chunk) {
-  VIST5_CHECK(!GradEnabled()) << "AppendTime is an inference-only helper";
-  VIST5_CHECK_EQ(chunk.ndim(), 4);
-  if (!cache.defined()) return chunk;
-  VIST5_CHECK_EQ(cache.ndim(), 4);
-  const int b = cache.dim(0);
-  const int h = cache.dim(1);
-  const int t = cache.dim(2);
-  const int dh = cache.dim(3);
-  const int s = chunk.dim(2);
-  VIST5_CHECK_EQ(chunk.dim(0), b);
-  VIST5_CHECK_EQ(chunk.dim(1), h);
-  VIST5_CHECK_EQ(chunk.dim(3), dh);
-  std::vector<float> out(static_cast<size_t>(b) * h * (t + s) * dh);
-  for (int bi = 0; bi < b; ++bi) {
-    for (int hi = 0; hi < h; ++hi) {
-      const size_t plane = static_cast<size_t>(bi) * h + hi;
-      float* dst = out.data() + plane * (t + s) * dh;
-      std::copy_n(cache.data().data() + plane * t * dh,
-                  static_cast<size_t>(t) * dh, dst);
-      std::copy_n(chunk.data().data() + plane * s * dh,
-                  static_cast<size_t>(s) * dh, dst + static_cast<size_t>(t) * dh);
-    }
-  }
-  return Tensor({b, h, t + s, dh}, std::move(out));
-}
-
 Tensor GatherBatch(const Tensor& x, const std::vector<int>& indices) {
   VIST5_CHECK(!GradEnabled()) << "GatherBatch is an inference-only helper";
   VIST5_CHECK_GE(x.ndim(), 1);
@@ -1290,69 +1274,50 @@ Tensor GatherBatch(const Tensor& x, const std::vector<int>& indices) {
   return Tensor(std::move(shape), std::move(out));
 }
 
-Tensor ScatterTime(const Tensor& cache, const Tensor& chunk,
-                   const std::vector<int>& positions) {
+void ScatterTime(Tensor* cache, const Tensor& chunk,
+                 const std::vector<int>& positions) {
   VIST5_CHECK(!GradEnabled()) << "ScatterTime is an inference-only helper";
+  VIST5_CHECK(cache != nullptr);
   VIST5_CHECK_EQ(chunk.ndim(), 4);
-  VIST5_CHECK_EQ(chunk.dim(2), 1);
   const int b = chunk.dim(0);
   const int h = chunk.dim(1);
+  const int s = chunk.dim(2);
   const int dh = chunk.dim(3);
   VIST5_CHECK_EQ(static_cast<int>(positions.size()), b);
-  int t_old = 0;
-  if (cache.defined()) {
-    VIST5_CHECK_EQ(cache.ndim(), 4);
-    VIST5_CHECK_EQ(cache.dim(0), b);
-    VIST5_CHECK_EQ(cache.dim(1), h);
-    VIST5_CHECK_EQ(cache.dim(3), dh);
-    t_old = cache.dim(2);
-  }
-  int t_new = t_old;
+  int needed = 0;
   for (int pos : positions) {
     VIST5_CHECK_GE(pos, 0);
-    t_new = std::max(t_new, pos + 1);
+    needed = std::max(needed, pos + s);
   }
-  std::vector<float> out(static_cast<size_t>(b) * h * t_new * dh, 0.0f);
-  for (int bi = 0; bi < b; ++bi) {
-    for (int hi = 0; hi < h; ++hi) {
-      const size_t plane = static_cast<size_t>(bi) * h + hi;
-      float* dst = out.data() + plane * t_new * dh;
-      if (t_old > 0) {
-        std::copy_n(cache.data().data() + plane * t_old * dh,
-                    static_cast<size_t>(t_old) * dh, dst);
+  int t = 0;
+  if (cache->defined()) {
+    VIST5_CHECK_EQ(cache->ndim(), 4);
+    VIST5_CHECK_EQ(cache->dim(0), b);
+    VIST5_CHECK_EQ(cache->dim(1), h);
+    VIST5_CHECK_EQ(cache->dim(3), dh);
+    t = cache->dim(2);
+  }
+  if (t < needed || cache->impl().use_count() != 1) {
+    // Grow by copy. A shared slab (a copied DecodeState, a spliced prefix
+    // block) is never written through: this handle gets its own storage.
+    const int t_new = std::max(t, needed);
+    std::vector<float> out(static_cast<size_t>(b) * h * t_new * dh, 0.0f);
+    if (t > 0) {
+      for (int64_t plane = 0; plane < static_cast<int64_t>(b) * h; ++plane) {
+        std::copy_n(cache->data().data() + plane * t * dh,
+                    static_cast<size_t>(t) * dh,
+                    out.data() + plane * t_new * dh);
       }
-      std::copy_n(chunk.data().data() + plane * dh, static_cast<size_t>(dh),
-                  dst + static_cast<size_t>(positions[bi]) * dh);
     }
+    *cache = Tensor({b, h, t_new, dh}, std::move(out));
+    t = t_new;
   }
-  return Tensor({b, h, t_new, dh}, std::move(out));
-}
-
-void ScatterTimeInPlace(Tensor* cache, const Tensor& chunk,
-                        const std::vector<int>& positions) {
-  VIST5_CHECK(!GradEnabled()) << "ScatterTimeInPlace is an inference-only helper";
-  VIST5_CHECK(cache != nullptr);
-  VIST5_CHECK(cache->defined());
-  VIST5_CHECK(cache->impl().use_count() == 1)
-      << "in-place scatter requires a uniquely-owned cache";
-  VIST5_CHECK_EQ(cache->ndim(), 4);
-  VIST5_CHECK_EQ(chunk.ndim(), 4);
-  VIST5_CHECK_EQ(chunk.dim(2), 1);
-  const int b = cache->dim(0);
-  const int h = cache->dim(1);
-  const int t = cache->dim(2);
-  const int dh = cache->dim(3);
-  VIST5_CHECK_EQ(chunk.dim(0), b);
-  VIST5_CHECK_EQ(chunk.dim(1), h);
-  VIST5_CHECK_EQ(chunk.dim(3), dh);
-  VIST5_CHECK_EQ(static_cast<int>(positions.size()), b);
   float* data = cache->mutable_data().data();
   for (int bi = 0; bi < b; ++bi) {
-    VIST5_CHECK_GE(positions[bi], 0);
-    VIST5_CHECK_LT(positions[bi], t);
     for (int hi = 0; hi < h; ++hi) {
       const size_t plane = static_cast<size_t>(bi) * h + hi;
-      std::copy_n(chunk.data().data() + plane * dh, static_cast<size_t>(dh),
+      std::copy_n(chunk.data().data() + plane * s * dh,
+                  static_cast<size_t>(s) * dh,
                   data + (plane * t + positions[bi]) * dh);
     }
   }
@@ -1374,27 +1339,6 @@ Tensor PadTime(const Tensor& x, int t) {
       std::copy_n(x.data().data() + plane * t_old * dh,
                   static_cast<size_t>(t_old) * dh,
                   out.data() + plane * t * dh);
-    }
-  }
-  return Tensor({b, h, t, dh}, std::move(out));
-}
-
-Tensor SliceTime(const Tensor& x, int t) {
-  VIST5_CHECK(!GradEnabled()) << "SliceTime is an inference-only helper";
-  VIST5_CHECK_EQ(x.ndim(), 4);
-  const int b = x.dim(0);
-  const int h = x.dim(1);
-  const int t_old = x.dim(2);
-  const int dh = x.dim(3);
-  VIST5_CHECK_GE(t, 0);
-  VIST5_CHECK_LE(t, t_old);
-  if (t == t_old) return x;
-  std::vector<float> out(static_cast<size_t>(b) * h * t * dh);
-  for (int bi = 0; bi < b; ++bi) {
-    for (int hi = 0; hi < h; ++hi) {
-      const size_t plane = static_cast<size_t>(bi) * h + hi;
-      std::copy_n(x.data().data() + plane * t_old * dh,
-                  static_cast<size_t>(t) * dh, out.data() + plane * t * dh);
     }
   }
   return Tensor({b, h, t, dh}, std::move(out));

@@ -50,30 +50,33 @@ Tensor MatMulTransposeB(const Tensor& a, const Tensor& b);
 /// Softmax over the last dimension.
 Tensor Softmax(const Tensor& x);
 
-/// Single-query attention scores bounded by per-row valid key counts:
-/// out[b, h, 0, j] = q[b, h, 0, :] · k[b, h, j, :] for j < valid[b], zero
-/// beyond. Each dot runs through the same row kernel MatMulTransposeB
-/// uses, so for j < valid[b] the bits match the unbounded product exactly —
+/// Attention scores bounded by valid key counts, one per (row, query):
+/// out[b, h, i, j] = q[b, h, i, :] · k[b, h, j, :] for j < valid[b * Tq + i],
+/// zero beyond. Each dot runs through the same row kernel MatMulTransposeB
+/// uses, so inside the bound the bits match the unbounded product exactly —
 /// the bound only skips keys a later mask would zero anyway. With
 /// preallocated KV capacity (continuous batching) this cuts the per-step
-/// key stream from capacity to the live prefix. Inference-only.
+/// key stream from capacity to the live prefix. Work splits over the
+/// [B, H, Tq] rows by shape alone. Inference-only.
 Tensor BoundedAttnScores(const Tensor& q, const Tensor& k,
                          const std::vector<int>& valid);
 
-/// Single-query attention context bounded by per-row valid key counts:
-/// out[b, h, 0, :] = sum_{j < valid[b]} probs[b, h, 0, j] * v[b, h, j, :].
-/// Bit-compatible with MatMul against a cache whose time extent equals
-/// valid[b] (the sequential decode path); the skipped tail contributes only
-/// exact-zero terms. Inference-only.
+/// Attention context bounded by valid key counts, one per (row, query):
+/// out[b, h, i, :] = sum_{j < valid[b * Tq + i]} probs[b, h, i, j] *
+/// v[b, h, j, :]. Bit-compatible with MatMul whenever probs is zero past
+/// the bound (as MaskedSoftmax leaves it): the skipped tail contributes
+/// only exact-zero terms. Inference-only.
 Tensor BoundedAttnContext(const Tensor& probs, const Tensor& v,
                           const std::vector<int>& valid);
 
 /// Softmax over the last dim of attention scores [B, H, Tq, Tk] with
 /// padding and causal masking. Key positions >= key_lengths[b] receive zero
-/// probability; if `causal`, key position k > query position q is masked.
-/// `query_offset` shifts query indices (for incremental decoding).
+/// probability; if `causal`, key position k > query position is masked,
+/// where query i of row b sits at (*query_offsets)[b] + i (incremental
+/// decoding; null means every row starts at 0).
 Tensor MaskedSoftmax(const Tensor& scores, const std::vector<int>& key_lengths,
-                     bool causal, int query_offset = 0);
+                     bool causal,
+                     const std::vector<int>* query_offsets = nullptr);
 
 /// T5-style RMS norm over the last dimension: x / rms(x) * weight.
 Tensor RmsNorm(const Tensor& x, const Tensor& weight, float eps = 1e-6f);
@@ -120,42 +123,25 @@ Tensor MergeHeads(const Tensor& x);
 /// Concatenates 2-D tensors [N_i, D] along dim 0.
 Tensor ConcatRows(const std::vector<Tensor>& parts);
 
-/// Appends `chunk` [B, H, S, Dh] to `cache` [B, H, T, Dh] along the time
-/// dimension, returning [B, H, T+S, Dh]. An undefined `cache` acts as an
-/// empty one. Inference-only (KV-cache building): must run under
-/// NoGradGuard; no gradient flows through the result.
-Tensor AppendTime(const Tensor& cache, const Tensor& chunk);
-
 /// Selects slabs along dim 0: out[i, ...] = x[indices[i], ...]. Used to
 /// reorder/expand per-beam KV caches after hypothesis pruning.
 /// Inference-only: must run under NoGradGuard.
 Tensor GatherBatch(const Tensor& x, const std::vector<int>& indices);
 
-/// Writes `chunk` [B, H, 1, Dh] into `cache` [B, H, T, Dh] at per-row time
-/// index `positions[b]`, growing the time dimension to
-/// max(T, max(positions) + 1) with zero padding. The ragged-batch
-/// counterpart of AppendTime: rows at different decode steps append into
-/// one shared cache tensor (continuous batching, docs/SERVING.md). An
-/// undefined `cache` acts as an empty one. Inference-only.
-Tensor ScatterTime(const Tensor& cache, const Tensor& chunk,
-                   const std::vector<int>& positions);
-
-/// ScatterTime without the copy: writes `chunk` [B, H, 1, Dh] into `*cache`
-/// at per-row time index `positions[b]`, mutating the tensor. Requires a
-/// defined, uniquely-owned cache whose time dimension already covers every
-/// position (the preallocated-capacity decode path; ContinuousDecoder sizes
-/// caches to max_len up front so the per-step O(B*H*T*Dh) reallocation of
-/// ScatterTime disappears). Inference-only.
-void ScatterTimeInPlace(Tensor* cache, const Tensor& chunk,
-                        const std::vector<int>& positions);
+/// Writes `chunk` [B, H, S, Dh] into `*cache` [B, H, T, Dh] at per-row
+/// time indices positions[b] .. positions[b] + S - 1. The write is in place
+/// when the cache is defined, uniquely owned, and already long enough (the
+/// preallocated-capacity decode path: ContinuousDecoder sizes caches to
+/// max_len up front); otherwise `*cache` is replaced by a zero-padded copy
+/// grown to max(T, max(positions) + S). An undefined cache acts as an empty
+/// one. Entries past a row's write are left as they were — decode steps
+/// never read past a row's position (docs/INFERENCE.md). Inference-only.
+void ScatterTime(Tensor* cache, const Tensor& chunk,
+                 const std::vector<int>& positions);
 
 /// Zero-pads a [B, H, T, Dh] tensor along the time dimension to `t` >= T.
 /// Inference-only (KV-cache merging).
 Tensor PadTime(const Tensor& x, int t);
-
-/// Keeps the first `t` <= T time entries of a [B, H, T, Dh] tensor.
-/// Inference-only (KV-cache trimming after batch eviction).
-Tensor SliceTime(const Tensor& x, int t);
 
 /// Concatenates two [B_i, H, T, Dh] tensors along the batch dimension.
 /// Inference-only (joining requests into a shared decode batch).

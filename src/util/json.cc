@@ -401,4 +401,33 @@ StatusOr<JsonValue> JsonValue::Parse(std::string_view text) {
   return JsonParser(text).ParseDocument();
 }
 
+bool JsonToInt(const JsonValue& v, long long min_value, long long max_value,
+               int* out) {
+  if (!v.is_number()) return false;
+  const double d = v.number_value();
+  if (!(d >= static_cast<double>(min_value)) ||
+      !(d <= static_cast<double>(max_value)) || d != std::floor(d)) {
+    return false;
+  }
+  *out = static_cast<int>(d);
+  return true;
+}
+
+bool ReadIntField(const JsonValue& doc, const char* key, long long min_value,
+                  long long max_value, int* out, std::string* error) {
+  const JsonValue* v = doc.Find(key);
+  if (v == nullptr) return true;
+  if (!v->is_number()) {
+    *error = std::string("\"") + key + "\" must be a number";
+    return false;
+  }
+  if (!JsonToInt(*v, min_value, max_value, out)) {
+    *error = std::string("\"") + key + "\" must be an integer in [" +
+             std::to_string(min_value) + ", " + std::to_string(max_value) +
+             "]";
+    return false;
+  }
+  return true;
+}
+
 }  // namespace vist5

@@ -105,6 +105,20 @@ class JsonValue {
   std::vector<std::pair<std::string, JsonValue>> object_;
 };
 
+/// Reads `v` as an int in [min_value, max_value]. False when `v` is not a
+/// number, not integral, or out of range — checked before the cast, which
+/// is undefined outside int's range.
+bool JsonToInt(const JsonValue& v, long long min_value, long long max_value,
+               int* out);
+
+/// Reads the optional integer field `key` of object `doc` into *out. An
+/// absent field leaves *out untouched; a malformed one sets *error to a
+/// message naming the field and its range and returns false. The request
+/// wire and trace files both read their numeric fields through this, so
+/// they accept the same values.
+bool ReadIntField(const JsonValue& doc, const char* key, long long min_value,
+                  long long max_value, int* out, std::string* error);
+
 }  // namespace vist5
 
 #endif  // VIST5_UTIL_JSON_H_

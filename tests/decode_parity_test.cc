@@ -1,10 +1,11 @@
 // Parity between KV-cached incremental decoding and the full-prefix
-// reference: for every TransformerConfig preset (covering relative-bias,
-// sinusoidal, and learned positions in both norm styles), greedy and beam
-// decoding must produce bit-identical token sequences, and DecodeStep must
-// reproduce Decode's newest hidden row bit-for-bit. See docs/INFERENCE.md
-// for the contract. The span-decode and TruncateTo suites pin the two
-// DecodeState primitives speculative decoding is built on, and the
+// reference (the test-tree oracle in full_prefix_oracle.h): for every
+// TransformerConfig preset (covering relative-bias, sinusoidal, and learned
+// positions in both norm styles), greedy and beam decoding must produce
+// bit-identical token sequences, and DecodeStep must reproduce Decode's
+// newest hidden row bit-for-bit. See docs/INFERENCE.md for the contract.
+// The span, ragged-span, and TruncateTo suites pin the shapes of the one
+// decode step that speculative and batched decoding are built on, and the
 // Speculative suite pins its end-to-end contract: draft-verify output is
 // bit-identical to plain greedy regardless of the draft
 // (docs/SPECULATIVE.md).
@@ -17,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include "full_prefix_oracle.h"
 #include "model/transformer_model.h"
 #include "nn/transformer.h"
 #include "spec/engine.h"
@@ -99,9 +101,8 @@ TEST_P(DecodeParity, GreedyTokensMatch) {
 
   model::GenerationOptions cached;
   cached.max_len = 16;
-  model::GenerationOptions full = cached;
-  full.use_kv_cache = false;
-  EXPECT_EQ(m.Generate(src, cached), m.Generate(src, full)) << preset().name;
+  EXPECT_EQ(m.Generate(src, cached), oracle::GreedyDecodeFull(m, src, cached))
+      << preset().name;
 }
 
 TEST_P(DecodeParity, GreedyConstrainedTokensMatch) {
@@ -114,16 +115,16 @@ TEST_P(DecodeParity, GreedyConstrainedTokensMatch) {
   model::GenerationOptions cached;
   cached.max_len = 12;
   cached.allowed = [](int token) { return token % 3 != 0; };
-  model::GenerationOptions full = cached;
-  full.use_kv_cache = false;
-  EXPECT_EQ(m.Generate(src, cached), m.Generate(src, full)) << preset().name;
+  EXPECT_EQ(m.Generate(src, cached), oracle::GreedyDecodeFull(m, src, cached))
+      << preset().name;
 }
 
 TEST_P(DecodeParity, BatchedGreedyTokensMatchSequential) {
-  // The continuous-batching decode path (GenerateBatch → DecodeStepRagged
-  // over a shared, capacity-preallocated KV cache) must emit the exact
-  // token sequence of one-at-a-time Generate for every row, mixed lengths
-  // included. See docs/SERVING.md for why this holds bit-for-bit.
+  // The continuous-batching decode path (GenerateBatch → DecodeStep with
+  // per-row positions over a shared, capacity-preallocated KV cache) must
+  // emit the exact token sequence of one-at-a-time Generate for every row,
+  // mixed lengths included. See docs/SERVING.md for why this holds
+  // bit-for-bit.
   nn::TransformerConfig cfg = preset().make(kVocab);
   cfg.dropout = 0.0f;
   model::TransformerSeq2Seq m(cfg, kPad, kEos, seed());
@@ -151,9 +152,8 @@ TEST_P(DecodeParity, BeamTokensMatch) {
   model::GenerationOptions cached;
   cached.max_len = 14;
   cached.beam_size = 3;
-  model::GenerationOptions full = cached;
-  full.use_kv_cache = false;
-  EXPECT_EQ(m.Generate(src, cached), m.Generate(src, full)) << preset().name;
+  EXPECT_EQ(m.Generate(src, cached), oracle::BeamDecodeFull(m, src, cached))
+      << preset().name;
 }
 
 TEST_P(DecodeParity, SpanDecodeStepMatchesSequential) {
@@ -247,8 +247,8 @@ TEST_P(DecodeParity, TruncateToRestoresDecodePath) {
 }
 
 TEST_P(DecodeParity, TruncateToAfterReorderCompaction) {
-  // Reorder (beam pruning / batch eviction) compacts rows and may shrink
-  // the self-attention time axis; TruncateTo after it must still land the
+  // Reorder (beam pruning / batch eviction) compacts rows but keeps the
+  // self-attention time capacity; TruncateTo after it must still land the
   // surviving row exactly where a fresh single-row decode would be.
   nn::TransformerConfig cfg = preset().make(kVocab);
   cfg.dropout = 0.0f;
@@ -284,6 +284,126 @@ TEST_P(DecodeParity, TruncateToAfterReorderCompaction) {
   for (size_t d = 0; d < want.data().size(); ++d) {
     ASSERT_EQ(want.data()[d], got.data()[d]) << preset().name << " dim " << d;
   }
+}
+
+/// Gives a fresh batch-1 state the self-K/V capacity
+/// ContinuousDecoder::Admit preallocates, so steps write in place.
+void Preallocate(int capacity, nn::DecodeState* state) {
+  for (nn::DecodeState::LayerCache& layer : state->layers) {
+    layer.self_k = Tensor({1, layer.cross_k.dim(1), capacity,
+                           layer.cross_k.dim(3)});
+    layer.self_v = Tensor({1, layer.cross_k.dim(1), capacity,
+                           layer.cross_k.dim(3)});
+  }
+}
+
+void ExpectRowsEqual(const Tensor& got, int got_row, const Tensor& want,
+                     const char* preset_name, const char* what) {
+  const Tensor row = ops::GatherRows(got, {got_row});
+  ASSERT_EQ(row.shape(), want.shape()) << preset_name << " " << what;
+  for (size_t d = 0; d < want.data().size(); ++d) {
+    ASSERT_EQ(row.data()[d], want.data()[d])
+        << preset_name << " " << what << " dim " << d;
+  }
+}
+
+TEST_P(DecodeParity, RaggedSpanMatchesPerRowSingleSteps) {
+  // Two rows at different positions in one preallocated batch, stepped by
+  // a span of 2: each row's hidden rows must equal that row's own batch-1
+  // one-token steps, and the caches must continue identically.
+  nn::TransformerConfig cfg = preset().make(kVocab);
+  cfg.dropout = 0.0f;
+  Rng init(seed());
+  nn::Transformer t(cfg, &init);
+
+  Rng data(seed() * 67 + 37);
+  const std::vector<std::vector<int>> srcs = {RandomSrc(&data, 5),
+                                              RandomSrc(&data, 8)};
+  const std::vector<std::vector<int>> fed = {{kPad, 4, 6}, {kPad}};
+  const std::vector<std::vector<int>> span = {{8, 10}, {5, 7}};
+  const std::vector<int> after = {12, 9};
+
+  NoGradGuard guard;
+  nn::DecodeState merged;
+  std::vector<nn::DecodeState> refs;
+  for (size_t r = 0; r < srcs.size(); ++r) {
+    const int len = static_cast<int>(srcs[r].size());
+    const Tensor memory = t.Encode(srcs[r], 1, len, {len}, false, nullptr);
+    nn::DecodeState row = t.BeginDecode(memory, 1, len, {len});
+    refs.push_back(t.BeginDecode(memory, 1, len, {len}));
+    Preallocate(16, &row);
+    for (int id : fed[r]) {
+      t.DecodeStep({id}, &row);
+      t.DecodeStep({id}, &refs.back());
+    }
+    merged.MergeFrom(std::move(row));
+  }
+  ASSERT_EQ(merged.steps, (std::vector<int>{3, 1}));
+
+  const Tensor got = t.DecodeStep({8, 10, 5, 7}, &merged, 2);  // [4, d]
+  ASSERT_EQ(got.dim(0), 4);
+  for (size_t r = 0; r < srcs.size(); ++r) {
+    for (int i = 0; i < 2; ++i) {
+      const Tensor want = t.DecodeStep({span[r][i]}, &refs[r]);
+      ExpectRowsEqual(got, static_cast<int>(r) * 2 + i, want, preset().name,
+                      "span row");
+    }
+  }
+  EXPECT_EQ(merged.steps, (std::vector<int>{5, 3}));
+  const Tensor next = t.DecodeStep(after, &merged);
+  for (size_t r = 0; r < srcs.size(); ++r) {
+    const Tensor want = t.DecodeStep({after[r]}, &refs[r]);
+    ExpectRowsEqual(next, static_cast<int>(r), want, preset().name,
+                    "next step");
+  }
+}
+
+TEST_P(DecodeParity, TruncateInsidePreallocatedSlab) {
+  // TruncateTo only moves the position back: the rejected tokens' K/V stay
+  // in the preallocated slab past it. The corrective step must still equal
+  // the untruncated reference, so that stale tail is never read.
+  nn::TransformerConfig cfg = preset().make(kVocab);
+  cfg.dropout = 0.0f;
+  Rng init(seed());
+  nn::Transformer t(cfg, &init);
+
+  Rng data(seed() * 71 + 41);
+  const int src_len = data.UniformRange(5, 8);
+  const std::vector<int> src = RandomSrc(&data, src_len);
+  const std::vector<int> src_lengths = {src_len};
+
+  NoGradGuard guard;
+  const Tensor memory =
+      t.Encode(src, 1, src_len, src_lengths, /*train=*/false, nullptr);
+  nn::DecodeState reference = t.BeginDecode(memory, 1, src_len, src_lengths);
+  for (int id : {kPad, 4, 6}) t.DecodeStep({id}, &reference);
+  const Tensor want = t.DecodeStep({8}, &reference);
+
+  nn::DecodeState slab = t.BeginDecode(memory, 1, src_len, src_lengths);
+  Preallocate(16, &slab);
+  for (int id : {kPad, 4, 6, 11, 13}) t.DecodeStep({id}, &slab);
+  slab.TruncateTo(3);
+  EXPECT_EQ(slab.step, 3);
+  EXPECT_EQ(slab.layers[0].self_k.dim(2), 16) << "capacity must be kept";
+  const Tensor got = t.DecodeStep({8}, &slab);
+  ExpectRowsEqual(got, 0, want, preset().name, "corrective step");
+}
+
+TEST_P(DecodeParity, CachedGreedy64MatchesOracle) {
+  // A long decode: 64 tokens with EOS disallowed, so positions run far past
+  // the short suites above (and past the relative-bias exact buckets).
+  nn::TransformerConfig cfg = preset().make(kVocab);
+  cfg.dropout = 0.0f;
+  model::TransformerSeq2Seq m(cfg, kPad, kEos, seed());
+  Rng data(seed() * 73 + 43);
+  const std::vector<int> src = RandomSrc(&data, 9);
+
+  model::GenerationOptions gen;
+  gen.max_len = 64;
+  gen.allowed = [](int token) { return token != kEos; };
+  const std::vector<int> cached = m.Generate(src, gen);
+  EXPECT_EQ(cached.size(), 64u) << preset().name;
+  EXPECT_EQ(cached, oracle::GreedyDecodeFull(m, src, gen)) << preset().name;
 }
 
 // --- Speculative draft-verify parity (docs/SPECULATIVE.md) -----------------

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "dv/parser.h"
+#include "full_prefix_oracle.h"
 #include "model/checkpoint.h"
 #include "model/retrieval.h"
 #include "model/rnn_model.h"
@@ -115,13 +116,14 @@ TEST(TransformerModelTest, NothingAllowedEndsSequenceInsteadOfEmittingPad) {
   GenerationOptions gen;
   gen.max_len = 5;
   gen.allowed = [](int) { return false; };
-  for (const bool cached : {true, false}) {
-    gen.use_kv_cache = cached;
-    gen.beam_size = 1;
-    EXPECT_TRUE(model.Generate(tok.Encode("copy alpha"), gen).empty());
-    gen.beam_size = 3;
-    EXPECT_TRUE(model.Generate(tok.Encode("copy alpha"), gen).empty());
-  }
+  gen.beam_size = 1;
+  EXPECT_TRUE(model.Generate(tok.Encode("copy alpha"), gen).empty());
+  EXPECT_TRUE(
+      oracle::GreedyDecodeFull(model, tok.Encode("copy alpha"), gen).empty());
+  gen.beam_size = 3;
+  EXPECT_TRUE(model.Generate(tok.Encode("copy alpha"), gen).empty());
+  EXPECT_TRUE(
+      oracle::BeamDecodeFull(model, tok.Encode("copy alpha"), gen).empty());
 }
 
 TEST(BeamSelectionTest, AliveBeamBeatsWorseFinishedAfterNormalization) {

@@ -509,10 +509,6 @@ TEST(Speculative, AdmissionGuardRejectsIncompatibleModes) {
   EXPECT_NE(r.error.find("greedy-only: temperature"), std::string::npos)
       << r.error;
 
-  r = spec_request([](model::GenerationOptions* g) { g->use_kv_cache = false; });
-  EXPECT_EQ(r.status, serve::ResponseStatus::kError);
-  EXPECT_NE(r.error.find("KV-cached"), std::string::npos) << r.error;
-
   // Dtype mismatch: the draft is served at float32, the request asks to
   // verify at int8 — mixing dtypes would silently break parity.
   r = spec_request([](model::GenerationOptions* g) {
@@ -680,6 +676,28 @@ TEST(LoadGen, LoadTraceJsonlParsesAndRejects) {
   EXPECT_NE(std::string(bad.status().message()).find(":2:"),
             std::string::npos)
       << bad.status().message();
+
+  // Fields the request wire rejects must fail the load too, not be ignored,
+  // truncated, or cast out of range (the wire's ranges: max_len in
+  // [1, 4096], draft in [0, 1024], tokens non-negative integers).
+  for (const char* line : {
+           R"({"tokens": [2], "max_len": "abc"})",
+           R"({"tokens": [2], "max_len": 0})",
+           R"({"tokens": [2.5]})",
+           R"({"tokens": [-4]})",
+           R"({"tokens": [2], "draft": -7})",
+           R"({"tokens": [2], "draft": 1e30})",
+       }) {
+    {
+      std::ofstream out(path, std::ios::trunc);
+      out << "{\"tokens\": [2, 3]}\n" << line << "\n";
+    }
+    auto rejected = serve::LoadTraceJsonl(path);
+    ASSERT_FALSE(rejected.ok()) << line;
+    EXPECT_NE(std::string(rejected.status().message()).find(":2:"),
+              std::string::npos)
+        << line << ": " << rejected.status().message();
+  }
   std::remove(path.c_str());
 }
 

@@ -1,16 +1,18 @@
 // AddressSanitizer pass over the speculative draft-verify engine
 // (docs/SPECULATIVE.md), companion to simd_asan_test and
 // prefix_cache_asan_test. The release tree compiles vist5::spec with -O3
-// and no sanitizer; this binary recompiles src/spec/engine.cc under ASan
-// (see tests/CMakeLists.txt) and churns Generate through every shape of
-// round the engine has: full accepts, full rejects, partial accepts with
-// mid-span rollback, adaptive-k growth and collapse, constrained
-// vocabularies, deadline cuts, prefix-spliced base prefills, and the
-// self-draft ceiling. The hot path — span DecodeStep over a growing KV
-// cache, TruncateTo discarding its tail, the draft catch-up feed — runs
-// entirely inside the instrumented TU, so an off-by-one in any cache
-// slice/rollback surfaces as a hard heap-buffer-overflow report instead
-// of silent parity-breaking corruption.
+// and no sanitizer; this binary recompiles src/spec/engine.cc, together
+// with the decode step under it (src/tensor/ops.cc, src/nn/transformer.cc),
+// under ASan (see tests/CMakeLists.txt) and churns Generate through every
+// shape of round the engine has: full accepts, full rejects, partial
+// accepts with mid-span rollback, adaptive-k growth and collapse,
+// constrained vocabularies, deadline cuts, prefix-spliced base prefills,
+// and the self-draft ceiling. The hot path — span DecodeStep writing the
+// KV cache through ScatterTime, bounded attention reads at span > 1,
+// TruncateTo moving the position back over a stale tail, the draft
+// catch-up feed — runs inside instrumented TUs, so an off-by-one in any
+// cache write or bounded read surfaces as a hard heap-buffer-overflow
+// report instead of silent parity-breaking corruption.
 //
 // Plain main (no gtest), deterministic seeds: any report reproduces.
 

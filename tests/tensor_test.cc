@@ -203,6 +203,75 @@ TEST(TensorTest, MaskedSoftmaxMasksPaddingAndFuture) {
   EXPECT_EQ(y.data()[5], 0.0f);
 }
 
+TEST(TensorTest, BoundedAttnKernelsMatchMaskedProductsOnValidPrefix) {
+  // The decode step's bounded score/context kernels at every span shape:
+  // one valid-key count per (row, query), including 0, 1, and tk. Inside
+  // the bound they must reproduce the unbounded products bit-for-bit;
+  // scores past it must be exactly zero.
+  NoGradGuard guard;
+  Rng rng(21);
+  const int b = 2, h = 3, tk = 7;
+  for (const int dh : {8, 13}) {
+    for (const int tq : {1, 2, 5}) {
+      const Tensor q = Tensor::Randn({b, h, tq, dh}, 1.0f, &rng);
+      const Tensor k = Tensor::Randn({b, h, tk, dh}, 1.0f, &rng);
+      const Tensor v = Tensor::Randn({b, h, tk, dh}, 1.0f, &rng);
+      const int pattern[] = {0, 1, tk, 4, 2};
+      std::vector<int> valid(static_cast<size_t>(b) * tq);
+      for (size_t i = 0; i < valid.size(); ++i) valid[i] = pattern[i % 5];
+
+      const Tensor bounded = ops::BoundedAttnScores(q, k, valid);
+      const Tensor full = ops::MatMulTransposeB(q, k);
+      ASSERT_EQ(bounded.shape(), full.shape());
+      // Probabilities zero past each bound, as MaskedSoftmax leaves them.
+      Tensor probs = Tensor::Randn({b, h, tq, tk}, 1.0f, &rng);
+      for (int row = 0; row < b * h * tq; ++row) {
+        const int n = valid[static_cast<size_t>(row / (h * tq) * tq + row % tq)];
+        for (int j = 0; j < tk; ++j) {
+          const size_t idx = static_cast<size_t>(row) * tk + j;
+          if (j < n) {
+            ASSERT_EQ(bounded.data()[idx], full.data()[idx])
+                << "dh " << dh << " tq " << tq << " row " << row;
+          } else {
+            ASSERT_EQ(bounded.data()[idx], 0.0f)
+                << "dh " << dh << " tq " << tq << " row " << row;
+            probs.mutable_data()[idx] = 0.0f;
+          }
+        }
+      }
+      const Tensor context = ops::BoundedAttnContext(probs, v, valid);
+      const Tensor want = ops::MatMul(probs, v);
+      ASSERT_EQ(context.shape(), want.shape());
+      for (size_t i = 0; i < want.data().size(); ++i) {
+        ASSERT_EQ(context.data()[i], want.data()[i])
+            << "dh " << dh << " tq " << tq << " elem " << i;
+      }
+    }
+  }
+}
+
+TEST(TensorTest, MaskedSoftmaxPerRowQueryOffsets) {
+  // Decode steps shift the causal mask per row: row 0's queries sit at
+  // positions 2..3, row 1's at 0..1.
+  const Tensor scores = Tensor::Zeros({2, 1, 2, 4});
+  const std::vector<int> key_lengths = {4, 4};
+  const std::vector<int> offsets = {2, 0};
+  const Tensor y =
+      ops::MaskedSoftmax(scores, key_lengths, /*causal=*/true, &offsets);
+  const float want[2][2][4] = {{{1 / 3.0f, 1 / 3.0f, 1 / 3.0f, 0.0f},
+                                {0.25f, 0.25f, 0.25f, 0.25f}},
+                               {{1.0f, 0.0f, 0.0f, 0.0f},
+                                {0.5f, 0.5f, 0.0f, 0.0f}}};
+  for (int r = 0; r < 2; ++r) {
+    for (int i = 0; i < 2; ++i) {
+      for (int j = 0; j < 4; ++j) {
+        EXPECT_NEAR(y.data()[(r * 2 + i) * 4 + j], want[r][i][j], 1e-6f)
+            << r << " " << i << " " << j;
+      }
+    }
+  }
+}
+
 TEST(TensorGradTest, MaskedSoftmaxGrad) {
   Rng rng(12);
   Tensor x = RandomParam({1, 2, 2, 3}, &rng);
