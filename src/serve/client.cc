@@ -2,12 +2,14 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <utility>
 
 namespace vist5 {
@@ -32,6 +34,10 @@ Status Client::Connect(const std::string& host, int port) {
     Close();
     return s;
   }
+  // Requests are whole lines; a client that pipelines them must not wait
+  // on the server's delayed ACK of the previous one.
+  const int nodelay = 1;
+  ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &nodelay, sizeof(nodelay));
   return Status::OK();
 }
 
@@ -88,12 +94,18 @@ StatusOr<JsonValue> Client::CallStreaming(
     // response (ok, error, rejected, ...) that ends the exchange.
     if (doc.is_object() && doc.Find("status") == nullptr) {
       if (const JsonValue* token = doc.Find("token")) {
-        const JsonValue* seq = doc.Find("seq");
-        if (on_token) {
-          on_token(static_cast<int>(token->number_value()),
-                   seq != nullptr ? static_cast<int>(seq->number_value())
-                                  : -1);
+        constexpr int kMin = std::numeric_limits<int>::min();
+        constexpr int kMax = std::numeric_limits<int>::max();
+        int token_id = 0;
+        int seq_id = -1;
+        if (!JsonToInt(*token, kMin, kMax, &token_id)) {
+          return Status::IoError("stream line \"token\" is not an int");
         }
+        const JsonValue* seq = doc.Find("seq");
+        if (seq != nullptr && !JsonToInt(*seq, kMin, kMax, &seq_id)) {
+          return Status::IoError("stream line \"seq\" is not an int");
+        }
+        if (on_token) on_token(token_id, seq_id);
         continue;
       }
     }

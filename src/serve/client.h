@@ -33,6 +33,9 @@ class Client {
   /// concatenated callback tokens match the final line's "tokens" array
   /// bit-for-bit (the server's parity contract). Error and rejection
   /// responses simply arrive as the final line with no token lines first.
+  /// A stream line whose "token" or "seq" is not an integer in int's range
+  /// fails the call with an IoError naming the field, before `on_token`
+  /// sees it.
   StatusOr<JsonValue> CallStreaming(
       const JsonValue& request,
       const std::function<void(int token, int seq)>& on_token);

@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
@@ -197,6 +198,9 @@ struct Server::Conn {
   bool overflow = false;  ///< write-queue bound blown: slow-reader drop
   bool close_after_flush = false;
   bool closed = false;  ///< loop detached the conn; enqueues are no-ops
+
+  // --- guarded by LoopShared::mu ---
+  bool queued = false;  ///< on LoopShared::dirty, not yet taken by the loop
 };
 
 /// Outlives the Server: scheduler callbacks capture it by shared_ptr, so a
@@ -219,8 +223,13 @@ struct Server::LoopShared {
     (void)n;
   }
 
-  /// Appends bytes to a connection's write queue (bounded) and wakes the
-  /// loop. Callable from any thread; the only producer-side mutation.
+  /// Appends bytes to a connection's write queue (bounded), queues the
+  /// connection for the loop and wakes it. Callable from any thread; the
+  /// only producer-side mutation. A connection sits on `dirty` at most
+  /// once and the eventfd is written at most once until the loop takes
+  /// the batch (TakeDirty), so a burst of lines from one decode step
+  /// costs one wakeup and leaves in one send() whenever the loop is slower
+  /// than the producer.
   void Enqueue(const std::shared_ptr<Conn>& conn, std::string data,
                FinalKind kind) {
     {
@@ -238,17 +247,38 @@ struct Server::LoopShared {
         }
       }
     }
+    bool wake;
     {
       std::lock_guard<std::mutex> lock(mu);
-      dirty.push_back(conn);
+      if (!conn->queued) {
+        conn->queued = true;
+        dirty.push_back(conn);
+      }
+      wake = !wake_pending;
+      wake_pending = true;
     }
-    Wake();
+    if (wake) Wake();
+  }
+
+  /// Loop side of Enqueue: hands over every queued connection and re-arms
+  /// both the per-connection flag and the wakeup in one critical section.
+  /// An Enqueue that lands before it is served by this batch; one that
+  /// lands after it queues afresh and writes the eventfd again, so no
+  /// wakeup is lost.
+  std::vector<std::shared_ptr<Conn>> TakeDirty() {
+    std::vector<std::shared_ptr<Conn>> taken;
+    std::lock_guard<std::mutex> lock(mu);
+    taken.swap(dirty);
+    for (const std::shared_ptr<Conn>& conn : taken) conn->queued = false;
+    wake_pending = false;
+    return taken;
   }
 
   const size_t max_write_queue_bytes;
   int wake_fd = -1;
   std::mutex mu;
   std::vector<std::shared_ptr<Conn>> dirty;
+  bool wake_pending = false;  ///< eventfd written since the last TakeDirty
 };
 
 /// One in-flight POST /admin/reload. BatchScheduler::Reload blocks until
@@ -400,12 +430,9 @@ void Server::Loop() {
 
     // Connections scheduler callbacks touched since the last tick: flush
     // their new output, resume parsing if a request slot freed up.
-    std::vector<std::shared_ptr<Conn>> dirty;
-    {
-      std::lock_guard<std::mutex> lock(shared_->mu);
-      dirty.swap(shared_->dirty);
+    for (const std::shared_ptr<Conn>& conn : shared_->TakeDirty()) {
+      Service(conn);
     }
-    for (const std::shared_ptr<Conn>& conn : dirty) Service(conn);
 
     const Clock::time_point now = Clock::now();
     if (!accept_registered_ && !stopping_.load() &&
@@ -527,6 +554,12 @@ void Server::HandleAccept() {
       ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &options_.sndbuf_bytes,
                    sizeof(options_.sndbuf_bytes));
     }
+    // Every payload queued here is already a whole line (or a whole HTTP
+    // response), so Nagle has nothing left to merge: it would only hold a
+    // stream line until the client's delayed ACK (~40 ms) for the one
+    // before it.
+    const int nodelay = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &nodelay, sizeof(nodelay));
     auto conn = std::make_shared<Conn>(fd);
     conn->last_activity = std::chrono::steady_clock::now();
     epoll_event ev{};
@@ -559,7 +592,8 @@ void Server::UpdateInterest(const std::shared_ptr<Conn>& conn,
                             bool want_write) {
   if (conn->want_write == want_write) return;
   epoll_event ev{};
-  ev.events = EPOLLIN | (want_write ? EPOLLOUT : 0);
+  ev.events = EPOLLIN;
+  if (want_write) ev.events |= EPOLLOUT;
   ev.data.fd = conn->fd;
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn->fd, &ev);
   conn->want_write = want_write;

@@ -76,8 +76,14 @@ struct ServerOptions {
 /// line-JSON or HTTP, bounded outgoing write queue drained on EPOLLOUT).
 /// Generation work is handed to the BatchScheduler and never runs on the
 /// loop thread; the scheduler's completion/stream callbacks append bytes
-/// to the connection's write queue and wake the loop through the eventfd.
-/// A stalled reader therefore stalls only its own (bounded) queue.
+/// to the connection's write queue, so a stalled reader stalls only its
+/// own (bounded) queue. Only the first callback since the loop last took
+/// its dirty list queues the connection and writes the eventfd; later ones
+/// just append. A burst of lines (a beam completion, a speculative run,
+/// one batch step) thus costs one wakeup and, when the loop is slower
+/// than the producer, leaves in one send(). Every socket has TCP_NODELAY
+/// set: each write is already a whole line, and Nagle would hold a stream
+/// line for the client's delayed ACK of the previous one.
 ///
 /// The first bytes of each connection pick the protocol: lines starting
 /// with an HTTP method ("GET ", "POST ", ...) get one HTTP/1.1 exchange

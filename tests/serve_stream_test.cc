@@ -4,13 +4,15 @@
 // "stream": true receives one {"id", "token", "seq"} line per committed
 // token, in order, before the final response line, and the concatenated
 // stream is bit-identical to the final line's "tokens" array — across the
-// plain batched path, prefix-cache-spliced decodes, and speculative
-// draft-verify (whose commits arrive as accepted runs). The connection
+// plain batched path, prefix-cache-spliced decodes, speculative
+// draft-verify (whose commits arrive as accepted runs), and beam search
+// (whose whole sequence arrives at completion). The connection
 // tests pin the event loop's failure modes: a reader that stops draining
 // its socket overflows only its own bounded write queue and is dropped
-// (serve/conn_slow_closed) while other streams progress, and transient
+// (serve/conn_slow_closed) while other streams progress, transient
 // accept errors (EMFILE fd exhaustion) back off and retry instead of
-// killing the listener.
+// killing the listener, and stream lines leave without waiting for the
+// client's delayed ACK.
 
 #include <fcntl.h>
 #include <netinet/in.h>
@@ -18,6 +20,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdint>
@@ -72,13 +75,14 @@ std::vector<int> TokensOf(const JsonValue& response) {
 }
 
 JsonValue MakeRequest(const std::vector<int>& tokens, int max_len,
-                      int draft_k = 0) {
+                      int draft_k = 0, int beam = 1) {
   JsonValue req = JsonValue::Object();
   JsonValue toks = JsonValue::Array();
   for (int t : tokens) toks.Append(JsonValue::Number(t));
   req.Set("tokens", std::move(toks));
   req.Set("max_len", JsonValue::Number(max_len));
   if (draft_k > 0) req.Set("draft", JsonValue::Number(draft_k));
+  if (beam > 1) req.Set("beam", JsonValue::Number(beam));
   return req;
 }
 
@@ -131,18 +135,18 @@ class StreamingParity
 // One request issued buffered and streaming (over one connection, in that
 // order): the streamed tokens concatenate to exactly the buffered "tokens"
 // array, seq values are dense from 0, and the streaming call's own final
-// line agrees. `draft_k` > 0 exercises the speculative exclusive path;
-// issuing each prompt twice makes the second decode a warm prefix-cache
-// splice.
+// line agrees. `draft_k` > 0 exercises the speculative exclusive path and
+// `beam` > 1 the beam one; issuing each prompt twice makes the second
+// decode a warm prefix-cache splice.
 void CheckParity(StreamFixture* f, const std::vector<std::vector<int>>& srcs,
-                 int max_len, int draft_k) {
+                 int max_len, int draft_k, int beam) {
   serve::Client client;
   ASSERT_TRUE(client.Connect("127.0.0.1", f->port()).ok());
   for (int round = 0; round < 2; ++round) {  // round 1 hits the warm cache
     SCOPED_TRACE("round " + std::to_string(round));
     for (size_t i = 0; i < srcs.size(); ++i) {
       SCOPED_TRACE("prompt " + std::to_string(i));
-      const JsonValue request = MakeRequest(srcs[i], max_len, draft_k);
+      const JsonValue request = MakeRequest(srcs[i], max_len, draft_k, beam);
       StatusOr<JsonValue> buffered = client.Call(request);
       ASSERT_TRUE(buffered.ok()) << buffered.status().ToString();
       ASSERT_EQ(buffered.value().Find("status")->string_value(), "ok")
@@ -173,7 +177,7 @@ TEST_P(StreamingParity, BatchedStreamMatchesBufferedResponse) {
   Rng rng(seed() * 13 + 3);
   std::vector<std::vector<int>> srcs;
   for (int i = 0; i < 4; ++i) srcs.push_back(RandomSrc(&rng, 4 + i));
-  CheckParity(&f, srcs, /*max_len=*/16, /*draft_k=*/0);
+  CheckParity(&f, srcs, /*max_len=*/16, /*draft_k=*/0, /*beam=*/1);
 }
 
 TEST_P(StreamingParity, SpeculativeStreamMatchesBufferedResponse) {
@@ -184,7 +188,18 @@ TEST_P(StreamingParity, SpeculativeStreamMatchesBufferedResponse) {
   // Self-draft: acceptance is exactly 1.0, so every verify round commits
   // k+1 tokens and the stream arrives in multi-token bursts — the
   // concatenation must still match the buffered decode bit-for-bit.
-  CheckParity(&f, srcs, /*max_len=*/16, /*draft_k=*/2);
+  CheckParity(&f, srcs, /*max_len=*/16, /*draft_k=*/2, /*beam=*/1);
+}
+
+TEST_P(StreamingParity, BeamStreamMatchesBufferedResponse) {
+  StreamFixture f(preset(), seed());
+  Rng rng(seed() * 19 + 7);
+  std::vector<std::vector<int>> srcs;
+  for (int i = 0; i < 3; ++i) srcs.push_back(RandomSrc(&rng, 4 + i));
+  // Beam runs on the exclusive path and publishes its whole sequence when
+  // the search completes: up to max_len lines from one scheduler call,
+  // which the event loop flushes in as few sends as it can keep up with.
+  CheckParity(&f, srcs, /*max_len=*/16, /*draft_k=*/0, /*beam=*/4);
 }
 
 // Concurrent streams stay interleavable: several connections stream at
@@ -422,6 +437,47 @@ TEST(ServerEventLoop, NonStreamingRequestsEmitNoTokenLines) {
   ASSERT_TRUE(plain.ok());
   EXPECT_EQ(plain.value().Find("status")->string_value(), "ok");
   EXPECT_EQ(stream_requests->value(), requests0);
+}
+
+// Regression (server.cc, client.cc): neither end set TCP_NODELAY, so
+// after a request's first stream line each later line sat in the server's
+// socket under Nagle's algorithm until the client's delayed ACK (40 ms at
+// the least on Linux) for the line before it. What the wire adds to a
+// request — client send to final line, minus the server's own total_ms —
+// must stay under half that timer.
+TEST(ServerEventLoop, StreamedLinesAreNotHeldForDelayedAck) {
+  StreamFixture f(kPresets[0], 11);
+  serve::Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", f.port()).ok());
+  Rng rng(23);
+  for (int i = 0; i < 2; ++i) {  // warm-up: first-request costs
+    StatusOr<JsonValue> warm =
+        client.CallStreaming(MakeRequest(RandomSrc(&rng, 5), 16), nullptr);
+    ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+  }
+  std::vector<double> overhead_ms;
+  for (int i = 0; i < 9; ++i) {
+    SCOPED_TRACE("request " + std::to_string(i));
+    int lines = 0;
+    const auto sent = std::chrono::steady_clock::now();
+    StatusOr<JsonValue> final_line =
+        client.CallStreaming(MakeRequest(RandomSrc(&rng, 5), 16),
+                             [&](int /*token*/, int /*seq*/) { ++lines; });
+    const auto received = std::chrono::steady_clock::now();
+    ASSERT_TRUE(final_line.ok()) << final_line.status().ToString();
+    ASSERT_EQ(final_line.value().Find("status")->string_value(), "ok");
+    // One line alone leaves nothing for Nagle to hold.
+    ASSERT_GE(lines, 2) << "reply too short to show a held line";
+    const JsonValue* total_ms = final_line.value().Find("total_ms");
+    ASSERT_NE(total_ms, nullptr);
+    overhead_ms.push_back(
+        std::chrono::duration<double, std::milli>(received - sent).count() -
+        total_ms->number_value());
+  }
+  std::sort(overhead_ms.begin(), overhead_ms.end());
+  const double median = overhead_ms[overhead_ms.size() / 2];
+  EXPECT_LT(median, 20.0) << "median wire overhead " << median
+                          << " ms: stream lines wait for delayed ACKs";
 }
 
 }  // namespace

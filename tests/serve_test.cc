@@ -1536,5 +1536,40 @@ TEST(HttpCall, MalformedStatusLineSurfacesParseError) {
   EXPECT_EQ(got.value().code, 204);
 }
 
+// Regression (client.cc): CallStreaming cast each stream line's "token"
+// and "seq" straight to int — undefined behaviour for 1e30, a truncated
+// value for 2.5 — and handed the result to the callback. Such a line must
+// fail the call with an error naming the field, and the callback must
+// never see it, even though a well-formed final line follows.
+TEST(ClientStreaming, MalformedStreamFieldsFailTheCall) {
+  const struct {
+    const char* line;
+    const char* field;
+  } cases[] = {
+      {R"({"token": 1e30, "seq": 0})", "\"token\""},
+      {R"({"token": 2.5, "seq": 0})", "\"token\""},
+      {R"({"token": 7, "seq": -1e30})", "\"seq\""},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.line);
+    std::thread server;
+    const int port = ServeRawOnce(
+        std::string(c.line) + "\n{\"status\": \"ok\", \"tokens\": [7]}\n",
+        &server);
+    serve::Client client;
+    const Status connected = client.Connect("127.0.0.1", port);
+    int callbacks = 0;
+    StatusOr<JsonValue> got = client.CallStreaming(
+        JsonValue::Object(), [&](int /*token*/, int /*seq*/) { ++callbacks; });
+    server.join();
+    ASSERT_TRUE(connected.ok()) << connected.ToString();
+    EXPECT_EQ(callbacks, 0);
+    ASSERT_FALSE(got.ok());
+    EXPECT_EQ(got.status().code(), StatusCode::kIoError);
+    EXPECT_NE(got.status().message().find(c.field), std::string::npos)
+        << got.status().ToString();
+  }
+}
+
 }  // namespace
 }  // namespace vist5
