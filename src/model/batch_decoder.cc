@@ -1,6 +1,8 @@
 #include "model/batch_decoder.h"
 
 #include <algorithm>
+#include <chrono>
+#include <memory>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -45,10 +47,8 @@ void ContinuousDecoder::Admit(uint64_t id, const std::vector<int>& src,
                               const GenerationOptions& options,
                               Clock::time_point deadline,
                               const EncodedPrefix* prefill) {
-  VIST5_CHECK(options.beam_size <= 1 && options.temperature <= 0.0f)
-      << "ContinuousDecoder batches greedy requests only";
   VIST5_CHECK(!src.empty());
-  if (rows_.empty()) {
+  if (requests_.empty()) {
     batch_dtype_ = options.weight_dtype;
   } else {
     VIST5_CHECK(options.weight_dtype == batch_dtype_)
@@ -57,147 +57,219 @@ void ContinuousDecoder::Admit(uint64_t id, const std::vector<int>& src,
   }
   NoGradGuard guard;
   WeightDtypeGuard dtype_guard(batch_dtype_);
-  nn::DecodeState fresh;
-  if (prefill != nullptr) {
-    VIST5_CHECK(prefill->tokens == src)
-        << "cached prefix block does not hold this request's tokens";
-    VIST5_CHECK(prefill->dtype == batch_dtype_)
-        << "cached prefix block computed at "
-        << WeightDtypeName(prefill->dtype) << " cannot join a "
-        << WeightDtypeName(batch_dtype_) << " batch";
-    // Splice: copy the state *structure*; its tensor handles alias the
-    // block's storage. The loop below installs fresh self caches in this
-    // copy only, and every later cross-cache mutation (Reorder's
-    // GatherBatch, MergeFrom's ConcatBatch) replaces handles with copies,
-    // so the shared block stays bit-exact for the next consumer.
-    fresh = prefill->state;
-  } else {
-    const int src_len = static_cast<int>(src.size());
-    const std::vector<int> lengths = {src_len};
-    Tensor memory = model_->transformer().Encode(src, 1, src_len, lengths,
-                                                 /*train=*/false, nullptr);
-    fresh = model_->transformer().BeginDecode(memory, 1, src_len, lengths);
+  std::shared_ptr<const EncodedPrefix> computed;
+  if (prefill == nullptr) {
+    computed = model_->EncodePrefix(src, batch_dtype_);
+    prefill = computed.get();
   }
-  // Preallocate the self-attention caches to the row's full step budget.
-  // The capacity beyond a row's position is never read, and it lets every
-  // subsequent decode step write keys/values in place instead of
-  // reallocating the whole cache (ops::ScatterTime).
-  const int capacity = std::max(options.max_len, 1);
-  for (nn::DecodeState::LayerCache& layer : fresh.layers) {
-    const int heads = layer.cross_k.dim(1);
-    const int dh = layer.cross_k.dim(3);
-    layer.self_k = Tensor({1, heads, capacity, dh});
-    layer.self_v = Tensor({1, heads, capacity, dh});
+  VIST5_CHECK(prefill->tokens == src)
+      << "cached prefix block does not hold this request's tokens";
+  VIST5_CHECK(prefill->dtype == batch_dtype_)
+      << "cached prefix block computed at " << WeightDtypeName(prefill->dtype)
+      << " cannot join a " << WeightDtypeName(batch_dtype_) << " batch";
+  // Splice: copy the state *structure*; its tensor handles alias the
+  // block's storage. The loop below installs fresh self caches in this
+  // copy only, and every later cross-cache mutation (Reorder's
+  // GatherBatch, MergeFrom's ConcatBatch) replaces handles with copies,
+  // so a shared block stays bit-exact for the next consumer.
+  nn::DecodeState fresh = prefill->state;
+  if (options.beam_size <= 1) {
+    // Preallocate the self-attention caches to the row's full step budget.
+    // The capacity beyond a row's position is never read, and it lets
+    // every subsequent decode step write keys/values in place instead of
+    // reallocating the whole cache (ops::ScatterTime). Beam rows get no
+    // slab: Reorder gathers them every step, and a slab would make every
+    // gather copy all max_len positions, so their caches grow with the
+    // hypotheses instead.
+    const int capacity = std::max(options.max_len, 1);
+    for (nn::DecodeState::LayerCache& layer : fresh.layers) {
+      const int heads = layer.cross_k.dim(1);
+      const int dh = layer.cross_k.dim(3);
+      layer.self_k = Tensor({1, heads, capacity, dh});
+      layer.self_v = Tensor({1, heads, capacity, dh});
+    }
   }
   state_.MergeFrom(std::move(fresh));
-  Row row;
-  row.id = id;
-  row.options = options;
-  row.deadline = deadline;
-  row.prev = model_->pad_id();
-  rows_.push_back(std::move(row));
+  Request request;
+  request.id = id;
+  request.options = options;
+  request.deadline = deadline;
+  request.beams = {{{model_->pad_id()}, 0.0}};
+  requests_.push_back(std::move(request));
 }
 
-void ContinuousDecoder::Evict(const std::vector<int>& survivors) {
-  if (static_cast<int>(survivors.size()) == active()) return;
-  state_.Reorder(survivors);
-  std::vector<Row> kept;
-  kept.reserve(survivors.size());
-  for (int idx : survivors) {
-    kept.push_back(std::move(rows_[static_cast<size_t>(idx)]));
+void ContinuousDecoder::Finish(Request* request, bool deadline_expired,
+                               std::vector<Finished>* done,
+                               std::vector<Emitted>* emitted) {
+  request->done = true;
+  Finished f;
+  f.id = request->id;
+  f.deadline_expired = deadline_expired;
+  if (request->options.beam_size > 1) {
+    f.tokens =
+        SelectBeamResult(std::move(request->finished), request->beams);
+    if (emitted != nullptr) {
+      for (int token : f.tokens) emitted->push_back({request->id, token});
+    }
+  } else {
+    const std::vector<int>& tokens = request->beams.front().tokens;
+    f.tokens.assign(tokens.begin() + 1, tokens.end());
   }
-  rows_ = std::move(kept);
+  done->push_back(std::move(f));
+}
+
+void ContinuousDecoder::Retain(const std::vector<int>& parents) {
+  state_.Reorder(parents);
+  std::erase_if(requests_, [](const Request& r) { return r.done; });
 }
 
 std::vector<ContinuousDecoder::Finished> ContinuousDecoder::Step(
     std::vector<Emitted>* emitted) {
   std::vector<Finished> done;
-  if (rows_.empty()) return done;
+  if (requests_.empty()) return done;
   VIST5_TRACE_SPAN("model/batch_decode_step");
-  // Covers the pre-step sweep too: its Evict reorders KV caches through
+  // Covers the pre-step sweep too: its Reorder gathers KV caches through
   // inference-only ops (GatherBatch), not just the decode step below.
   NoGradGuard guard;
   WeightDtypeGuard dtype_guard(batch_dtype_);
 
-  // Pre-step sweep: rows past their deadline (or with no step budget at
-  // all) leave with their best-so-far tokens before paying for another
+  // Pre-step sweep: requests past their deadline (or with no step budget
+  // at all) leave with their best-so-far result before paying for another
   // decode step.
   const Clock::time_point now = Clock::now();
-  std::vector<int> survivors;
-  survivors.reserve(rows_.size());
-  for (int b = 0; b < active(); ++b) {
-    Row& row = rows_[static_cast<size_t>(b)];
-    if (static_cast<int>(row.out.size()) >= row.options.max_len) {
-      done.push_back({row.id, std::move(row.out), false});
-    } else if (row.deadline <= now) {
-      done.push_back({row.id, std::move(row.out), true});
+  std::vector<int> parents;  // surviving rows, as old row indices
+  int row = 0;
+  for (Request& request : requests_) {
+    const int rows = static_cast<int>(request.beams.size());
+    if (request.steps >= request.options.max_len) {
+      Finish(&request, false, &done, emitted);
+    } else if (request.deadline <= now) {
+      Finish(&request, true, &done, emitted);
     } else {
-      survivors.push_back(b);
+      for (int r = 0; r < rows; ++r) parents.push_back(row + r);
+    }
+    row += rows;
+  }
+  if (!done.empty()) Retain(parents);
+  if (requests_.empty()) return done;
+
+  std::vector<int> next_ids;
+  next_ids.reserve(static_cast<size_t>(state_.batch));
+  for (const Request& request : requests_) {
+    for (const BeamHypothesis& h : request.beams) {
+      next_ids.push_back(h.tokens.back());
     }
   }
-  Evict(survivors);
-  if (rows_.empty()) return done;
-
-  std::vector<int> next_ids(rows_.size());
-  for (size_t b = 0; b < rows_.size(); ++b) next_ids[b] = rows_[b].prev;
   Tensor hidden = model_->transformer().DecodeStep(next_ids, &state_);
-  Tensor logits = model_->transformer().Logits(hidden);  // [B, V]
+  Tensor logits = model_->transformer().Logits(hidden);  // [rows, V]
   const int vocab = logits.dim(1);
-  const float* data = logits.data().data();
 
-  survivors.clear();
-  for (int b = 0; b < active(); ++b) {
-    Row& row = rows_[static_cast<size_t>(b)];
-    const int next = BestAllowedToken(data + static_cast<size_t>(b) * vocab,
-                                      vocab, row.options.allowed);
-    // Same termination rule as GreedyDecode: stop without emitting on EOS
-    // or an exhausted constraint, otherwise emit and stop once max_len
-    // tokens are out.
-    bool finished = next < 0 || next == model_->eos_id();
-    if (!finished) {
-      row.out.push_back(next);
-      row.prev = next;
-      if (emitted != nullptr) emitted->push_back({row.id, next});
-      finished = static_cast<int>(row.out.size()) >= row.options.max_len;
-    }
-    if (finished) {
-      done.push_back({row.id, std::move(row.out), false});
+  parents.clear();
+  row = 0;
+  for (Request& request : requests_) {
+    const GenerationOptions& options = request.options;
+    const float* scores =
+        logits.data().data() + static_cast<size_t>(row) * vocab;
+    const int first_row = row;
+    row += static_cast<int>(request.beams.size());
+    ++request.steps;
+    bool finished;
+    if (options.beam_size > 1) {
+      // Beam search ends when no hypothesis is left, beam_size have
+      // finished, or max_len steps are taken.
+      BeamExpansion next =
+          ExpandBeams(scores, vocab, request.beams, options.beam_size,
+                      options, model_->eos_id(), &request.finished);
+      request.beams = std::move(next.beams);
+      finished = request.beams.empty() ||
+                 static_cast<int>(request.finished.size()) >=
+                     options.beam_size ||
+                 request.steps >= options.max_len;
+      if (!finished) {
+        for (int parent : next.parents) parents.push_back(first_row + parent);
+      }
     } else {
-      survivors.push_back(b);
+      // Stop without emitting on EOS or an exhausted constraint, otherwise
+      // emit and stop once max_len tokens are out.
+      const int next = options.temperature > 0 && options.rng != nullptr
+                           ? SampleToken(scores, vocab, options)
+                           : BestAllowedToken(scores, vocab, options.allowed);
+      finished = next < 0 || next == model_->eos_id();
+      if (!finished) {
+        request.beams.front().tokens.push_back(next);
+        if (emitted != nullptr) emitted->push_back({request.id, next});
+        finished = request.steps >= options.max_len;
+      }
+      if (!finished) parents.push_back(first_row);
     }
+    if (finished) Finish(&request, false, &done, emitted);
   }
-  Evict(survivors);
+  // Runs even when no request finished, because beam ranges reorder their
+  // rows every step; Reorder skips the copy when the rows are unchanged.
+  Retain(parents);
   return done;
 }
 
-std::vector<std::vector<int>> TransformerSeq2Seq::GenerateBatch(
+namespace {
+
+/// Runs every source through one ContinuousDecoder to completion; entry i
+/// of the result holds source i's tokens.
+std::vector<std::vector<int>> DecodeAll(
+    const TransformerSeq2Seq* model,
     const std::vector<std::vector<int>>& srcs,
-    const GenerationOptions& options) const {
-  std::vector<std::vector<int>> out(srcs.size());
-  if (srcs.empty()) return out;
-  if (options.beam_size > 1 || options.temperature > 0.0f) {
-    for (size_t i = 0; i < srcs.size(); ++i) {
-      out[i] = Generate(srcs[i], options);
-    }
-    return out;
-  }
-  VIST5_TRACE_SPAN("model/generate_batch");
-  static obs::Counter* batched_calls = obs::GetCounter("decode/batched_calls");
-  static obs::Counter* tokens = obs::GetCounter("decode/tokens");
+    const GenerationOptions& options) {
   const auto deadline =
       options.deadline_ms > 0
           ? ContinuousDecoder::Clock::now() +
                 std::chrono::milliseconds(options.deadline_ms)
           : ContinuousDecoder::Clock::time_point::max();
-  ContinuousDecoder decoder(this);
+  ContinuousDecoder decoder(model);
   for (size_t i = 0; i < srcs.size(); ++i) {
     decoder.Admit(static_cast<uint64_t>(i), srcs[i], options, deadline);
   }
+  std::vector<std::vector<int>> out(srcs.size());
   while (decoder.active() > 0) {
     for (ContinuousDecoder::Finished& f : decoder.Step()) {
-      tokens->Add(static_cast<int64_t>(f.tokens.size()));
       out[static_cast<size_t>(f.id)] = std::move(f.tokens);
     }
+  }
+  return out;
+}
+
+}  // namespace
+
+std::vector<int> TransformerSeq2Seq::Generate(
+    const std::vector<int>& src, const GenerationOptions& options) const {
+  VIST5_TRACE_SPAN("model/generate");
+  static obs::Counter* cached_calls = obs::GetCounter("decode/cached_calls");
+  static obs::Counter* tokens = obs::GetCounter("decode/tokens");
+  static obs::Histogram* tps = obs::GetHistogram("decode/tokens_per_sec");
+
+  const bool timed = obs::LatencySamplingEnabled();
+  const auto start = timed ? std::chrono::steady_clock::now()
+                           : std::chrono::steady_clock::time_point{};
+  std::vector<int> out = std::move(DecodeAll(this, {src}, options).front());
+  cached_calls->Add();
+  tokens->Add(static_cast<int64_t>(out.size()));
+  if (timed && !out.empty()) {
+    const double secs =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+            .count();
+    if (secs > 0) tps->Observe(static_cast<double>(out.size()) / secs);
+  }
+  return out;
+}
+
+std::vector<std::vector<int>> TransformerSeq2Seq::GenerateBatch(
+    const std::vector<std::vector<int>>& srcs,
+    const GenerationOptions& options) const {
+  if (srcs.empty()) return {};
+  VIST5_TRACE_SPAN("model/generate_batch");
+  static obs::Counter* batched_calls = obs::GetCounter("decode/batched_calls");
+  static obs::Counter* tokens = obs::GetCounter("decode/tokens");
+  std::vector<std::vector<int>> out = DecodeAll(this, srcs, options);
+  for (const std::vector<int>& row : out) {
+    tokens->Add(static_cast<int64_t>(row.size()));
   }
   batched_calls->Add();
   return out;

@@ -58,12 +58,13 @@ struct GenerationOptions {
   /// emitted. Null means unconstrained. When no token is allowed at some
   /// step, decoding treats it as end-of-sequence.
   std::function<bool(int token)> allowed;
-  /// Wall-clock decode budget in milliseconds, measured from the start of
-  /// decoding (0 = unlimited). On expiry the decoders return the
-  /// best result so far: greedy keeps the tokens emitted up to that point,
-  /// beam search selects among finished and alive hypotheses exactly as it
-  /// would when the step budget runs out. Serving uses this to bound
-  /// per-request latency (docs/SERVING.md).
+  /// Wall-clock decode budget in milliseconds (0 = unlimited). Generate
+  /// and GenerateBatch count it from the call, prefill included; the serve
+  /// scheduler counts it from the request's arrival. On expiry the
+  /// decoders return the best result so far: greedy keeps the tokens
+  /// emitted up to that point, beam search selects among finished and
+  /// alive hypotheses exactly as it would when the step budget runs out.
+  /// Serving uses this to bound per-request latency (docs/SERVING.md).
   int deadline_ms = 0;
   /// Precision the weight matrices are read at during this decode.
   /// kFloat32 is the exact path; kInt8 quantizes eligible projections at

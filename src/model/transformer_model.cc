@@ -1,11 +1,7 @@
 #include "model/transformer_model.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
-
-#include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace vist5 {
 namespace model {
@@ -26,10 +22,6 @@ int BestAllowedToken(const float* row, int vocab,
   return best;
 }
 
-namespace {
-
-/// Temperature + top-k sampling over a logits row. Returns -1 when no
-/// token is allowed (treated as end-of-sequence by callers).
 int SampleToken(const float* row, int vocab, const GenerationOptions& opts) {
   std::vector<std::pair<float, int>> scored;
   scored.reserve(static_cast<size_t>(vocab));
@@ -51,6 +43,8 @@ int SampleToken(const float* row, int vocab, const GenerationOptions& opts) {
   return scored[static_cast<size_t>(pick)].second;
 }
 
+namespace {
+
 /// Log-softmax of one logits row (for beam scoring).
 std::vector<float> LogSoftmaxRow(const float* row, int vocab) {
   float maxv = row[0];
@@ -66,11 +60,10 @@ std::vector<float> LogSoftmaxRow(const float* row, int vocab) {
 }  // namespace
 
 BeamExpansion ExpandBeams(
-    const Tensor& logits, const std::vector<BeamHypothesis>& beams, int k,
-    const GenerationOptions& options, int eos_id,
+    const float* logits, int vocab, const std::vector<BeamHypothesis>& beams,
+    int k, const GenerationOptions& options, int eos_id,
     std::vector<std::pair<std::vector<int>, double>>* finished) {
   const int nb = static_cast<int>(beams.size());
-  const int vocab = logits.dim(1);
 
   struct Candidate {
     int beam;
@@ -79,9 +72,8 @@ BeamExpansion ExpandBeams(
   };
   std::vector<Candidate> candidates;
   for (int b = 0; b < nb; ++b) {
-    const float* row =
-        logits.data().data() + static_cast<size_t>(b) * vocab;
-    const std::vector<float> logp = LogSoftmaxRow(row, vocab);
+    const std::vector<float> logp =
+        LogSoftmaxRow(logits + static_cast<size_t>(b) * vocab, vocab);
     std::vector<int> order;
     order.reserve(static_cast<size_t>(vocab));
     for (int v = 0; v < vocab; ++v) {
@@ -165,104 +157,6 @@ Tensor TransformerSeq2Seq::BatchLoss(const Batch& batch, bool train,
                             batch.enc_lengths, batch.dec_input,
                             batch.dec_target, batch.dec_seq,
                             batch.dec_lengths, train, rng);
-}
-
-std::vector<int> TransformerSeq2Seq::Generate(
-    const std::vector<int>& src, const GenerationOptions& options) const {
-  VIST5_TRACE_SPAN("model/generate");
-  static obs::Counter* cached_calls = obs::GetCounter("decode/cached_calls");
-  static obs::Counter* tokens = obs::GetCounter("decode/tokens");
-  static obs::Histogram* tps = obs::GetHistogram("decode/tokens_per_sec");
-
-  const bool timed = obs::LatencySamplingEnabled();
-  const auto start = timed ? std::chrono::steady_clock::now()
-                           : std::chrono::steady_clock::time_point{};
-  std::vector<int> out = options.beam_size <= 1 ? GreedyDecode(src, options)
-                                                : BeamDecode(src, options);
-  cached_calls->Add();
-  tokens->Add(static_cast<int64_t>(out.size()));
-  if (timed && !out.empty()) {
-    const double secs =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count();
-    if (secs > 0) tps->Observe(static_cast<double>(out.size()) / secs);
-  }
-  return out;
-}
-
-std::vector<int> TransformerSeq2Seq::GreedyDecode(
-    const std::vector<int>& src, const GenerationOptions& options) const {
-  NoGradGuard guard;
-  WeightDtypeGuard dtype_guard(options.weight_dtype);
-  const int src_len = static_cast<int>(src.size());
-  const std::vector<int> src_lengths = {src_len};
-  Tensor memory = transformer_->Encode(src, 1, src_len, src_lengths,
-                                       /*train=*/false, nullptr);
-  nn::DecodeState state =
-      transformer_->BeginDecode(memory, 1, src_len, src_lengths);
-  std::vector<int> out;
-  int prev = pad_id_;
-  const bool has_deadline = options.deadline_ms > 0;
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::milliseconds(has_deadline ? options.deadline_ms : 0);
-  for (int step = 0; step < options.max_len; ++step) {
-    // Deadline expiry returns the best-so-far prefix instead of throwing
-    // work away (serving's per-request latency bound).
-    if (has_deadline && std::chrono::steady_clock::now() >= deadline) break;
-    Tensor hidden = transformer_->DecodeStep({prev}, &state);  // [1, d]
-    Tensor logits = transformer_->Logits(hidden);              // [1, V]
-    const int vocab = logits.dim(1);
-    const float* row = logits.data().data();
-    const bool sample = options.temperature > 0 && options.rng != nullptr;
-    const int next = sample ? SampleToken(row, vocab, options)
-                            : BestAllowedToken(row, vocab, options.allowed);
-    if (next < 0 || next == eos_id_) break;
-    out.push_back(next);
-    prev = next;
-  }
-  return out;
-}
-
-std::vector<int> TransformerSeq2Seq::BeamDecode(
-    const std::vector<int>& src, const GenerationOptions& options) const {
-  NoGradGuard guard;
-  WeightDtypeGuard dtype_guard(options.weight_dtype);
-  const int k = options.beam_size;
-  const int src_len = static_cast<int>(src.size());
-  const std::vector<int> one_length = {src_len};
-  Tensor memory = transformer_->Encode(src, 1, src_len, one_length,
-                                       /*train=*/false, nullptr);
-  nn::DecodeState state =
-      transformer_->BeginDecode(memory, 1, src_len, one_length);
-
-  std::vector<BeamHypothesis> beams = {{{pad_id_}, 0.0}};
-  std::vector<std::pair<std::vector<int>, double>> finished;
-
-  const bool has_deadline = options.deadline_ms > 0;
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::milliseconds(has_deadline ? options.deadline_ms : 0);
-  for (int step = 0; step < options.max_len && !beams.empty(); ++step) {
-    // On deadline expiry, select among what exists so far — the same
-    // choice rule as when the step budget runs out.
-    if (has_deadline && std::chrono::steady_clock::now() >= deadline) break;
-    const int nb = static_cast<int>(beams.size());
-    // Feed only each hypothesis' newest token; the cache carries the rest.
-    std::vector<int> next_ids(static_cast<size_t>(nb));
-    for (int b = 0; b < nb; ++b) {
-      next_ids[static_cast<size_t>(b)] = beams[static_cast<size_t>(b)].tokens.back();
-    }
-    Tensor hidden = transformer_->DecodeStep(next_ids, &state);  // [nb, d]
-    Tensor logits = transformer_->Logits(hidden);                // [nb, V]
-
-    BeamExpansion next =
-        ExpandBeams(logits, beams, k, options, eos_id_, &finished);
-    beams = std::move(next.beams);
-    if (!beams.empty()) state.Reorder(next.parents);
-    if (static_cast<int>(finished.size()) >= k) break;
-  }
-  return SelectBeamResult(std::move(finished), beams);
 }
 
 }  // namespace model

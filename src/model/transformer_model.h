@@ -20,24 +20,30 @@ struct BeamHypothesis {
 /// Argmax over one logits row subject to the optional vocabulary
 /// constraint. Returns -1 when the constraint rejects every token
 /// ("nothing allowed"), which callers treat as end-of-sequence. Shared by
-/// the greedy decoders and the continuous-batching serve path so every
-/// path picks tokens identically.
+/// the decoder, the speculative engine and the test oracle, so every path
+/// picks tokens identically.
 int BestAllowedToken(const float* row, int vocab,
                      const std::function<bool(int)>& allowed);
 
-/// One beam-search expansion. `logits` holds one row per alive hypothesis
-/// ([nb, V]). EOS continuations move into `finished` with length-normalized
-/// scores; a hypothesis whose every continuation is disallowed also
-/// finishes (constrained decoding reached a dead end). Exposed so the
-/// full-prefix test oracle expands beams exactly as BeamDecode does.
+/// Temperature + top-k sampling over one logits row, drawing from
+/// `options.rng` (required). Returns -1 when no token is allowed, which
+/// callers treat as end-of-sequence.
+int SampleToken(const float* row, int vocab, const GenerationOptions& options);
+
+/// One beam-search expansion. `logits` holds one row of `vocab` scores per
+/// alive hypothesis ([nb, V], row-major). EOS continuations move into
+/// `finished` with length-normalized scores; a hypothesis whose every
+/// continuation is disallowed also finishes (constrained decoding reached a
+/// dead end). Exposed so the full-prefix test oracle expands beams exactly
+/// as ContinuousDecoder does.
 struct BeamExpansion {
   std::vector<BeamHypothesis> beams;  ///< pruned to at most k
   std::vector<int> parents;           ///< parent index per surviving beam
 };
 
 BeamExpansion ExpandBeams(
-    const Tensor& logits, const std::vector<BeamHypothesis>& beams, int k,
-    const GenerationOptions& options, int eos_id,
+    const float* logits, int vocab, const std::vector<BeamHypothesis>& beams,
+    int k, const GenerationOptions& options, int eos_id,
     std::vector<std::pair<std::vector<int>, double>>* finished);
 
 /// Final beam selection. `finished` holds (output tokens, length-normalized
@@ -90,25 +96,30 @@ class TransformerSeq2Seq : public Seq2SeqModel {
 
   Tensor BatchLoss(const Batch& batch, bool train, Rng* rng) const override;
 
-  /// Greedy decoding for beam_size == 1, otherwise length-normalized beam
-  /// search. Honors `options.allowed` as a hard vocabulary constraint.
+  /// Decodes one source as the only request of a ContinuousDecoder:
+  /// greedy for beam_size <= 1 (sampled when temperature > 0 and
+  /// options.rng is set), otherwise length-normalized beam search. Honors
+  /// `options.allowed` as a hard vocabulary constraint. Defined in
+  /// batch_decoder.cc.
   std::vector<int> Generate(const std::vector<int>& src,
                             const GenerationOptions& options) const override;
 
-  /// Decodes all sources as one continuously batched greedy decode over a
-  /// shared KV cache (ContinuousDecoder). Token-for-token identical to
-  /// calling Generate on each source — rows are batch-pure, see
-  /// docs/SERVING.md. Beam and sampling options fall back to per-request
-  /// Generate. Defined in batch_decoder.cc.
+  /// Decodes all sources as the requests of one ContinuousDecoder, over a
+  /// shared KV cache. Greedy and beam results are token-for-token identical
+  /// to calling Generate on each source — rows are batch-pure, see
+  /// docs/SERVING.md. Sampled rows draw from the shared `options.rng` in
+  /// row order at every step, so they match a sequential Generate loop
+  /// only for a single source. Defined in batch_decoder.cc.
   std::vector<std::vector<int>> GenerateBatch(
       const std::vector<std::vector<int>>& srcs,
       const GenerationOptions& options) const;
 
   /// Runs the encoder-side prefill (encode + cross-attention K/V
-  /// projection) for one source as a standalone immutable block that
-  /// ContinuousDecoder::Admit can splice in place of recomputing it. The
-  /// block is computed at `dtype` and is only valid for decode batches
-  /// running that dtype. Defined in batch_decoder.cc.
+  /// projection) for one source as a standalone immutable block. This is
+  /// the only inference prefill: ContinuousDecoder::Admit calls it when no
+  /// cached block is supplied, and so does the speculative engine for each
+  /// of its models. The block is computed at `dtype` and is only valid for
+  /// decode batches running that dtype. Defined in batch_decoder.cc.
   std::shared_ptr<const EncodedPrefix> EncodePrefix(
       const std::vector<int>& src, WeightDtype dtype) const;
 
@@ -119,13 +130,6 @@ class TransformerSeq2Seq : public Seq2SeqModel {
   int eos_id() const { return eos_id_; }
 
  private:
-  /// KV-cached incremental decoding. The full-prefix reference these are
-  /// pinned to lives in the test tree (tests/full_prefix_oracle.h).
-  std::vector<int> GreedyDecode(const std::vector<int>& src,
-                                const GenerationOptions& options) const;
-  std::vector<int> BeamDecode(const std::vector<int>& src,
-                              const GenerationOptions& options) const;
-
   std::unique_ptr<nn::Transformer> transformer_;
   int pad_id_;
   int eos_id_;

@@ -87,9 +87,12 @@ void DecodeState::Reorder(const std::vector<int>& parents) {
     // Time capacity is kept as-is: surviving rows may be shorter than the
     // cache's extent, but decode steps never read past a row's position,
     // and trimming would throw away the preallocated capacity the in-place
-    // scatter path relies on (docs/SERVING.md).
-    layer.self_k = ops::GatherBatch(layer.self_k, parents);
-    layer.self_v = ops::GatherBatch(layer.self_v, parents);
+    // scatter path relies on (docs/SERVING.md). Self caches stay undefined
+    // until a step writes them when no row was preallocated (beam rows).
+    if (layer.self_k.defined()) {
+      layer.self_k = ops::GatherBatch(layer.self_k, parents);
+      layer.self_v = ops::GatherBatch(layer.self_v, parents);
+    }
     layer.cross_k = ops::GatherBatch(layer.cross_k, parents);
     layer.cross_v = ops::GatherBatch(layer.cross_v, parents);
   }

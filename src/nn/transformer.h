@@ -82,7 +82,8 @@ struct DecodeState {
   /// eviction: entry i of the new state is old entry `parents[i]`.
   /// `parents` may repeat (a hypothesis forked) or drop indices (a
   /// hypothesis died / a request finished). The self-attention time
-  /// capacity is kept as-is, so preallocated slabs stay preallocated.
+  /// capacity is kept as-is, so preallocated slabs stay preallocated, and
+  /// self caches no step has written yet stay undefined.
   void Reorder(const std::vector<int>& parents);
 
   /// Joins `other`'s rows onto this state's batch (continuous batching:

@@ -66,12 +66,6 @@ bool RequestQueue::PopLocked(Entry* out) {
   return true;
 }
 
-bool RequestQueue::WaitAndPop(Entry* out) {
-  std::unique_lock<std::mutex> lock(mu_);
-  cv_.wait(lock, [&] { return closed_ || !heap_.empty(); });
-  return PopLocked(out);
-}
-
 RequestQueue::PopStatus RequestQueue::WaitAndPopFor(
     Entry* out, std::chrono::milliseconds timeout) {
   std::unique_lock<std::mutex> lock(mu_);

@@ -27,6 +27,13 @@ using TokenCallback = std::function<void(int token, size_t seq)>;
 /// request's "max_len" and "draft" fields.
 inline constexpr int kMaxRequestMaxLen = 4096;
 inline constexpr int kMaxRequestDraftK = 1024;
+/// Longest tokenized source BatchScheduler::Submit accepts; longer ones get
+/// a per-request error. The encoder's [heads, n, n] attention scores grow
+/// with the square of the source length, so an unbounded source can
+/// exhaust memory: 20,000 tokens need 6.4 GB on t5_small's 4 heads. A
+/// 2048-token prefill takes about a second, and the benchmark's longest
+/// source is 241 tokens (docs/SERVING.md).
+inline constexpr int kMaxRequestSrcTokens = 2048;
 
 /// One tokenized generation request as it flows through the scheduler.
 struct Request {
@@ -138,19 +145,16 @@ class RequestQueue {
   /// Enqueues; Unavailable when the queue is at capacity or closed.
   Status Push(Entry entry);
 
-  /// Blocks until an entry is available or the queue is closed; false
-  /// means closed-and-empty (no entry written).
-  bool WaitAndPop(Entry* out);
-
   enum class PopStatus {
     kItem,     ///< `*out` holds an entry
     kTimeout,  ///< nothing arrived within the window; queue still open
     kClosed,   ///< closed and empty — no entry will ever arrive
   };
 
-  /// WaitAndPop with a bounded wait, so the scheduler loop can wake to
-  /// service control-plane work (pending checkpoint reloads, shutdown
-  /// checks) even when no requests arrive.
+  /// Blocks until an entry is available, the queue is closed, or
+  /// `timeout` passes — bounded, so the scheduler loop can wake to service
+  /// control-plane work (pending checkpoint reloads, shutdown checks) even
+  /// when no requests arrive.
   PopStatus WaitAndPopFor(Entry* out, std::chrono::milliseconds timeout);
 
   /// Non-blocking pop; false when empty (or closed-and-empty).

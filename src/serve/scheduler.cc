@@ -29,15 +29,6 @@ int64_t Us(Clock::time_point t) {
 /// immediately through the queue's condition variable.
 constexpr std::chrono::milliseconds kIdleWait{50};
 
-/// Requests that cannot share the continuous batch: beam search reorders
-/// the whole decode state, sampling consumes per-request RNG draws, and
-/// speculative requests (draft_k > 0) drive two models' caches through the
-/// DraftVerifyEngine. They run alone between batches.
-bool IsExclusive(const model::GenerationOptions& options) {
-  return options.beam_size > 1 || options.temperature > 0.0f ||
-         options.draft_k > 0;
-}
-
 /// Admission-time validation for speculative requests (docs/SPECULATIVE.md):
 /// a request that cannot run speculatively must be rejected loudly, never
 /// silently decoded plain. Returns an empty string when admissible.
@@ -93,6 +84,8 @@ struct BatchScheduler::Track {
   TokenCallback on_token;
   /// Tokens already published through on_token (the next seq number).
   size_t streamed = 0;
+  /// A beam request: it decodes alone, so nothing joins the batch.
+  bool beam = false;
 };
 
 /// One parked Reload call: the path to load and the promise its caller
@@ -145,6 +138,11 @@ Status BatchScheduler::Submit(Request req, Completion done) {
     return Status::InvalidArgument(error);
   };
   if (req.tokens.empty()) return fail("empty token sequence");
+  if (req.tokens.size() > static_cast<size_t>(kMaxRequestSrcTokens)) {
+    return fail("source has " + std::to_string(req.tokens.size()) +
+                " tokens; the limit is " +
+                std::to_string(kMaxRequestSrcTokens));
+  }
   const int vocab = model_->transformer().config().vocab_size;
   for (size_t i = 0; i < req.tokens.size(); ++i) {
     if (req.tokens[i] < 0 || req.tokens[i] >= vocab) {
@@ -303,10 +301,11 @@ void BatchScheduler::Finish(Track* track, ResponseStatus status,
   track->done(std::move(r));
 }
 
-void BatchScheduler::AdmitGreedy(RequestQueue::Entry entry,
-                                 model::ContinuousDecoder* decoder,
-                                 std::vector<Track>* tracks) {
+void BatchScheduler::Admit(RequestQueue::Entry entry,
+                           model::ContinuousDecoder* decoder,
+                           std::vector<Track>* tracks) {
   static obs::Counter* joined = obs::GetCounter("serve/joined");
+  static obs::Counter* exclusive = obs::GetCounter("serve/exclusive");
   static obs::Histogram* queue_wait =
       obs::GetHistogram("serve/queue_wait_ms");
   const Clock::time_point now = Clock::now();
@@ -325,6 +324,8 @@ void BatchScheduler::AdmitGreedy(RequestQueue::Entry entry,
   track.timeline.admitted = true;
   queue_wait->Observe(track.timeline.queue_wait_ms());
   if (decoder->active() > 0) joined->Add();
+  track.beam = req.options.beam_size > 1;
+  if (track.beam) exclusive->Add();
   if (prefix_cache_ != nullptr) {
     track.cache_handle =
         prefix_cache_->Acquire(req.tokens, req.options.weight_dtype);
@@ -336,7 +337,7 @@ void BatchScheduler::AdmitGreedy(RequestQueue::Entry entry,
     }
     decoder->Admit(req.id, req.tokens, req.options, req.deadline,
                    track.cache_handle.block.get());
-    if (options_.prefix_affinity) affinity_ref_ = req.tokens;
+    affinity_ref_ = req.tokens;
   } else {
     decoder->Admit(req.id, req.tokens, req.options, req.deadline);
   }
@@ -345,6 +346,7 @@ void BatchScheduler::AdmitGreedy(RequestQueue::Entry entry,
 
 void BatchScheduler::RunExclusive(RequestQueue::Entry entry) {
   static obs::Counter* exclusive = obs::GetCounter("serve/exclusive");
+  static obs::Counter* spec_requests = obs::GetCounter("spec/requests");
   static obs::Histogram* queue_wait =
       obs::GetHistogram("serve/queue_wait_ms");
   VIST5_TRACE_SPAN("serve/exclusive");
@@ -363,60 +365,45 @@ void BatchScheduler::RunExclusive(RequestQueue::Entry entry) {
   track.timeline.admitted = true;
   queue_wait->Observe(track.timeline.queue_wait_ms());
   exclusive->Add();
+  spec_requests->Add();
   model::GenerationOptions options = req.options;
   if (req.deadline != Clock::time_point::max()) {
-    // Re-base the decode budget on what is left after queueing. Generate
-    // returns its best-so-far result on expiry (status stays "ok" — the
-    // model layer does not distinguish a deadline cut from EOS here).
+    // The engine measures deadline_ms from its own start, so re-base the
+    // budget on what is left after queueing. On expiry it returns the
+    // committed prefix (status stays "ok": the engine does not report a
+    // deadline cut).
     const double remaining = Ms(req.deadline - now);
     options.deadline_ms = remaining < 1.0 ? 1 : static_cast<int>(remaining);
   }
-  std::vector<int> tokens;
-  if (options.draft_k > 0) {
-    // Speculative route (admission already validated the mode). The base
-    // side shares the encoder-prefix cache with the batched path: a hit
-    // splices the block's immutable cross K/V, a miss donates the freshly
-    // computed block for requests queued behind this one.
-    static obs::Counter* spec_requests = obs::GetCounter("spec/requests");
-    spec_requests->Add();
-    const model::EncodedPrefix* prefill = nullptr;
-    if (prefix_cache_ != nullptr) {
-      track.cache_handle =
-          prefix_cache_->Acquire(req.tokens, options.weight_dtype);
-      if (!track.cache_handle.hit) {
-        track.cache_handle = prefix_cache_->Insert(
-            model_->EncodePrefix(req.tokens, options.weight_dtype));
-      }
-      prefill = track.cache_handle.block.get();
-      if (options_.prefix_affinity) affinity_ref_ = req.tokens;
+  // The base side shares the encoder-prefix cache with the batch: a hit
+  // splices the block's immutable cross K/V, a miss donates the freshly
+  // computed block for requests queued behind this one.
+  const model::EncodedPrefix* prefill = nullptr;
+  if (prefix_cache_ != nullptr) {
+    track.cache_handle =
+        prefix_cache_->Acquire(req.tokens, options.weight_dtype);
+    if (!track.cache_handle.hit) {
+      track.cache_handle = prefix_cache_->Insert(
+          model_->EncodePrefix(req.tokens, options.weight_dtype));
     }
-    spec::SpecStats stats;
-    const Clock::time_point gen_start = Clock::now();
-    // Stream subscribers receive speculative commits as accepted runs:
-    // the engine fires on_commit per committed token right after each
-    // verify round, and committed tokens are final (docs/SPECULATIVE.md).
-    tokens = spec_engine_->Generate(req.tokens, options, prefill, &stats,
-                                    track.on_token);
-    if (stats.ttft_ms > 0) {
-      // Generate has no per-step hook, so the timeline's first-token stamp
-      // is reconstructed from the engine's measured time-to-first-commit.
-      track.timeline.has_first_token = true;
-      track.timeline.first_token =
-          gen_start + std::chrono::duration_cast<Clock::duration>(
-                          std::chrono::duration<double, std::milli>(
-                              stats.ttft_ms));
-    }
-  } else {
-    tokens = model_->Generate(req.tokens, options);
-    if (track.on_token) {
-      // Generate has no per-step hook (beam search in particular has no
-      // committed prefix until the search ends), so the whole sequence
-      // streams at completion — parity with the buffered response is
-      // trivial, and the wire shape matches the batched path.
-      for (size_t i = 0; i < tokens.size(); ++i) {
-        track.on_token(tokens[i], i);
-      }
-    }
+    prefill = track.cache_handle.block.get();
+    affinity_ref_ = req.tokens;
+  }
+  spec::SpecStats stats;
+  const Clock::time_point gen_start = Clock::now();
+  // Stream subscribers receive speculative commits as accepted runs: the
+  // engine fires on_commit per committed token right after each verify
+  // round, and committed tokens are final (docs/SPECULATIVE.md).
+  std::vector<int> tokens = spec_engine_->Generate(
+      req.tokens, options, prefill, &stats, track.on_token);
+  if (stats.ttft_ms > 0) {
+    // Generate has no per-step hook, so the timeline's first-token stamp
+    // is reconstructed from the engine's measured time-to-first-commit.
+    track.timeline.has_first_token = true;
+    track.timeline.first_token =
+        gen_start + std::chrono::duration_cast<Clock::duration>(
+                        std::chrono::duration<double, std::milli>(
+                            stats.ttft_ms));
   }
   Finish(&track, ResponseStatus::kOk, std::move(tokens));
 }
@@ -429,6 +416,8 @@ bool BatchScheduler::FillBatch(model::ContinuousDecoder* decoder,
     // A pending reload waits for a batch-empty boundary; admitting more
     // work would starve it, so pause admissions until it has run.
     if (reload_pending_.load(std::memory_order_acquire)) return false;
+    // A beam request decodes alone (docs/SERVING.md).
+    if (!tracks->empty() && tracks->front().beam) return false;
     RequestQueue::Entry entry;
     if (decoder->active() == 0) {
       // Idle: block until work arrives, the queue closes for good, or the
@@ -447,24 +436,25 @@ bool BatchScheduler::FillBatch(model::ContinuousDecoder* decoder,
       // With the prefix cache on, prefer the queued request sharing the
       // longest prefix with the last admission — same-schema requests
       // co-batch and land on warm blocks.
-      const bool affine = prefix_cache_ != nullptr &&
-                          options_.prefix_affinity &&
-                          !affinity_ref_.empty();
+      const bool affine = prefix_cache_ != nullptr && !affinity_ref_.empty();
       if (affine ? !queue_.TryPopPreferring(affinity_ref_, &entry)
                  : !queue_.TryPop(&entry)) {
         return false;
       }
     }
-    if (IsExclusive(entry.request.options) ||
+    const model::GenerationOptions& options = entry.request.options;
+    if (options.draft_k > 0 ||
         (decoder->active() > 0 &&
-         entry.request.options.weight_dtype != decoder->batch_dtype())) {
-      // Cannot join the running batch: exclusive mode, or a greedy request
-      // at a different weight dtype. Park it — later arrivals wait behind
-      // it so admission order stays FIFO — and let the batch drain.
+         (options.beam_size > 1 ||
+          options.weight_dtype != decoder->batch_dtype()))) {
+      // Cannot join the running batch: a speculative request, a beam
+      // request (it decodes alone), or a different weight dtype. Park it —
+      // later arrivals wait behind it so admission order stays FIFO — and
+      // let the batch drain.
       *parked = std::move(entry);
       *have_parked = true;
     } else {
-      AdmitGreedy(std::move(entry), decoder, tracks);
+      Admit(std::move(entry), decoder, tracks);
     }
   }
   return false;
@@ -537,12 +527,12 @@ void BatchScheduler::Loop() {
     const bool closed = FillBatch(&decoder, &tracks, &parked, &have_parked);
     if (abort_.load()) break;
     if (have_parked && decoder.active() == 0) {
-      if (IsExclusive(parked.request.options)) {
+      if (parked.request.options.draft_k > 0) {
         RunExclusive(std::move(parked));
       } else {
-        // A dtype-mismatched greedy request: the old batch has drained, so
-        // it seeds a fresh batch at its own dtype.
-        AdmitGreedy(std::move(parked), &decoder, &tracks);
+        // The old batch has drained, so a beam request can decode alone
+        // and a dtype-mismatched request seeds a batch at its own dtype.
+        Admit(std::move(parked), &decoder, &tracks);
       }
       parked = RequestQueue::Entry{};
       have_parked = false;

@@ -29,18 +29,16 @@ struct SchedulerOptions {
   /// Byte budget for the shared encoder-prefix cache (docs/SERVING.md).
   /// 0 (the default) disables prefix caching entirely — behavior is
   /// identical to a scheduler without the cache.
+  /// With the cache on, mid-flight admissions also prefer queued requests
+  /// sharing the longest token prefix with the most recently admitted one,
+  /// so same-schema requests co-batch and hit warm blocks (only within the
+  /// top priority level).
   size_t prefix_cache_bytes = 0;
-  /// With the prefix cache enabled, mid-flight admissions prefer queued
-  /// requests sharing the longest token prefix with the most recently
-  /// admitted one, so same-schema requests co-batch and hit warm blocks.
-  /// Priority order is still respected — reordering happens only within
-  /// the top priority level.
-  bool prefix_affinity = true;
   /// Draft model for speculative decoding (docs/SPECULATIVE.md). Null
   /// (the default) disables it: requests carrying draft_k > 0 are rejected
   /// at admission. Not owned; must share the base model's tokenizer and
-  /// outlive the scheduler. Speculative requests run on the exclusive
-  /// path (they own both models' KV caches for the request's duration).
+  /// outlive the scheduler. Speculative requests run outside the batch
+  /// (they own both models' KV caches for the request's duration).
   model::TransformerSeq2Seq* draft_model = nullptr;
   /// Weight dtype the draft checkpoint is served at. A speculative request
   /// whose weight_dtype differs is rejected at admission — mixing dtypes
@@ -53,22 +51,23 @@ struct SchedulerOptions {
 /// One thread owns a ContinuousDecoder and repeatedly: (1) admits queued
 /// requests at the current step boundary until the batch is full, (2) runs
 /// one ragged decode step for every active row, (3) completes and evicts
-/// rows that finished or blew their deadline. New requests therefore join
-/// a running batch without waiting for it to drain, and finished rows free
-/// their slot immediately.
+/// requests that finished or blew their deadline. New requests therefore
+/// join a running batch without waiting for it to drain, and finished
+/// requests free their slot immediately.
 ///
-/// Greedy requests batch together; beam/sampling/speculative requests are
-/// "exclusive" — the loop lets the batch drain, runs them alone through
-/// Seq2SeqModel::Generate, then resumes batching. This trades their
-/// latency for a much simpler invariant (the KV cache is only ever shared
-/// between greedy rows); see docs/SERVING.md. Greedy requests whose
-/// weight_dtype differs from the running batch's are handled the same
-/// way: they park until the batch drains, then start a batch at their
-/// dtype — a decode batch reads one weight representation per step.
+/// Greedy and sampled requests batch together. A beam request runs alone
+/// in the same decoder: it waits for the batch to drain, and nothing joins
+/// the batch while it decodes. Speculative requests (draft_k > 0) leave
+/// the decoder: once the batch drains, the loop runs them alone through
+/// the DraftVerifyEngine, then resumes batching. A request whose
+/// weight_dtype differs from the running batch's also parks until the
+/// batch drains, then starts a batch at its dtype — a decode batch reads
+/// one weight representation per step. Parking keeps admission FIFO
+/// (docs/SERVING.md).
 ///
-/// Per-request token streams are bit-identical to sequential Generate
-/// calls regardless of batch composition (the determinism contract tested
-/// by tests/serve_test.cc).
+/// Per-request token streams are bit-identical to decoding each request
+/// alone, regardless of batch composition (the determinism contract
+/// tested by tests/serve_test.cc).
 class BatchScheduler {
  public:
   /// `model` is non-const because Reload swaps its weights in place; the
@@ -116,18 +115,19 @@ class BatchScheduler {
   struct PendingReload;
 
   void Loop();
-  /// Admits queued greedy requests until the batch is full. A request that
-  /// cannot join the running batch (exclusive, or a greedy dtype mismatch)
-  /// is parked in `*parked` and admissions stop — FIFO order is preserved
-  /// while the batch drains. Returns true when the queue closed.
+  /// Admits queued requests until the batch is full, and none while a
+  /// beam request decodes. A request that cannot join the running batch
+  /// (speculative, beam, or a dtype mismatch) is parked in `*parked` and
+  /// admissions stop — FIFO order is preserved while the batch drains.
+  /// Returns true when the queue closed.
   bool FillBatch(model::ContinuousDecoder* decoder,
                  std::vector<Track>* tracks,
                  RequestQueue::Entry* parked, bool* have_parked);
-  void AdmitGreedy(RequestQueue::Entry entry,
-                   model::ContinuousDecoder* decoder,
-                   std::vector<Track>* tracks);
+  void Admit(RequestQueue::Entry entry, model::ContinuousDecoder* decoder,
+             std::vector<Track>* tracks);
   void StepBatch(model::ContinuousDecoder* decoder,
                  std::vector<Track>* tracks);
+  /// Runs one speculative request alone through the DraftVerifyEngine.
   void RunExclusive(RequestQueue::Entry entry);
   void Finish(Track* track, ResponseStatus status, std::vector<int> tokens);
   /// Performs the pending reload (loop thread, no batch active) or fails
@@ -142,8 +142,8 @@ class BatchScheduler {
   /// Null when prefix_cache_bytes == 0. Mutated only on the loop thread
   /// (the cache itself is internally locked for stats scrapes).
   std::unique_ptr<PrefixCache> prefix_cache_;
-  /// Tokens of the most recently admitted greedy request; steers
-  /// RequestQueue::TryPopPreferring when prefix_affinity is on. Loop
+  /// Tokens of the most recently admitted request; steers
+  /// RequestQueue::TryPopPreferring when the prefix cache is on. Loop
   /// thread only.
   std::vector<int> affinity_ref_;
   RequestQueue queue_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <memory>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -50,31 +51,25 @@ std::vector<int> DraftVerifyEngine::Generate(
   const nn::Transformer& draft_tf = draft_->transformer();
   const int pad = base_->pad_id();
   const int eos = base_->eos_id();
-  const int src_len = static_cast<int>(src.size());
-  const std::vector<int> src_lengths = {src_len};
 
   // Base-side prefill, spliced from a prefix-cache block when one is
   // available: the copied DecodeState aliases the block's immutable cross
   // K/V (never written by DecodeStep or TruncateTo) while self K/V grow
   // fresh — the same contract ContinuousDecoder::Admit relies on.
-  nn::DecodeState base_state;
-  if (base_prefix != nullptr) {
-    VIST5_CHECK(base_prefix->tokens == src)
-        << "cached prefix block does not hold this request's tokens";
-    VIST5_CHECK(base_prefix->dtype == options.weight_dtype)
-        << "cached prefix block dtype mismatch";
-    base_state = base_prefix->state;
-  } else {
-    Tensor memory = base_tf.Encode(src, 1, src_len, src_lengths,
-                                   /*train=*/false, nullptr);
-    base_state = base_tf.BeginDecode(memory, 1, src_len, src_lengths);
+  std::shared_ptr<const model::EncodedPrefix> base_block;
+  if (base_prefix == nullptr) {
+    base_block = base_->EncodePrefix(src, options.weight_dtype);
+    base_prefix = base_block.get();
   }
+  VIST5_CHECK(base_prefix->tokens == src)
+      << "cached prefix block does not hold this request's tokens";
+  VIST5_CHECK(base_prefix->dtype == options.weight_dtype)
+      << "cached prefix block dtype mismatch";
+  nn::DecodeState base_state = base_prefix->state;
   // The draft always prefills itself — its encoder states are cheap and
   // never shared with the base's prefix cache (different weights).
-  Tensor draft_memory = draft_tf.Encode(src, 1, src_len, src_lengths,
-                                        /*train=*/false, nullptr);
   nn::DecodeState draft_state =
-      draft_tf.BeginDecode(draft_memory, 1, src_len, src_lengths);
+      draft_->EncodePrefix(src, options.weight_dtype)->state;
 
   // Invariants per round, with P = [pad] ++ out:
   //   base_state.step  == |P| - 1   (base fed everything but P's last)

@@ -3,7 +3,8 @@
 // TransformerConfig preset (covering relative-bias, sinusoidal, and learned
 // positions in both norm styles), greedy and beam decoding must produce
 // bit-identical token sequences, and DecodeStep must reproduce Decode's
-// newest hidden row bit-for-bit. See docs/INFERENCE.md for the contract.
+// newest hidden row bit-for-bit, one request at a time and side by side in
+// one ContinuousDecoder. See docs/INFERENCE.md for the contract.
 // The span, ragged-span, and TruncateTo suites pin the shapes of the one
 // decode step that speculative and batched decoding are built on, and the
 // Speculative suite pins its end-to-end contract: draft-verify output is
@@ -19,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include "full_prefix_oracle.h"
+#include "model/batch_decoder.h"
 #include "model/transformer_model.h"
 #include "nn/transformer.h"
 #include "spec/engine.h"
@@ -147,12 +149,119 @@ TEST_P(DecodeParity, BeamTokensMatch) {
   cfg.dropout = 0.0f;
   model::TransformerSeq2Seq m(cfg, kPad, kEos, seed());
   Rng data(seed() * 29 + 11);
-  const std::vector<int> src = RandomSrc(&data, 7);
+  std::vector<std::vector<int>> srcs;
+  for (int len : {7, 4, 9, 6}) srcs.push_back(RandomSrc(&data, len));
 
   model::GenerationOptions cached;
   cached.max_len = 14;
   cached.beam_size = 3;
-  EXPECT_EQ(m.Generate(src, cached), oracle::BeamDecodeFull(m, src, cached))
+  std::vector<std::vector<int>> want;
+  for (const auto& src : srcs) {
+    want.push_back(oracle::BeamDecodeFull(m, src, cached));
+  }
+  EXPECT_EQ(m.Generate(srcs[0], cached), want[0]) << preset().name;
+  // Several beam ranges side by side in one batch, reordered by one
+  // whole-batch Reorder per step.
+  const std::vector<std::vector<int>> batched = m.GenerateBatch(srcs, cached);
+  ASSERT_EQ(batched.size(), srcs.size());
+  for (size_t i = 0; i < srcs.size(); ++i) {
+    EXPECT_EQ(batched[i], want[i]) << preset().name << " row " << i;
+  }
+}
+
+TEST_P(DecodeParity, GreedySampledAndBeamShareOneDecoder) {
+  // One decoder holds a greedy, a sampled and a beam request at once; the
+  // beam joins a step later, so its rows sit behind the others. Each
+  // request must get its solo result, and the emitted stream must carry
+  // exactly its tokens, none after the step that finishes it.
+  nn::TransformerConfig cfg = preset().make(kVocab);
+  cfg.dropout = 0.0f;
+  model::TransformerSeq2Seq m(cfg, kPad, kEos, seed());
+  Rng data(seed() * 79 + 47);
+  const std::vector<int> greedy_src = RandomSrc(&data, 6);
+  const std::vector<int> sampled_src = RandomSrc(&data, 8);
+  const std::vector<int> beam_src = RandomSrc(&data, 5);
+
+  model::GenerationOptions greedy;
+  greedy.max_len = 12;
+  model::GenerationOptions beam = greedy;
+  beam.beam_size = 3;
+  model::GenerationOptions sampled = greedy;
+  sampled.temperature = 1.0f;
+  sampled.top_k = 6;
+  sampled.allowed = [](int token) { return token != kEos; };
+  Rng solo_rng(seed() + 5);
+  sampled.rng = &solo_rng;
+  const std::vector<int> sampled_want = m.Generate(sampled_src, sampled);
+  Rng batch_rng(seed() + 5);
+  sampled.rng = &batch_rng;
+
+  model::ContinuousDecoder decoder(&m);
+  decoder.Admit(0, greedy_src, greedy);
+  decoder.Admit(1, sampled_src, sampled);
+  std::vector<std::vector<int>> got(3), streamed(3);
+  std::vector<bool> finished(3, false);
+  bool beam_admitted = false;
+  while (decoder.active() > 0) {
+    std::vector<model::ContinuousDecoder::Emitted> emitted;
+    for (model::ContinuousDecoder::Finished& f : decoder.Step(&emitted)) {
+      got[static_cast<size_t>(f.id)] = std::move(f.tokens);
+      finished[static_cast<size_t>(f.id)] = true;
+    }
+    for (const model::ContinuousDecoder::Emitted& e : emitted) {
+      streamed[static_cast<size_t>(e.id)].push_back(e.token);
+    }
+    for (size_t id = 0; id < 3; ++id) {
+      if (finished[id]) {
+        EXPECT_EQ(streamed[id], got[id]) << preset().name << " id " << id;
+      }
+    }
+    if (!beam_admitted) {
+      decoder.Admit(2, beam_src, beam);
+      beam_admitted = true;
+    }
+  }
+  EXPECT_EQ(got[0], oracle::GreedyDecodeFull(m, greedy_src, greedy))
+      << preset().name;
+  EXPECT_EQ(got[1], sampled_want) << preset().name;
+  EXPECT_EQ(got[1].size(), 12u) << preset().name;
+  // The oracle is greedy: a sample equal to it would mean nothing sampled.
+  EXPECT_NE(got[1], oracle::GreedyDecodeFull(m, sampled_src, sampled))
+      << preset().name;
+  EXPECT_EQ(got[2], oracle::BeamDecodeFull(m, beam_src, beam))
+      << preset().name;
+}
+
+TEST_P(DecodeParity, BeamExpiredBeforeFirstStepLeavesOthersIntact) {
+  // A beam request whose deadline has passed leaves in the pre-step sweep,
+  // before any step has written a self cache (beam rows get no slab); the
+  // beam beside it must still decode exactly as it would alone.
+  nn::TransformerConfig cfg = preset().make(kVocab);
+  cfg.dropout = 0.0f;
+  model::TransformerSeq2Seq m(cfg, kPad, kEos, seed());
+  Rng data(seed() * 83 + 53);
+  const std::vector<int> expired_src = RandomSrc(&data, 6);
+  const std::vector<int> live_src = RandomSrc(&data, 8);
+  model::GenerationOptions beam;
+  beam.max_len = 10;
+  beam.beam_size = 3;
+
+  model::ContinuousDecoder decoder(&m);
+  decoder.Admit(0, expired_src, beam,
+                model::ContinuousDecoder::Clock::now());
+  decoder.Admit(1, live_src, beam);
+  std::vector<model::ContinuousDecoder::Finished> done;
+  while (decoder.active() > 0) {
+    for (model::ContinuousDecoder::Finished& f : decoder.Step()) {
+      done.push_back(std::move(f));
+    }
+  }
+  ASSERT_EQ(done.size(), 2u);
+  EXPECT_EQ(done[0].id, 0u);
+  EXPECT_TRUE(done[0].deadline_expired);
+  EXPECT_TRUE(done[0].tokens.empty());
+  EXPECT_FALSE(done[1].deadline_expired);
+  EXPECT_EQ(done[1].tokens, oracle::BeamDecodeFull(m, live_src, beam))
       << preset().name;
 }
 

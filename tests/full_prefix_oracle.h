@@ -1,8 +1,9 @@
 // Full-prefix reference decoders: the parity oracle for KV-cached decoding.
 // Every step re-runs the teacher-forced decoder over the whole prefix, so
 // nothing carries over between steps and no cache can be wrong. The cached
-// decoders (TransformerSeq2Seq::Generate, GenerateBatch, the speculative
-// engine) must produce the same tokens bit-for-bit (docs/INFERENCE.md).
+// decoders (ContinuousDecoder, which backs TransformerSeq2Seq::Generate and
+// GenerateBatch, and the speculative engine) must produce the same tokens
+// bit-for-bit (docs/INFERENCE.md).
 // Greedy and beam only; deadlines and sampling are not modelled.
 
 #ifndef VIST5_TESTS_FULL_PREFIX_ORACLE_H_
@@ -68,7 +69,7 @@ inline std::vector<int> GreedyDecodeFull(
 }
 
 /// Length-normalized beam search with options.beam_size beams, expanding
-/// and selecting exactly as BeamDecode does.
+/// and selecting exactly as ContinuousDecoder does.
 inline std::vector<int> BeamDecodeFull(
     const model::TransformerSeq2Seq& m, const std::vector<int>& src,
     const model::GenerationOptions& options) {
@@ -82,8 +83,9 @@ inline std::vector<int> BeamDecodeFull(
     for (const model::BeamHypothesis& h : beams) prefixes.push_back(h.tokens);
     const Tensor logits =
         LastLogits(m, memory, static_cast<int>(src.size()), prefixes);
-    beams = model::ExpandBeams(logits, beams, options.beam_size, options,
-                               m.eos_id(), &finished)
+    beams = model::ExpandBeams(logits.data().data(), logits.dim(1), beams,
+                               options.beam_size, options, m.eos_id(),
+                               &finished)
                 .beams;
     if (static_cast<int>(finished.size()) >= options.beam_size) break;
   }

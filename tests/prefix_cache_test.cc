@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include "full_prefix_oracle.h"
 #include "model/batch_decoder.h"
 #include "model/transformer_model.h"
 #include "nn/transformer.h"
@@ -259,13 +260,42 @@ TEST_P(PrefixCacheParity, SplicedAdmitBitIdenticalToPlainAdmit) {
                   model::ContinuousDecoder::Clock::time_point::max(),
                   blocks.back().get());
   }
+  // A beam-3 request spliced from the first row's block: its range is
+  // gathered by Reorder every step while the greedy row aliases the same
+  // block, and the block must come out unchanged.
+  model::GenerationOptions beam = options;
+  beam.beam_size = 3;
+  const std::vector<int> beam_reference =
+      oracle::BeamDecodeFull(m, srcs[0], beam);
+  const auto snapshot = [](const model::EncodedPrefix& block) {
+    std::vector<float> out = block.memory.data();
+    for (const nn::DecodeState::LayerCache& layer : block.state.layers) {
+      out.insert(out.end(), layer.cross_k.data().begin(),
+                 layer.cross_k.data().end());
+      out.insert(out.end(), layer.cross_v.data().begin(),
+                 layer.cross_v.data().end());
+    }
+    return out;
+  };
+  const std::vector<float> block_before = snapshot(*blocks[0]);
+  const uint64_t beam_id = srcs.size();
+  decoder.Admit(beam_id, srcs[0], beam,
+                model::ContinuousDecoder::Clock::time_point::max(),
+                blocks[0].get());
   std::vector<std::vector<int>> spliced(srcs.size());
+  std::vector<int> spliced_beam;
   while (decoder.active() > 0) {
     for (model::ContinuousDecoder::Finished& f : decoder.Step()) {
-      spliced[static_cast<size_t>(f.id)] = std::move(f.tokens);
+      if (f.id == beam_id) {
+        spliced_beam = std::move(f.tokens);
+      } else {
+        spliced[static_cast<size_t>(f.id)] = std::move(f.tokens);
+      }
     }
   }
   EXPECT_EQ(spliced, reference) << preset().name;
+  EXPECT_EQ(spliced_beam, beam_reference) << preset().name;
+  EXPECT_EQ(snapshot(*blocks[0]), block_before) << preset().name;
 }
 
 TEST_P(PrefixCacheParity, SchedulerCacheOnMatchesCacheOffStaggered) {

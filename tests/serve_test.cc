@@ -26,11 +26,13 @@
 #include <string>
 #include <thread>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "dv/parser.h"
+#include "full_prefix_oracle.h"
 #include "model/checkpoint.h"
 #include "model/transformer_model.h"
 #include "obs/metrics.h"
@@ -241,21 +243,29 @@ TEST(BatchScheduler, BackpressureRejectsWithRetryAfter) {
 }
 
 // Token ids outside [0, vocab) would reach the embedding's VIST5_CHECK and
-// abort the process, so Submit answers them with a per-request error and
-// the scheduler goes on serving valid requests.
+// abort the process, and a source past kMaxRequestSrcTokens would make the
+// encoder allocate [heads, n, n] scores (6.4 GB at 20,000 tokens), so Submit
+// answers both with a per-request error and the scheduler goes on serving
+// valid requests.
 TEST(BatchScheduler, OutOfVocabularyTokensFailOnlyThatRequest) {
   model::TransformerSeq2Seq m = MakeSmallModel();
   const int vocab = m.transformer().config().vocab_size;
   serve::BatchScheduler scheduler(&m, serve::SchedulerOptions{});
   scheduler.Start();
-  for (const std::vector<int>& tokens :
-       std::vector<std::vector<int>>{{99999999}, {-1}, {4, vocab, 5}}) {
+  const std::string oov = "outside the vocabulary";
+  const std::string too_long =
+      "the limit is " + std::to_string(serve::kMaxRequestSrcTokens);
+  for (const auto& [tokens, error] :
+       std::vector<std::pair<std::vector<int>, std::string>>{
+           {{99999999}, oov},
+           {{-1}, oov},
+           {{4, vocab, 5}, oov},
+           {std::vector<int>(20000, 4), too_long}}) {
     serve::Request req;
     req.tokens = tokens;
     const serve::Response r = scheduler.SubmitAndWait(std::move(req));
     EXPECT_EQ(r.status, serve::ResponseStatus::kError);
-    EXPECT_NE(r.error.find("outside the vocabulary"), std::string::npos)
-        << r.error;
+    EXPECT_NE(r.error.find(error), std::string::npos) << r.error;
   }
   serve::Request ok;
   ok.tokens = {4, vocab - 1, 5};
@@ -288,6 +298,14 @@ TEST(BatchScheduler, DeadlineExpiryReturnsPrefix) {
   req.options = gen;
   req.options.deadline_ms = 1;
   const serve::Response r = scheduler.SubmitAndWait(std::move(req));
+  // A beam request cut by its deadline answers "deadline" too, with the
+  // best hypothesis so far.
+  serve::Request beam;
+  beam.tokens = src;
+  beam.options = gen;
+  beam.options.beam_size = 3;
+  beam.options.deadline_ms = 1;
+  const serve::Response beam_r = scheduler.SubmitAndWait(std::move(beam));
   scheduler.Shutdown(/*drain=*/true);
 
   ASSERT_EQ(r.status, serve::ResponseStatus::kDeadlineExpired);
@@ -298,6 +316,8 @@ TEST(BatchScheduler, DeadlineExpiryReturnsPrefix) {
   for (size_t i = 0; i < r.tokens.size(); ++i) {
     EXPECT_EQ(r.tokens[i], full[i]) << "prefix position " << i;
   }
+  EXPECT_EQ(beam_r.status, serve::ResponseStatus::kDeadlineExpired);
+  EXPECT_LT(beam_r.tokens.size(), 512u);
 }
 
 // Shutdown(drain=true) completes every queued and in-flight request before
@@ -366,8 +386,9 @@ TEST(BatchScheduler, AbortShutdownCompletesEverything) {
   EXPECT_EQ(shut_down.load(), 3);
 }
 
-// Exclusive (beam) requests run alone but still return the sequential
-// beam result while greedy traffic batches around them.
+// Beam requests decode alone in the scheduler's decoder but still return
+// the full-prefix oracle's beam result while greedy traffic batches around
+// them.
 TEST(BatchScheduler, BeamRequestsMatchSequentialBeam) {
   model::TransformerSeq2Seq m = MakeSmallModel();
   serve::SchedulerOptions options;
@@ -412,8 +433,70 @@ TEST(BatchScheduler, BeamRequestsMatchSequentialBeam) {
   }
   scheduler.Shutdown(/*drain=*/true);
 
-  EXPECT_EQ(out[0].tokens, m.Generate(greedy_src, greedy));
-  EXPECT_EQ(out[1].tokens, m.Generate(beam_src, beam));
+  EXPECT_EQ(out[0].tokens, oracle::GreedyDecodeFull(m, greedy_src, greedy));
+  EXPECT_EQ(out[1].tokens, oracle::BeamDecodeFull(m, beam_src, beam));
+  EXPECT_GT(out[1].ttft_ms, 0.0);
+}
+
+// Sampled requests join the batch: each draws from its own Rng, so a
+// sampled row beside greedy ones reproduces a solo Generate with the same
+// seed, and nothing runs on the exclusive path.
+TEST(BatchScheduler, SampledRequestJoinsBatchAndMatchesSoloGenerate) {
+  model::TransformerSeq2Seq m = MakeSmallModel();
+  Rng rng(23);
+  std::vector<std::vector<int>> srcs;
+  for (int i = 0; i < 4; ++i) srcs.push_back(RandomSrc(&rng, 4 + i));
+  model::GenerationOptions greedy;
+  greedy.max_len = 12;
+  model::GenerationOptions sampled = greedy;
+  sampled.temperature = 0.8f;
+  sampled.top_k = 8;
+  sampled.allowed = [](int token) { return token != kEos; };
+  Rng solo_rng(77);
+  sampled.rng = &solo_rng;
+  const std::vector<int> sampled_want = m.Generate(srcs[2], sampled);
+  Rng served_rng(77);
+  sampled.rng = &served_rng;
+
+  obs::Counter* exclusive = obs::GetCounter("serve/exclusive");
+  obs::Counter* joined = obs::GetCounter("serve/joined");
+  const int64_t exclusive_before = exclusive->value();
+  const int64_t joined_before = joined->value();
+  serve::SchedulerOptions options;
+  options.max_batch = 4;
+  serve::BatchScheduler scheduler(&m, options);
+  // Queue everything before the loop starts, so all four are admitted at
+  // the first step boundary and decode in one batch.
+  std::mutex mu;
+  std::vector<serve::Response> out(srcs.size());
+  for (size_t i = 0; i < srcs.size(); ++i) {
+    serve::Request req;
+    req.tokens = srcs[i];
+    req.options = i == 2 ? sampled : greedy;
+    ASSERT_TRUE(scheduler
+                    .Submit(std::move(req),
+                            [&, i](serve::Response r) {
+                              std::lock_guard<std::mutex> lock(mu);
+                              out[i] = std::move(r);
+                            })
+                    .ok());
+  }
+  scheduler.Start();
+  scheduler.Shutdown(/*drain=*/true);
+
+  std::lock_guard<std::mutex> lock(mu);
+  for (size_t i = 0; i < srcs.size(); ++i) {
+    ASSERT_EQ(out[i].status, serve::ResponseStatus::kOk) << "request " << i;
+    if (i != 2) {
+      EXPECT_EQ(out[i].tokens, oracle::GreedyDecodeFull(m, srcs[i], greedy))
+          << "request " << i;
+    }
+  }
+  EXPECT_EQ(out[2].tokens, sampled_want);
+  // The oracle is greedy: a sample equal to it would mean nothing sampled.
+  EXPECT_NE(sampled_want, oracle::GreedyDecodeFull(m, srcs[2], sampled));
+  EXPECT_EQ(exclusive->value(), exclusive_before);
+  EXPECT_EQ(joined->value() - joined_before, 3);
 }
 
 // Serving populates the serve/* metrics in the global obs registry — the
