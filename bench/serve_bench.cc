@@ -212,8 +212,8 @@ int Main() {
   // --- Speculative decoding phase (docs/SPECULATIVE.md). ---
   //
   // Draft-verify decoding is a single-stream latency optimization — the
-  // scheduler runs speculative requests on the exclusive path — so the A/B
-  // compares width-1 serving. Untrained models agree at chance (~1/vocab),
+  // scheduler decodes each speculative request alone — so the A/B compares
+  // width-1 serving. Untrained models agree at chance (~1/vocab),
   // which would bench the rollback path rather than the win, so the base
   // and an ~8x-cheaper draft are first briefly fine-tuned on the same
   // question->query pairs (the regime the zoo's small/base checkpoints are

@@ -43,11 +43,41 @@ std::shared_ptr<const EncodedPrefix> TransformerSeq2Seq::EncodePrefix(
   return block;
 }
 
+ContinuousDecoder::Clock::time_point ContinuousDecoder::Deadline(
+    const GenerationOptions& options, Clock::time_point start) {
+  return options.deadline_ms > 0
+             ? start + std::chrono::milliseconds(options.deadline_ms)
+             : Clock::time_point::max();
+}
+
+ContinuousDecoder::ContinuousDecoder(const TransformerSeq2Seq* model,
+                                     const TransformerSeq2Seq* draft)
+    : model_(model), draft_(draft) {
+  if (draft == nullptr) return;
+  // Proposal and verify walk the same id space; a vocabulary or special-id
+  // mismatch would silently destroy acceptance, so fail loudly instead.
+  VIST5_CHECK_EQ(model->pad_id(), draft->pad_id());
+  VIST5_CHECK_EQ(model->eos_id(), draft->eos_id());
+  VIST5_CHECK_EQ(model->transformer().config().vocab_size,
+                 draft->transformer().config().vocab_size);
+}
+
 void ContinuousDecoder::Admit(uint64_t id, const std::vector<int>& src,
                               const GenerationOptions& options,
                               Clock::time_point deadline,
                               const EncodedPrefix* prefill) {
   VIST5_CHECK(!src.empty());
+  VIST5_CHECK(options.temperature <= 0 || options.rng != nullptr)
+      << "sampling (temperature > 0) needs options.rng";
+  const bool speculative = draft_ != nullptr && options.draft_k > 0;
+  VIST5_CHECK(!speculative ||
+              (options.beam_size <= 1 && options.temperature <= 0))
+      << "speculative decoding is greedy-only";
+  // A speculative request's verify span is wider than a plain row's one
+  // token, and every row of a DecodeStep consumes the same span.
+  VIST5_CHECK(requests_.empty() ||
+              (!speculative && requests_.front().k == 0))
+      << "a speculative request decodes alone";
   if (requests_.empty()) {
     batch_dtype_ = options.weight_dtype;
   } else {
@@ -77,10 +107,11 @@ void ContinuousDecoder::Admit(uint64_t id, const std::vector<int>& src,
     // Preallocate the self-attention caches to the row's full step budget.
     // The capacity beyond a row's position is never read, and it lets
     // every subsequent decode step write keys/values in place instead of
-    // reallocating the whole cache (ops::ScatterTime). Beam rows get no
-    // slab: Reorder gathers them every step, and a slab would make every
-    // gather copy all max_len positions, so their caches grow with the
-    // hypotheses instead.
+    // reallocating the whole cache (ops::ScatterTime). A verify span never
+    // writes past max_len - 1 either (Propose). Beam rows get no slab:
+    // Reorder gathers them every step, and a slab would make every gather
+    // copy all max_len positions, so their caches grow with the hypotheses
+    // instead.
     const int capacity = std::max(options.max_len, 1);
     for (nn::DecodeState::LayerCache& layer : fresh.layers) {
       const int heads = layer.cross_k.dim(1);
@@ -95,6 +126,12 @@ void ContinuousDecoder::Admit(uint64_t id, const std::vector<int>& src,
   request.options = options;
   request.deadline = deadline;
   request.beams = {{{model_->pad_id()}, 0.0}};
+  if (speculative) {
+    // The draft always prefills itself: its encoder states differ from
+    // the base's, so a prefix-cache block never serves it.
+    request.k = options.draft_k;
+    request.draft = draft_->EncodePrefix(src, batch_dtype_)->state;
+  }
   requests_.push_back(std::move(request));
 }
 
@@ -115,12 +152,82 @@ void ContinuousDecoder::Finish(Request* request, bool deadline_expired,
     const std::vector<int>& tokens = request->beams.front().tokens;
     f.tokens.assign(tokens.begin() + 1, tokens.end());
   }
+  if (request->k > 0) {
+    static obs::Counter* proposed = obs::GetCounter("spec/proposed");
+    static obs::Counter* accepted = obs::GetCounter("spec/accepted");
+    static obs::Counter* rejected = obs::GetCounter("spec/rejected");
+    static obs::Counter* steps = obs::GetCounter("spec/steps");
+    static obs::Histogram* accept_rate =
+        obs::GetHistogram("spec/acceptance_rate");
+    static obs::Histogram* tokens_per_step =
+        obs::GetHistogram("spec/tokens_per_step");
+    const SpecStats& spec = request->spec;
+    proposed->Add(spec.proposed);
+    accepted->Add(spec.accepted);
+    rejected->Add(spec.rejected);
+    steps->Add(spec.steps);
+    if (spec.proposed > 0) accept_rate->Observe(spec.acceptance_rate());
+    if (spec.steps > 0) tokens_per_step->Observe(spec.tokens_per_step());
+    f.spec = spec;
+  }
   done->push_back(std::move(f));
 }
 
 void ContinuousDecoder::Retain(const std::vector<int>& parents) {
   state_.Reorder(parents);
   std::erase_if(requests_, [](const Request& r) { return r.done; });
+}
+
+std::vector<int> ContinuousDecoder::Propose(Request* request) const {
+  const GenerationOptions& options = request->options;
+  const std::vector<int>& tokens = request->beams.front().tokens;
+  const int k = std::min(request->k,
+                         options.max_len - static_cast<int>(tokens.size()));
+  std::vector<int> proposals;
+  if (k <= 0) return proposals;
+  const nn::Transformer& draft = draft_->transformer();
+  nn::DecodeState* state = &request->draft;
+  // Catch up on the committed tokens the draft has not consumed (at least
+  // the last one) in one span, then propose from its last position.
+  const std::vector<int> feed(tokens.begin() + state->step, tokens.end());
+  const int catch_up = static_cast<int>(feed.size());
+  Tensor logits = draft.Logits(ops::GatherRows(
+      draft.DecodeStep(feed, state, catch_up), {catch_up - 1}));
+  for (;;) {
+    const int next = BestAllowedToken(logits.data().data(), logits.dim(1),
+                                      options.allowed);
+    if (next < 0 || next == model_->eos_id()) break;  // never proposed
+    proposals.push_back(next);
+    if (static_cast<int>(proposals.size()) == k) break;
+    logits = draft.Logits(draft.DecodeStep({next}, state));
+  }
+  return proposals;
+}
+
+void ContinuousDecoder::EndRound(Request* request, int p_len, int j,
+                                 int accepted, bool finished) {
+  SpecStats& spec = request->spec;
+  spec.proposed += j;
+  spec.accepted += accepted;
+  spec.rejected += j - accepted;
+  spec.committed =
+      static_cast<int64_t>(request->beams.front().tokens.size()) - 1;
+  ++spec.steps;
+  if (finished) return;
+  // The base was fed p_len - 1 + j + 1 tokens, of which p_len + accepted
+  // stay valid; the draft's fed tokens match the commit up to
+  // p_len + min(j - 1, accepted).
+  state_.TruncateTo(p_len + accepted);
+  request->draft.TruncateTo(
+      std::min(request->draft.step, p_len + std::min(j - 1, accepted)));
+  // Adaptive k (docs/SPECULATIVE.md): additive increase on a fully
+  // accepted run, halving on any rejection — a pure function of the
+  // accept/reject history, so parity is untouched.
+  const GenerationOptions& options = request->options;
+  if (options.draft_adaptive && j > 0) {
+    request->k = accepted == j ? std::min(options.draft_k, request->k + 1)
+                               : std::max(1, request->k / 2);
+  }
 }
 
 std::vector<ContinuousDecoder::Finished> ContinuousDecoder::Step(
@@ -153,15 +260,22 @@ std::vector<ContinuousDecoder::Finished> ContinuousDecoder::Step(
   if (!done.empty()) Retain(parents);
   if (requests_.empty()) return done;
 
+  // A speculative request decodes alone, so its proposals set the span
+  // of the step: row 0 feeds its last committed token, then each of them.
+  const std::vector<int> proposals = requests_.front().k > 0
+                                         ? Propose(&requests_.front())
+                                         : std::vector<int>{};
+  const int span = static_cast<int>(proposals.size()) + 1;
   std::vector<int> next_ids;
-  next_ids.reserve(static_cast<size_t>(state_.batch));
+  next_ids.reserve(static_cast<size_t>(state_.batch * span));
   for (const Request& request : requests_) {
     for (const BeamHypothesis& h : request.beams) {
       next_ids.push_back(h.tokens.back());
     }
   }
-  Tensor hidden = model_->transformer().DecodeStep(next_ids, &state_);
-  Tensor logits = model_->transformer().Logits(hidden);  // [rows, V]
+  next_ids.insert(next_ids.end(), proposals.begin(), proposals.end());
+  Tensor hidden = model_->transformer().DecodeStep(next_ids, &state_, span);
+  Tensor logits = model_->transformer().Logits(hidden);  // [rows*span, V]
   const int vocab = logits.dim(1);
 
   parents.clear();
@@ -169,11 +283,11 @@ std::vector<ContinuousDecoder::Finished> ContinuousDecoder::Step(
   for (Request& request : requests_) {
     const GenerationOptions& options = request.options;
     const float* scores =
-        logits.data().data() + static_cast<size_t>(row) * vocab;
+        logits.data().data() + static_cast<size_t>(row) * span * vocab;
     const int first_row = row;
     row += static_cast<int>(request.beams.size());
     ++request.steps;
-    bool finished;
+    bool finished = false;
     if (options.beam_size > 1) {
       // Beam search ends when no hypothesis is left, beam_size have
       // finished, or max_len steps are taken.
@@ -189,16 +303,31 @@ std::vector<ContinuousDecoder::Finished> ContinuousDecoder::Step(
         for (int parent : next.parents) parents.push_back(first_row + parent);
       }
     } else {
-      // Stop without emitting on EOS or an exhausted constraint, otherwise
-      // emit and stop once max_len tokens are out.
-      const int next = options.temperature > 0 && options.rng != nullptr
-                           ? SampleToken(scores, vocab, options)
-                           : BestAllowedToken(scores, vocab, options.allowed);
-      finished = next < 0 || next == model_->eos_id();
-      if (!finished) {
-        request.beams.front().tokens.push_back(next);
+      // Commit this row's pick at each span position: it confirms the
+      // proposal there and moves on, or it replaces the first mismatch
+      // (or follows the last proposal) and the round ends. A plain row
+      // commits exactly one token. Stop without committing on EOS or an
+      // exhausted constraint, otherwise once max_len tokens are out.
+      std::vector<int>& tokens = request.beams.front().tokens;
+      const int p_len = static_cast<int>(tokens.size());
+      int accepted = 0;
+      for (int i = 0; i < span; ++i) {
+        const float* pos = scores + static_cast<size_t>(i) * vocab;
+        const int next = options.temperature > 0
+                             ? SampleToken(pos, vocab, options)
+                             : BestAllowedToken(pos, vocab, options.allowed);
+        if (next < 0 || next == model_->eos_id()) {
+          finished = true;
+          break;
+        }
+        tokens.push_back(next);
         if (emitted != nullptr) emitted->push_back({request.id, next});
-        finished = request.steps >= options.max_len;
+        if (i == span - 1 || next != proposals[static_cast<size_t>(i)]) break;
+        ++accepted;
+      }
+      finished = finished || static_cast<int>(tokens.size()) > options.max_len;
+      if (request.k > 0) {
+        EndRound(&request, p_len, span - 1, accepted, finished);
       }
       if (!finished) parents.push_back(first_row);
     }
@@ -219,10 +348,7 @@ std::vector<std::vector<int>> DecodeAll(
     const std::vector<std::vector<int>>& srcs,
     const GenerationOptions& options) {
   const auto deadline =
-      options.deadline_ms > 0
-          ? ContinuousDecoder::Clock::now() +
-                std::chrono::milliseconds(options.deadline_ms)
-          : ContinuousDecoder::Clock::time_point::max();
+      ContinuousDecoder::Deadline(options, ContinuousDecoder::Clock::now());
   ContinuousDecoder decoder(model);
   for (size_t i = 0; i < srcs.size(); ++i) {
     decoder.Admit(static_cast<uint64_t>(i), srcs[i], options, deadline);

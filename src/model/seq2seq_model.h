@@ -74,9 +74,11 @@ struct GenerationOptions {
   WeightDtype weight_dtype = WeightDtype::kFloat32;
   /// Speculative decoding: maximum tokens the draft model proposes per
   /// verify round (0 = off). Only meaningful for greedy decoding
-  /// (beam_size == 1, temperature <= 0) through spec::DraftVerifyEngine —
-  /// the committed tokens are bit-identical to plain greedy regardless of
-  /// draft quality (docs/SPECULATIVE.md).
+  /// (beam_size == 1, temperature <= 0) in a ContinuousDecoder built with
+  /// a draft (spec::DraftVerifyEngine, or a serve::BatchScheduler given a
+  /// draft_model) — the committed tokens are bit-identical to plain greedy
+  /// regardless of draft quality (docs/SPECULATIVE.md). A decoder without
+  /// a draft decodes such a request as plain greedy.
   int draft_k = 0;
   /// Adapt the proposal length to the trailing acceptance rate: shrink
   /// toward 1 after rejections, regrow toward draft_k after full accepts.

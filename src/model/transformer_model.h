@@ -20,7 +20,7 @@ struct BeamHypothesis {
 /// Argmax over one logits row subject to the optional vocabulary
 /// constraint. Returns -1 when the constraint rejects every token
 /// ("nothing allowed"), which callers treat as end-of-sequence. Shared by
-/// the decoder, the speculative engine and the test oracle, so every path
+/// the decoder (base and draft alike) and the test oracle, so every path
 /// picks tokens identically.
 int BestAllowedToken(const float* row, int vocab,
                      const std::function<bool(int)>& allowed);
@@ -96,11 +96,11 @@ class TransformerSeq2Seq : public Seq2SeqModel {
 
   Tensor BatchLoss(const Batch& batch, bool train, Rng* rng) const override;
 
-  /// Decodes one source as the only request of a ContinuousDecoder:
-  /// greedy for beam_size <= 1 (sampled when temperature > 0 and
-  /// options.rng is set), otherwise length-normalized beam search. Honors
-  /// `options.allowed` as a hard vocabulary constraint. Defined in
-  /// batch_decoder.cc.
+  /// Decodes one source as the only request of a ContinuousDecoder without
+  /// a draft: greedy for beam_size <= 1 (draft_k is ignored; sampled when
+  /// temperature > 0, which requires options.rng), otherwise
+  /// length-normalized beam search. Honors `options.allowed` as a hard
+  /// vocabulary constraint. Defined in batch_decoder.cc.
   std::vector<int> Generate(const std::vector<int>& src,
                             const GenerationOptions& options) const override;
 
@@ -117,9 +117,9 @@ class TransformerSeq2Seq : public Seq2SeqModel {
   /// Runs the encoder-side prefill (encode + cross-attention K/V
   /// projection) for one source as a standalone immutable block. This is
   /// the only inference prefill: ContinuousDecoder::Admit calls it when no
-  /// cached block is supplied, and so does the speculative engine for each
-  /// of its models. The block is computed at `dtype` and is only valid for
-  /// decode batches running that dtype. Defined in batch_decoder.cc.
+  /// cached block is supplied, and for a speculative request's draft. The
+  /// block is computed at `dtype` and is only valid for decode batches
+  /// running that dtype. Defined in batch_decoder.cc.
   std::shared_ptr<const EncodedPrefix> EncodePrefix(
       const std::vector<int>& src, WeightDtype dtype) const;
 

@@ -56,12 +56,12 @@ struct Request {
 };
 
 /// Wall-clock milestones of one request as it crosses the serve stack:
-/// enqueue (Submit), admit (joined a decode batch / started exclusive
-/// decode), first token, finish. The scheduler fills one of these per
-/// request, derives the serve/queue_wait_ms, serve/ttft_ms and
-/// serve/tokens_per_sec histograms from it, attaches the breakdown to the
-/// response line, and emits serve/req<id>/* trace spans so one request is
-/// reconstructable end-to-end in the Chrome trace (docs/SERVING.md).
+/// enqueue (Submit), admit (joined the decoder), first token, finish. The
+/// scheduler fills one of these per request, derives the
+/// serve/queue_wait_ms, serve/ttft_ms and serve/tokens_per_sec histograms
+/// from it, attaches the breakdown to the response line, and emits
+/// serve/req<id>/* trace spans so one request is reconstructable
+/// end-to-end in the Chrome trace (docs/SERVING.md).
 struct RequestTimeline {
   using Clock = std::chrono::steady_clock;
 
@@ -69,14 +69,14 @@ struct RequestTimeline {
   Clock::time_point admit{};
   Clock::time_point first_token{};
   Clock::time_point finish{};
-  int decode_steps = 0;  ///< ragged decode steps this request took part in
+  int decode_steps = 0;  ///< decoder steps this request took part in
   bool admitted = false;
   bool has_first_token = false;
 
   static double Ms(Clock::duration d) {
     return std::chrono::duration<double, std::milli>(d).count();
   }
-  /// enqueue -> admission into a batch (or exclusive run).
+  /// enqueue -> admission into the decoder.
   double queue_wait_ms() const {
     return admitted ? Ms(admit - enqueue) : 0.0;
   }

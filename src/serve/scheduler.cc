@@ -44,11 +44,6 @@ std::string SpecAdmissionError(const model::GenerationOptions& options,
   if (options.temperature > 0.0f) {
     return "speculative decoding is greedy-only: temperature must be 0";
   }
-  if (options.weight_dtype != sched.draft_dtype) {
-    return std::string("draft checkpoint is served at weight_dtype ") +
-           WeightDtypeName(sched.draft_dtype) + "; request asked for " +
-           WeightDtypeName(options.weight_dtype);
-  }
   return "";
 }
 
@@ -84,8 +79,9 @@ struct BatchScheduler::Track {
   TokenCallback on_token;
   /// Tokens already published through on_token (the next seq number).
   size_t streamed = 0;
-  /// A beam request: it decodes alone, so nothing joins the batch.
-  bool beam = false;
+  /// A beam or speculative request: it decodes alone, so nothing joins
+  /// the batch.
+  bool alone = false;
 };
 
 /// One parked Reload call: the path to load and the promise its caller
@@ -97,15 +93,14 @@ struct BatchScheduler::PendingReload {
 
 BatchScheduler::BatchScheduler(model::TransformerSeq2Seq* model,
                                const SchedulerOptions& options)
-    : model_(model), options_(options), queue_(options.queue_capacity) {
+    : model_(model),
+      options_(options),
+      decoder_(model, options.draft_model),
+      queue_(options.queue_capacity) {
   if (options.prefix_cache_bytes > 0) {
     PrefixCacheOptions cache_options;
     cache_options.max_bytes = options.prefix_cache_bytes;
     prefix_cache_ = std::make_unique<PrefixCache>(cache_options);
-  }
-  if (options.draft_model != nullptr) {
-    spec_engine_ =
-        std::make_unique<spec::DraftVerifyEngine>(model, options.draft_model);
   }
 }
 
@@ -122,10 +117,8 @@ Status BatchScheduler::Submit(Request req, Completion done) {
   requests->Add();
   req.id = next_id_.fetch_add(1, std::memory_order_relaxed);
   req.enqueue_time = Clock::now();
-  req.deadline = req.options.deadline_ms > 0
-                     ? req.enqueue_time +
-                           std::chrono::milliseconds(req.options.deadline_ms)
-                     : Clock::time_point::max();
+  req.deadline =
+      model::ContinuousDecoder::Deadline(req.options, req.enqueue_time);
   const uint64_t id = req.id;
   // Request data that the model would reject with a VIST5_CHECK fails
   // this request instead of aborting the process.
@@ -159,6 +152,9 @@ Status BatchScheduler::Submit(Request req, Completion done) {
         obs::GetCounter("spec/admission_rejected");
     spec_rejected->Add();
     return fail(spec_error);
+  }
+  if (req.options.temperature > 0.0f && req.options.rng == nullptr) {
+    return fail("sampling (temperature > 0) needs options.rng; none is set");
   }
   // Keep a handle on the callback: Push consumes the entry even when it
   // rejects, and a rejected request still owes its caller a response.
@@ -302,10 +298,10 @@ void BatchScheduler::Finish(Track* track, ResponseStatus status,
 }
 
 void BatchScheduler::Admit(RequestQueue::Entry entry,
-                           model::ContinuousDecoder* decoder,
                            std::vector<Track>* tracks) {
   static obs::Counter* joined = obs::GetCounter("serve/joined");
   static obs::Counter* exclusive = obs::GetCounter("serve/exclusive");
+  static obs::Counter* spec_requests = obs::GetCounter("spec/requests");
   static obs::Histogram* queue_wait =
       obs::GetHistogram("serve/queue_wait_ms");
   const Clock::time_point now = Clock::now();
@@ -323,9 +319,10 @@ void BatchScheduler::Admit(RequestQueue::Entry entry,
   }
   track.timeline.admitted = true;
   queue_wait->Observe(track.timeline.queue_wait_ms());
-  if (decoder->active() > 0) joined->Add();
-  track.beam = req.options.beam_size > 1;
-  if (track.beam) exclusive->Add();
+  if (decoder_.active() > 0) joined->Add();
+  track.alone = req.options.beam_size > 1 || req.options.draft_k > 0;
+  if (track.alone) exclusive->Add();
+  if (req.options.draft_k > 0) spec_requests->Add();
   if (prefix_cache_ != nullptr) {
     track.cache_handle =
         prefix_cache_->Acquire(req.tokens, req.options.weight_dtype);
@@ -335,91 +332,26 @@ void BatchScheduler::Admit(RequestQueue::Entry entry,
       track.cache_handle = prefix_cache_->Insert(
           model_->EncodePrefix(req.tokens, req.options.weight_dtype));
     }
-    decoder->Admit(req.id, req.tokens, req.options, req.deadline,
+    decoder_.Admit(req.id, req.tokens, req.options, req.deadline,
                    track.cache_handle.block.get());
     affinity_ref_ = req.tokens;
   } else {
-    decoder->Admit(req.id, req.tokens, req.options, req.deadline);
+    decoder_.Admit(req.id, req.tokens, req.options, req.deadline);
   }
   tracks->push_back(std::move(track));
 }
 
-void BatchScheduler::RunExclusive(RequestQueue::Entry entry) {
-  static obs::Counter* exclusive = obs::GetCounter("serve/exclusive");
-  static obs::Counter* spec_requests = obs::GetCounter("spec/requests");
-  static obs::Histogram* queue_wait =
-      obs::GetHistogram("serve/queue_wait_ms");
-  VIST5_TRACE_SPAN("serve/exclusive");
-  const Clock::time_point now = Clock::now();
-  Request& req = entry.request;
-  Track track;
-  track.id = req.id;
-  track.done = std::move(entry.done);
-  track.on_token = std::move(req.on_token);
-  track.timeline.enqueue = req.enqueue_time;
-  track.timeline.admit = now;
-  if (req.deadline <= now) {
-    Finish(&track, ResponseStatus::kDeadlineExpired, {});
-    return;
-  }
-  track.timeline.admitted = true;
-  queue_wait->Observe(track.timeline.queue_wait_ms());
-  exclusive->Add();
-  spec_requests->Add();
-  model::GenerationOptions options = req.options;
-  if (req.deadline != Clock::time_point::max()) {
-    // The engine measures deadline_ms from its own start, so re-base the
-    // budget on what is left after queueing. On expiry it returns the
-    // committed prefix (status stays "ok": the engine does not report a
-    // deadline cut).
-    const double remaining = Ms(req.deadline - now);
-    options.deadline_ms = remaining < 1.0 ? 1 : static_cast<int>(remaining);
-  }
-  // The base side shares the encoder-prefix cache with the batch: a hit
-  // splices the block's immutable cross K/V, a miss donates the freshly
-  // computed block for requests queued behind this one.
-  const model::EncodedPrefix* prefill = nullptr;
-  if (prefix_cache_ != nullptr) {
-    track.cache_handle =
-        prefix_cache_->Acquire(req.tokens, options.weight_dtype);
-    if (!track.cache_handle.hit) {
-      track.cache_handle = prefix_cache_->Insert(
-          model_->EncodePrefix(req.tokens, options.weight_dtype));
-    }
-    prefill = track.cache_handle.block.get();
-    affinity_ref_ = req.tokens;
-  }
-  spec::SpecStats stats;
-  const Clock::time_point gen_start = Clock::now();
-  // Stream subscribers receive speculative commits as accepted runs: the
-  // engine fires on_commit per committed token right after each verify
-  // round, and committed tokens are final (docs/SPECULATIVE.md).
-  std::vector<int> tokens = spec_engine_->Generate(
-      req.tokens, options, prefill, &stats, track.on_token);
-  if (stats.ttft_ms > 0) {
-    // Generate has no per-step hook, so the timeline's first-token stamp
-    // is reconstructed from the engine's measured time-to-first-commit.
-    track.timeline.has_first_token = true;
-    track.timeline.first_token =
-        gen_start + std::chrono::duration_cast<Clock::duration>(
-                        std::chrono::duration<double, std::milli>(
-                            stats.ttft_ms));
-  }
-  Finish(&track, ResponseStatus::kOk, std::move(tokens));
-}
-
-bool BatchScheduler::FillBatch(model::ContinuousDecoder* decoder,
-                               std::vector<Track>* tracks,
+bool BatchScheduler::FillBatch(std::vector<Track>* tracks,
                                RequestQueue::Entry* parked,
                                bool* have_parked) {
-  while (!*have_parked && decoder->active() < options_.max_batch) {
+  while (!*have_parked && decoder_.active() < options_.max_batch) {
     // A pending reload waits for a batch-empty boundary; admitting more
     // work would starve it, so pause admissions until it has run.
     if (reload_pending_.load(std::memory_order_acquire)) return false;
-    // A beam request decodes alone (docs/SERVING.md).
-    if (!tracks->empty() && tracks->front().beam) return false;
+    // Beam and speculative requests decode alone (docs/SERVING.md).
+    if (!tracks->empty() && tracks->front().alone) return false;
     RequestQueue::Entry entry;
-    if (decoder->active() == 0) {
+    if (decoder_.active() == 0) {
       // Idle: block until work arrives, the queue closes for good, or the
       // control-plane check interval elapses.
       switch (queue_.WaitAndPopFor(&entry, kIdleWait)) {
@@ -443,31 +375,29 @@ bool BatchScheduler::FillBatch(model::ContinuousDecoder* decoder,
       }
     }
     const model::GenerationOptions& options = entry.request.options;
-    if (options.draft_k > 0 ||
-        (decoder->active() > 0 &&
-         (options.beam_size > 1 ||
-          options.weight_dtype != decoder->batch_dtype()))) {
-      // Cannot join the running batch: a speculative request, a beam
-      // request (it decodes alone), or a different weight dtype. Park it —
-      // later arrivals wait behind it so admission order stays FIFO — and
-      // let the batch drain.
+    if (decoder_.active() > 0 &&
+        (options.beam_size > 1 || options.draft_k > 0 ||
+         options.weight_dtype != decoder_.batch_dtype())) {
+      // Cannot join the running batch: a beam or speculative request (it
+      // decodes alone), or a different weight dtype. Park it — later
+      // arrivals wait behind it so admission order stays FIFO — and let
+      // the batch drain.
       *parked = std::move(entry);
       *have_parked = true;
     } else {
-      Admit(std::move(entry), decoder, tracks);
+      Admit(std::move(entry), tracks);
     }
   }
   return false;
 }
 
-void BatchScheduler::StepBatch(model::ContinuousDecoder* decoder,
-                               std::vector<Track>* tracks) {
+void BatchScheduler::StepBatch(std::vector<Track>* tracks) {
   static obs::Counter* steps = obs::GetCounter("serve/steps");
   static obs::Histogram* batch_size = obs::GetHistogram("serve/batch_size");
   static obs::Histogram* ttft = obs::GetHistogram("serve/ttft_ms");
   static obs::Histogram* step_ms = obs::GetHistogram("serve/step_ms");
   steps->Add();
-  batch_size->Observe(static_cast<double>(decoder->active()));
+  batch_size->Observe(static_cast<double>(decoder_.active()));
   const Clock::time_point step_start = Clock::now();
   // Collect per-step emissions only when someone in the batch subscribed;
   // an all-buffered batch skips the extra bookkeeping entirely.
@@ -480,7 +410,7 @@ void BatchScheduler::StepBatch(model::ContinuousDecoder* decoder,
   }
   std::vector<model::ContinuousDecoder::Emitted> emitted;
   std::vector<model::ContinuousDecoder::Finished> finished =
-      decoder->Step(any_stream ? &emitted : nullptr);
+      decoder_.Step(any_stream ? &emitted : nullptr);
   const Clock::time_point now = Clock::now();
   step_ms->Observe(Ms(now - step_start));
   for (Track& track : *tracks) {
@@ -515,34 +445,30 @@ void BatchScheduler::StepBatch(model::ContinuousDecoder* decoder,
 
 void BatchScheduler::Loop() {
   VIST5_TRACE_SPAN("serve/loop");
-  model::ContinuousDecoder decoder(model_);
   std::vector<Track> tracks;
   RequestQueue::Entry parked;
   bool have_parked = false;
   while (!abort_.load()) {
     if (reload_pending_.load(std::memory_order_acquire) &&
-        decoder.active() == 0 && !have_parked) {
+        decoder_.active() == 0 && !have_parked) {
       ServiceReload(/*aborting=*/false);
     }
-    const bool closed = FillBatch(&decoder, &tracks, &parked, &have_parked);
+    const bool closed = FillBatch(&tracks, &parked, &have_parked);
     if (abort_.load()) break;
-    if (have_parked && decoder.active() == 0) {
-      if (parked.request.options.draft_k > 0) {
-        RunExclusive(std::move(parked));
-      } else {
-        // The old batch has drained, so a beam request can decode alone
-        // and a dtype-mismatched request seeds a batch at its own dtype.
-        Admit(std::move(parked), &decoder, &tracks);
-      }
+    if (have_parked && decoder_.active() == 0) {
+      // The old batch has drained, so a beam or speculative request can
+      // decode alone and a dtype-mismatched request seeds a batch at its
+      // own dtype.
+      Admit(std::move(parked), &tracks);
       parked = RequestQueue::Entry{};
       have_parked = false;
       continue;
     }
-    if (decoder.active() == 0) {
+    if (decoder_.active() == 0) {
       if (closed) break;  // drain complete
       continue;
     }
-    StepBatch(&decoder, &tracks);
+    StepBatch(&tracks);
   }
   // Abort path: whatever is still queued or mid-decode answers "shutdown"
   // so no caller is left hanging. (After a drain both loops are no-ops.)

@@ -13,7 +13,6 @@
 #include "model/batch_decoder.h"
 #include "serve/prefix_cache.h"
 #include "serve/request_queue.h"
-#include "spec/engine.h"
 
 namespace vist5 {
 namespace serve {
@@ -37,33 +36,29 @@ struct SchedulerOptions {
   /// Draft model for speculative decoding (docs/SPECULATIVE.md). Null
   /// (the default) disables it: requests carrying draft_k > 0 are rejected
   /// at admission. Not owned; must share the base model's tokenizer and
-  /// outlive the scheduler. Speculative requests run outside the batch
-  /// (they own both models' KV caches for the request's duration).
+  /// outlive the scheduler. A speculative request decodes alone in the
+  /// scheduler's decoder, draft and base at the request's own
+  /// weight_dtype; its verify span is wider than a batch row's one token.
   model::TransformerSeq2Seq* draft_model = nullptr;
-  /// Weight dtype the draft checkpoint is served at. A speculative request
-  /// whose weight_dtype differs is rejected at admission — mixing dtypes
-  /// across draft and verify would silently break the parity contract.
-  WeightDtype draft_dtype = WeightDtype::kFloat32;
 };
 
 /// Persistent decode loop implementing continuous (in-flight) batching.
 ///
 /// One thread owns a ContinuousDecoder and repeatedly: (1) admits queued
 /// requests at the current step boundary until the batch is full, (2) runs
-/// one ragged decode step for every active row, (3) completes and evicts
-/// requests that finished or blew their deadline. New requests therefore
-/// join a running batch without waiting for it to drain, and finished
-/// requests free their slot immediately.
+/// one decode step for every active row (a draft-verify round for a
+/// speculative request), (3) completes and evicts requests that finished
+/// or blew their deadline. New requests therefore join a running batch
+/// without waiting for it to drain, and finished requests free their slot
+/// immediately.
 ///
-/// Greedy and sampled requests batch together. A beam request runs alone
-/// in the same decoder: it waits for the batch to drain, and nothing joins
-/// the batch while it decodes. Speculative requests (draft_k > 0) leave
-/// the decoder: once the batch drains, the loop runs them alone through
-/// the DraftVerifyEngine, then resumes batching. A request whose
-/// weight_dtype differs from the running batch's also parks until the
-/// batch drains, then starts a batch at its dtype — a decode batch reads
-/// one weight representation per step. Parking keeps admission FIFO
-/// (docs/SERVING.md).
+/// Greedy and sampled requests batch together. A beam request and a
+/// speculative request (draft_k > 0) each decode alone in the same
+/// decoder: they wait for the batch to drain, and nothing joins the batch
+/// while they decode. A request whose weight_dtype differs from the
+/// running batch's also parks until the batch drains, then starts a batch
+/// at its dtype — a decode batch reads one weight representation per
+/// step. Parking keeps admission FIFO (docs/SERVING.md).
 ///
 /// Per-request token streams are bit-identical to decoding each request
 /// alone, regardless of batch composition (the determinism contract
@@ -116,19 +111,14 @@ class BatchScheduler {
 
   void Loop();
   /// Admits queued requests until the batch is full, and none while a
-  /// beam request decodes. A request that cannot join the running batch
-  /// (speculative, beam, or a dtype mismatch) is parked in `*parked` and
-  /// admissions stop — FIFO order is preserved while the batch drains.
-  /// Returns true when the queue closed.
-  bool FillBatch(model::ContinuousDecoder* decoder,
-                 std::vector<Track>* tracks,
-                 RequestQueue::Entry* parked, bool* have_parked);
-  void Admit(RequestQueue::Entry entry, model::ContinuousDecoder* decoder,
-             std::vector<Track>* tracks);
-  void StepBatch(model::ContinuousDecoder* decoder,
-                 std::vector<Track>* tracks);
-  /// Runs one speculative request alone through the DraftVerifyEngine.
-  void RunExclusive(RequestQueue::Entry entry);
+  /// request that decodes alone runs. A request that cannot join the
+  /// running batch (beam, speculative, or a dtype mismatch) is parked in
+  /// `*parked` and admissions stop — FIFO order is preserved while the
+  /// batch drains. Returns true when the queue closed.
+  bool FillBatch(std::vector<Track>* tracks, RequestQueue::Entry* parked,
+                 bool* have_parked);
+  void Admit(RequestQueue::Entry entry, std::vector<Track>* tracks);
+  void StepBatch(std::vector<Track>* tracks);
   void Finish(Track* track, ResponseStatus status, std::vector<int> tokens);
   /// Performs the pending reload (loop thread, no batch active) or fails
   /// it during shutdown so Reload callers never hang.
@@ -136,9 +126,9 @@ class BatchScheduler {
 
   model::TransformerSeq2Seq* model_;
   const SchedulerOptions options_;
-  /// Draft-verify engine over (model_, options_.draft_model); null when no
-  /// draft model is configured. Used only on the loop thread.
-  std::unique_ptr<spec::DraftVerifyEngine> spec_engine_;
+  /// Decodes every admitted request, with options_.draft_model as its
+  /// draft. Loop thread only.
+  model::ContinuousDecoder decoder_;
   /// Null when prefix_cache_bytes == 0. Mutated only on the loop thread
   /// (the cache itself is internally locked for stats scrapes).
   std::unique_ptr<PrefixCache> prefix_cache_;

@@ -1158,9 +1158,9 @@ void Server::DispatchLine(const std::shared_ptr<Conn>& conn,
   // verify round (the server-wide default applies when the field is
   // absent, and "draft": 0 opts out of it); "draft_adaptive": false pins
   // the proposal length at k.
-  // Mode conflicts (beam > 1, temperature, no draft model loaded, dtype
-  // mismatch) are rejected by the scheduler's admission guard with a clear
-  // error rather than silently decoded plain (docs/SPECULATIVE.md).
+  // Mode conflicts (beam > 1, temperature, no draft model loaded) are
+  // rejected by the scheduler's admission guard with a clear error rather
+  // than silently decoded plain (docs/SPECULATIVE.md).
   req.options.draft_k = options_.default_draft_k;
   if (!ReadIntField(doc, "draft", 0, kMaxRequestDraftK, &req.options.draft_k,
                     &field_error)) {

@@ -1,68 +1,44 @@
 #ifndef VIST5_SPEC_ENGINE_H_
 #define VIST5_SPEC_ENGINE_H_
 
-#include <cstdint>
+#include <cstddef>
 #include <functional>
 #include <vector>
 
-#include "model/transformer_model.h"
+#include "model/batch_decoder.h"
 
 namespace vist5 {
 namespace spec {
 
-/// Per-decode speculative statistics (docs/SPECULATIVE.md). `steps` counts
-/// verify rounds (one multi-token base forward each); `proposed` counts
-/// draft tokens fed into a verify, `accepted` the subset that matched the
-/// base argmax, `rejected` the rest. `committed` additionally includes the
-/// base's corrective/bonus token per round, so
-/// effective tokens/step = committed / steps >= 1.
-struct SpecStats {
-  int64_t proposed = 0;
-  int64_t accepted = 0;
-  int64_t rejected = 0;
-  int64_t committed = 0;
-  int64_t steps = 0;
-  /// Wall time (ms) from Generate entry — i.e. including the encoder
-  /// prefill — to the first committed token; 0 when nothing was committed.
-  /// Lets the scheduler report a real TTFT for the exclusive spec path,
-  /// which has no per-step loop to stamp one.
-  double ttft_ms = 0;
+/// Per-decode speculative statistics (docs/SPECULATIVE.md).
+using SpecStats = model::SpecStats;
 
-  double acceptance_rate() const {
-    return proposed > 0 ? static_cast<double>(accepted) /
-                              static_cast<double>(proposed)
-                        : 0.0;
-  }
-  double tokens_per_step() const {
-    return steps > 0
-               ? static_cast<double>(committed) / static_cast<double>(steps)
-               : 0.0;
-  }
-};
-
-/// Draft-verify speculative greedy decoding: a small draft model proposes
-/// up to k tokens per round from its own KV-cached DecodeState, the base
-/// model scores all k+1 positions in one span DecodeStep, and the longest
-/// proposal prefix matching the base argmax — plus the base's one
-/// corrective token — is committed. Rejected positions are rolled back with
-/// DecodeState::TruncateTo. Every committed token is the base model's
-/// BestAllowedToken for its prefix, so the output is bit-identical to plain
-/// base-only greedy decoding regardless of draft quality (the parity
-/// contract pinned by decode_parity_test/determinism_test; see
-/// docs/SPECULATIVE.md for the proof sketch).
+/// Draft-verify speculative greedy decoding of one source: the one-request
+/// use of a model::ContinuousDecoder built with a draft, as
+/// TransformerSeq2Seq::Generate is the one-request use without one. Each
+/// decoder step runs one round: a small draft model proposes up to k tokens
+/// from its own KV-cached DecodeState, the base model scores all k+1
+/// positions in one span DecodeStep, and the longest proposal prefix
+/// matching the base argmax — plus the base's one corrective token — is
+/// committed; DecodeState::TruncateTo rolls the rest back. Every committed
+/// token is the base model's BestAllowedToken for its prefix, so the output
+/// is bit-identical to plain base-only greedy decoding regardless of draft
+/// quality (the parity contract pinned by decode_parity_test and
+/// determinism_test; see docs/SPECULATIVE.md for the proof sketch).
 ///
 /// The engine holds no per-request state — Generate is const and
 /// thread-safe for concurrent requests, like the models it wraps.
 class DraftVerifyEngine {
  public:
   /// Neither model is owned; both must outlive the engine. They must share
-  /// the tokenizer (pad/eos ids are taken from `base` and asserted equal).
+  /// the tokenizer: pad/eos ids and vocabulary size are checked here.
   DraftVerifyEngine(const model::TransformerSeq2Seq* base,
                     const model::TransformerSeq2Seq* draft);
 
   /// Speculative greedy decode of one source. `options.draft_k` must be
   /// >= 1; beam_size must be 1 and temperature <= 0 (greedy-only — the
-  /// scheduler rejects anything else at admission). `base_prefix`, when
+  /// scheduler rejects anything else at admission). `deadline_ms` counts
+  /// from the call, prefill included, as in Generate. `base_prefix`, when
   /// non-null, is a prefix-cache block for `src` computed at
   /// options.weight_dtype: the base-side encoder prefill is spliced from
   /// it instead of recomputed (aliased cross K/V are never written).
@@ -71,17 +47,13 @@ class DraftVerifyEngine {
   /// committed token (id, 0-based output position) after each verify
   /// round's accept loop — stream subscribers therefore see accepted runs
   /// land as bursts, never a proposal that later rolls back, because
-  /// committed tokens are final (the output only grows; TruncateTo rolls
-  /// back KV caches, not `out` — docs/SPECULATIVE.md).
+  /// committed tokens are final (docs/SPECULATIVE.md).
   std::vector<int> Generate(
       const std::vector<int>& src, const model::GenerationOptions& options,
       const model::EncodedPrefix* base_prefix = nullptr,
       SpecStats* stats = nullptr,
       const std::function<void(int token, size_t seq)>& on_commit =
           nullptr) const;
-
-  const model::TransformerSeq2Seq* base() const { return base_; }
-  const model::TransformerSeq2Seq* draft() const { return draft_; }
 
  private:
   const model::TransformerSeq2Seq* base_;

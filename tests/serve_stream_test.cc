@@ -135,9 +135,9 @@ class StreamingParity
 // One request issued buffered and streaming (over one connection, in that
 // order): the streamed tokens concatenate to exactly the buffered "tokens"
 // array, seq values are dense from 0, and the streaming call's own final
-// line agrees. `draft_k` > 0 exercises the speculative exclusive path and
-// `beam` > 1 the beam one; issuing each prompt twice makes the second
-// decode a warm prefix-cache splice.
+// line agrees. `draft_k` > 0 exercises the speculative rounds and `beam` > 1
+// beam search, each decoding alone; issuing each prompt twice makes the
+// second decode a warm prefix-cache splice.
 void CheckParity(StreamFixture* f, const std::vector<std::vector<int>>& srcs,
                  int max_len, int draft_k, int beam) {
   serve::Client client;
@@ -196,9 +196,9 @@ TEST_P(StreamingParity, BeamStreamMatchesBufferedResponse) {
   Rng rng(seed() * 19 + 7);
   std::vector<std::vector<int>> srcs;
   for (int i = 0; i < 3; ++i) srcs.push_back(RandomSrc(&rng, 4 + i));
-  // Beam runs on the exclusive path and publishes its whole sequence when
-  // the search completes: up to max_len lines from one scheduler call,
-  // which the event loop flushes in as few sends as it can keep up with.
+  // Beam decodes alone and publishes its whole sequence when the search
+  // completes: up to max_len lines from one scheduler call, which the
+  // event loop flushes in as few sends as it can keep up with.
   CheckParity(&f, srcs, /*max_len=*/16, /*draft_k=*/0, /*beam=*/4);
 }
 

@@ -243,10 +243,11 @@ TEST(BatchScheduler, BackpressureRejectsWithRetryAfter) {
 }
 
 // Token ids outside [0, vocab) would reach the embedding's VIST5_CHECK and
-// abort the process, and a source past kMaxRequestSrcTokens would make the
-// encoder allocate [heads, n, n] scores (6.4 GB at 20,000 tokens), so Submit
-// answers both with a per-request error and the scheduler goes on serving
-// valid requests.
+// abort the process, a source past kMaxRequestSrcTokens would make the
+// encoder allocate [heads, n, n] scores (6.4 GB at 20,000 tokens), and a
+// sampled request (temperature > 0) without an rng has nothing to draw
+// from, so Submit answers each with a per-request error and the scheduler
+// goes on serving valid requests.
 TEST(BatchScheduler, OutOfVocabularyTokensFailOnlyThatRequest) {
   model::TransformerSeq2Seq m = MakeSmallModel();
   const int vocab = m.transformer().config().vocab_size;
@@ -255,14 +256,16 @@ TEST(BatchScheduler, OutOfVocabularyTokensFailOnlyThatRequest) {
   const std::string oov = "outside the vocabulary";
   const std::string too_long =
       "the limit is " + std::to_string(serve::kMaxRequestSrcTokens);
-  for (const auto& [tokens, error] :
-       std::vector<std::pair<std::vector<int>, std::string>>{
-           {{99999999}, oov},
-           {{-1}, oov},
-           {{4, vocab, 5}, oov},
-           {std::vector<int>(20000, 4), too_long}}) {
+  for (const auto& [tokens, temperature, error] :
+       std::vector<std::tuple<std::vector<int>, float, std::string>>{
+           {{99999999}, 0.0f, oov},
+           {{-1}, 0.0f, oov},
+           {{4, vocab, 5}, 0.0f, oov},
+           {std::vector<int>(20000, 4), 0.0f, too_long},
+           {{4, 5}, 0.8f, "options.rng"}}) {
     serve::Request req;
     req.tokens = tokens;
+    req.options.temperature = temperature;
     const serve::Response r = scheduler.SubmitAndWait(std::move(req));
     EXPECT_EQ(r.status, serve::ResponseStatus::kError);
     EXPECT_NE(r.error.find(error), std::string::npos) << r.error;
@@ -286,8 +289,10 @@ TEST(BatchScheduler, DeadlineExpiryReturnsPrefix) {
   // the generous max_len) can end it.
   gen.allowed = [](int token) { return token != kEos; };
 
+  model::TransformerSeq2Seq draft = MakeSmallModel(23);
   serve::SchedulerOptions options;
   options.max_batch = 2;
+  options.draft_model = &draft;
   serve::BatchScheduler scheduler(&m, options);
   scheduler.Start();
 
@@ -306,15 +311,24 @@ TEST(BatchScheduler, DeadlineExpiryReturnsPrefix) {
   beam.options.beam_size = 3;
   beam.options.deadline_ms = 1;
   const serve::Response beam_r = scheduler.SubmitAndWait(std::move(beam));
+  // So does a speculative request, with the tokens committed so far.
+  serve::Request spec;
+  spec.tokens = src;
+  spec.options = gen;
+  spec.options.draft_k = 3;
+  spec.options.deadline_ms = 1;
+  const serve::Response spec_r = scheduler.SubmitAndWait(std::move(spec));
   scheduler.Shutdown(/*drain=*/true);
 
-  ASSERT_EQ(r.status, serve::ResponseStatus::kDeadlineExpired);
-  EXPECT_LT(r.tokens.size(), 512u);
   model::GenerationOptions unbounded = gen;
   const std::vector<int> full = m.Generate(src, unbounded);
-  ASSERT_LE(r.tokens.size(), full.size());
-  for (size_t i = 0; i < r.tokens.size(); ++i) {
-    EXPECT_EQ(r.tokens[i], full[i]) << "prefix position " << i;
+  for (const serve::Response* cut : {&r, &spec_r}) {
+    ASSERT_EQ(cut->status, serve::ResponseStatus::kDeadlineExpired);
+    EXPECT_LT(cut->tokens.size(), 512u);
+    ASSERT_LE(cut->tokens.size(), full.size());
+    for (size_t i = 0; i < cut->tokens.size(); ++i) {
+      EXPECT_EQ(cut->tokens[i], full[i]) << "prefix position " << i;
+    }
   }
   EXPECT_EQ(beam_r.status, serve::ResponseStatus::kDeadlineExpired);
   EXPECT_LT(beam_r.tokens.size(), 512u);
@@ -440,7 +454,7 @@ TEST(BatchScheduler, BeamRequestsMatchSequentialBeam) {
 
 // Sampled requests join the batch: each draws from its own Rng, so a
 // sampled row beside greedy ones reproduces a solo Generate with the same
-// seed, and nothing runs on the exclusive path.
+// seed, and serve/exclusive counts none of them.
 TEST(BatchScheduler, SampledRequestJoinsBatchAndMatchesSoloGenerate) {
   model::TransformerSeq2Seq m = MakeSmallModel();
   Rng rng(23);
@@ -566,7 +580,7 @@ TEST(Speculative, AdmissionGuardRejectsIncompatibleModes) {
   model::TransformerSeq2Seq draft = MakeSmallModel(23);
   serve::SchedulerOptions options;
   options.max_batch = 2;
-  options.draft_model = &draft;  // draft_dtype stays float32
+  options.draft_model = &draft;
   serve::BatchScheduler scheduler(&base, options);
   scheduler.Start();
 
@@ -592,14 +606,6 @@ TEST(Speculative, AdmissionGuardRejectsIncompatibleModes) {
   EXPECT_NE(r.error.find("greedy-only: temperature"), std::string::npos)
       << r.error;
 
-  // Dtype mismatch: the draft is served at float32, the request asks to
-  // verify at int8 — mixing dtypes would silently break parity.
-  r = spec_request([](model::GenerationOptions* g) {
-    g->weight_dtype = WeightDtype::kInt8;
-  });
-  EXPECT_EQ(r.status, serve::ResponseStatus::kError);
-  EXPECT_NE(r.error.find("weight_dtype"), std::string::npos) << r.error;
-
   // A plain greedy request through the same scheduler still works.
   serve::Request plain;
   plain.tokens = src;
@@ -624,11 +630,13 @@ TEST(Speculative, AdmissionGuardRejectsIncompatibleModes) {
   bare.Shutdown(/*drain=*/true);
 }
 
-// End-to-end speculative parity through the scheduler: spec requests run on
-// the exclusive path, interleaved here with plain batched requests, and
-// every response must equal the sequential plain-greedy reference — the
-// draft (different weights, arbitrary proposals) must be unobservable in
-// the tokens.
+// End-to-end speculative parity through the scheduler: spec requests decode
+// alone in the scheduler's decoder, interleaved here with plain batched
+// requests, and every response must equal the sequential plain-greedy
+// reference at its dtype — the draft (different weights, arbitrary
+// proposals) must be unobservable in the tokens. The last request verifies
+// and drafts at int8. Each speculative response carries a time to first
+// token from the step loop.
 TEST(Speculative, SchedulerSpecRequestsMatchPlainGreedy) {
   model::TransformerSeq2Seq base = MakeSmallModel();
   model::TransformerSeq2Seq draft = MakeSmallModel(23);
@@ -638,24 +646,76 @@ TEST(Speculative, SchedulerSpecRequestsMatchPlainGreedy) {
   serve::BatchScheduler scheduler(&base, options);
   scheduler.Start();
 
-  const auto srcs = MixedSources(91, 6);
-  model::GenerationOptions plain;
-  plain.max_len = 16;
-
+  const auto srcs = MixedSources(91, 7);
   for (size_t i = 0; i < srcs.size(); ++i) {
+    model::GenerationOptions plain;
+    plain.max_len = 16;
+    if (i == 6) plain.weight_dtype = WeightDtype::kInt8;
+    const bool speculative = i % 2 == 0;
     serve::Request req;
     req.tokens = srcs[i];
     req.options = plain;
-    if (i % 2 == 0) {
+    if (speculative) {
       req.options.draft_k = 3;
       req.options.draft_adaptive = (i % 4 == 0);
     }
     const serve::Response r = scheduler.SubmitAndWait(std::move(req));
     ASSERT_EQ(r.status, serve::ResponseStatus::kOk) << "request " << i;
     EXPECT_EQ(r.tokens, base.Generate(srcs[i], plain))
-        << (i % 2 == 0 ? "spec" : "plain") << " request " << i;
+        << (speculative ? "spec" : "plain") << " request " << i;
+    if (speculative) {
+      EXPECT_GT(r.ttft_ms, 0.0) << "request " << i;
+      EXPECT_LE(r.ttft_ms, r.total_ms) << "request " << i;
+    }
   }
   scheduler.Shutdown(/*drain=*/true);
+}
+
+// Shutdown without drain cuts a speculative request at the next step
+// boundary: mid-decode, it answers "shutdown" like any other request in the
+// decoder, instead of first running its whole decode.
+TEST(Speculative, AbortShutdownCutsStreamingDecode) {
+  model::TransformerSeq2Seq base = MakeSmallModel();
+  model::TransformerSeq2Seq draft = MakeSmallModel(23);
+  serve::SchedulerOptions options;
+  options.draft_model = &draft;
+  serve::BatchScheduler scheduler(&base, options);
+  scheduler.Start();
+
+  Rng rng(29);
+  serve::Request req;
+  req.tokens = RandomSrc(&rng, 6);
+  req.options.max_len = 1024;
+  req.options.draft_k = 3;
+  // Forbid EOS so only the generous max_len could end the decode.
+  req.options.allowed = [](int token) { return token != kEos; };
+  std::mutex mu;
+  std::condition_variable cv;
+  bool streaming = false;
+  bool answered = false;
+  serve::Response response;
+  req.on_token = [&](int, size_t) {
+    std::lock_guard<std::mutex> lock(mu);
+    streaming = true;
+    cv.notify_all();
+  };
+  ASSERT_TRUE(scheduler
+                  .Submit(std::move(req),
+                          [&](serve::Response r) {
+                            std::lock_guard<std::mutex> lock(mu);
+                            response = std::move(r);
+                            answered = true;
+                            cv.notify_all();
+                          })
+                  .ok());
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return streaming; });
+  }
+  scheduler.Shutdown(/*drain=*/false);
+  std::lock_guard<std::mutex> lock(mu);
+  ASSERT_TRUE(answered);
+  EXPECT_EQ(response.status, serve::ResponseStatus::kShutdown);
 }
 
 // Open-loop Poisson arrivals: every issued request completes and the

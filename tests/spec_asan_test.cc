@@ -1,13 +1,15 @@
 // AddressSanitizer pass over the speculative draft-verify engine
 // (docs/SPECULATIVE.md), companion to simd_asan_test and
-// prefix_cache_asan_test. The release tree compiles vist5::spec with -O3
-// and no sanitizer; this binary recompiles src/spec/engine.cc, together
-// with the decode step under it (src/tensor/ops.cc, src/nn/transformer.cc),
-// under ASan (see tests/CMakeLists.txt) and churns Generate through every
-// shape of round the engine has: full accepts, full rejects, partial
-// accepts with mid-span rollback, adaptive-k growth and collapse,
-// constrained vocabularies, deadline cuts, prefix-spliced base prefills,
-// and the self-draft ceiling. The hot path — span DecodeStep writing the
+// prefix_cache_asan_test. The release tree compiles vist5::spec and
+// vist5::model with -O3 and no sanitizer; this binary recompiles
+// src/spec/engine.cc and the decoder that runs its rounds
+// (src/model/batch_decoder.cc), together with the decode step under them
+// (src/tensor/ops.cc, src/nn/transformer.cc), under ASan (see
+// tests/CMakeLists.txt) and churns Generate through every shape of round
+// the decoder has: full accepts, full rejects, partial accepts with
+// mid-span rollback, adaptive-k growth and collapse, constrained
+// vocabularies, deadline cuts, prefix-spliced base prefills, and the
+// self-draft ceiling. The hot path — span DecodeStep writing the
 // KV cache through ScatterTime, bounded attention reads at span > 1,
 // TruncateTo moving the position back over a stale tail, the draft
 // catch-up feed — runs inside instrumented TUs, so an off-by-one in any
@@ -72,8 +74,8 @@ int Run() {
       out = e.Generate(src, options, nullptr, &stats);
     }
 
-    // Parity oracle (uninstrumented reference): without a deadline the
-    // speculative output is exactly plain greedy.
+    // Parity oracle: without a deadline the speculative output is exactly
+    // plain greedy.
     if (options.deadline_ms == 0) {
       model::GenerationOptions plain = options;
       plain.draft_k = 0;
