@@ -19,7 +19,6 @@ size_t EncodedPrefix::ByteSize() const {
                : size_t{0};
   };
   size_t bytes = tokens.size() * sizeof(int);
-  bytes += tensor_bytes(memory);
   for (const nn::DecodeState::LayerCache& layer : state.layers) {
     bytes += tensor_bytes(layer.cross_k) + tensor_bytes(layer.cross_v);
   }
@@ -36,10 +35,9 @@ std::shared_ptr<const EncodedPrefix> TransformerSeq2Seq::EncodePrefix(
   block->dtype = dtype;
   const int src_len = static_cast<int>(src.size());
   const std::vector<int> lengths = {src_len};
-  block->memory = transformer_->Encode(src, 1, src_len, lengths,
-                                       /*train=*/false, nullptr);
-  block->state = transformer_->BeginDecode(block->memory, 1, src_len,
-                                           lengths);
+  const Tensor memory = transformer_->Encode(src, 1, src_len, lengths,
+                                             /*train=*/false, nullptr);
+  block->state = transformer_->BeginDecode(memory, 1, src_len, lengths);
   return block;
 }
 

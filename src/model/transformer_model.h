@@ -57,8 +57,8 @@ std::vector<int> SelectBeamResult(
     const std::vector<BeamHypothesis>& alive);
 
 /// Immutable, shareable product of the encoder-side prefill for one source
-/// sequence: the encoder hidden states plus the per-layer cross-attention
-/// K/V projection a decode needs before its first step. Produced under
+/// sequence: the per-layer cross-attention K/V projection of the encoder
+/// output, all a decode needs before its first step. Produced under
 /// NoGradGuard by TransformerSeq2Seq::EncodePrefix; nothing on the decode
 /// path ever writes through these tensors (Reorder/MergeFrom replace cache
 /// handles with copies, and only self_k/self_v see in-place scatter), so
@@ -71,10 +71,9 @@ struct EncodedPrefix {
   /// encoder outputs differ numerically, so a block only substitutes for
   /// prefill in a batch running the same dtype.
   WeightDtype dtype = WeightDtype::kFloat32;
-  Tensor memory;         ///< [src_len, d_model] encoder output (batch 1)
   nn::DecodeState state;  ///< batch-1 cross K/V; self caches left empty
-  /// Heap bytes the block keeps resident (key + encoder output + cross
-  /// K/V), the unit of PrefixCache byte budgeting.
+  /// Heap bytes the block keeps resident (key + cross K/V), the unit of
+  /// PrefixCache byte budgeting.
   size_t ByteSize() const;
 };
 

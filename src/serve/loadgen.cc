@@ -115,9 +115,7 @@ std::vector<std::vector<int>> SchemaSkewedPrompts(
     const std::vector<int>& question =
         questions[static_cast<size_t>(s)][static_cast<size_t>(
             rng.UniformInt(options.questions_per_schema))];
-    // Schema first: the shared serialization is the prompt head, so
-    // same-schema prompts share a long radix prefix and same-question
-    // repeats are exact cache hits.
+    // Schema, then question: same-question repeats are exact cache hits.
     std::vector<int> prompt = schemas[static_cast<size_t>(s)];
     prompt.insert(prompt.end(), question.begin(), question.end());
     prompts.push_back(std::move(prompt));

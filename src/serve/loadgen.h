@@ -99,8 +99,10 @@ struct LoadGenReport {
 /// schema every question against that database shares) followed by a
 /// short question drawn from a small per-schema pool. Schemas are chosen
 /// Zipf(s)-distributed, mirroring production traffic where a few popular
-/// databases dominate — under it, exact repeats (warm hits) and
-/// shared-schema partial matches are both common.
+/// databases dominate, so exact repeats (same schema, same question) are
+/// common; they are the only prompts the exact-match cache reuses. The
+/// schema comes first here, unlike DataVisT5 task inputs, which put the
+/// question first (core/task_format.cc); the order does not change reuse.
 struct SchemaSkewOptions {
   int num_schemas = 8;
   int questions_per_schema = 4;  ///< distinct questions per schema

@@ -1,27 +1,17 @@
 #include "serve/prefix_cache.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "obs/metrics.h"
+#include "util/logging.h"
 
 namespace vist5 {
 namespace serve {
 namespace {
 
-/// Longest common prefix of `tokens[offset..]` and `edge`.
-int CommonLen(const std::vector<int>& tokens, size_t offset,
-              const std::vector<int>& edge) {
-  const size_t limit = std::min(edge.size(), tokens.size() - offset);
-  size_t n = 0;
-  while (n < limit && tokens[offset + n] == edge[n]) ++n;
-  return static_cast<int>(n);
-}
-
 struct Metrics {
   obs::Counter* hits = obs::GetCounter("serve/prefix_cache/hits");
   obs::Counter* misses = obs::GetCounter("serve/prefix_cache/misses");
-  obs::Counter* partial = obs::GetCounter("serve/prefix_cache/partial_hits");
   obs::Counter* insertions =
       obs::GetCounter("serve/prefix_cache/insertions");
   obs::Counter* evictions = obs::GetCounter("serve/prefix_cache/evictions");
@@ -38,159 +28,36 @@ Metrics& GlobalMetrics() {
 
 }  // namespace
 
-/// Compressed radix node: `edge` is the token run between the parent and
-/// this node. A node with a block is a cache entry; interior nodes without
-/// blocks exist only where two entries diverge (the trie re-merges
-/// pass-through chains on eviction, so its size stays proportional to the
-/// number of entries).
-struct PrefixCache::Node {
-  std::vector<int> edge;
-  Node* parent = nullptr;
-  std::map<int, std::unique_ptr<Node>> children;  ///< keyed by edge front
-  std::shared_ptr<const model::EncodedPrefix> block;
-  int pins = 0;
-  uint64_t lru = 0;
-  size_t bytes = 0;
-};
-
 PrefixCache::PrefixCache(const PrefixCacheOptions& options)
-    : options_(options) {}
-
-PrefixCache::~PrefixCache() = default;
-
-PrefixCache::Walk PrefixCache::WalkLocked(const std::vector<int>& tokens,
-                                          WeightDtype dtype) const {
-  Walk walk;
-  const auto root_it = roots_.find(static_cast<int>(dtype));
-  if (root_it == roots_.end()) return walk;
-  Node* node = root_it->second.get();
-  walk.node = node;
-  size_t offset = 0;
-  while (offset < tokens.size()) {
-    const auto child_it = node->children.find(tokens[offset]);
-    if (child_it == node->children.end()) return walk;
-    Node* child = child_it->second.get();
-    const int common = CommonLen(tokens, offset, child->edge);
-    walk.matched += common;
-    if (static_cast<size_t>(common) < child->edge.size()) {
-      // Diverged (or ran out of input) mid-edge: the deepest fully-entered
-      // node stays `node`.
-      return walk;
-    }
-    offset += child->edge.size();
-    node = child;
-    walk.node = node;
-  }
-  walk.exact = true;
-  return walk;
-}
-
-PrefixCache::Node* PrefixCache::DescendLocked(const std::vector<int>& tokens,
-                                              WeightDtype dtype) {
-  std::unique_ptr<Node>& root = roots_[static_cast<int>(dtype)];
-  if (root == nullptr) root = std::make_unique<Node>();
-  Node* node = root.get();
-  size_t offset = 0;
-  while (offset < tokens.size()) {
-    const auto child_it = node->children.find(tokens[offset]);
-    if (child_it == node->children.end()) {
-      auto child = std::make_unique<Node>();
-      child->edge.assign(tokens.begin() + static_cast<long>(offset),
-                         tokens.end());
-      child->parent = node;
-      Node* raw = child.get();
-      node->children.emplace(tokens[offset], std::move(child));
-      return raw;
-    }
-    Node* child = child_it->second.get();
-    const size_t common =
-        static_cast<size_t>(CommonLen(tokens, offset, child->edge));
-    if (common < child->edge.size()) {
-      // Split the edge at the divergence point: `child` keeps its tail
-      // under a new interior node holding the shared head.
-      auto mid = std::make_unique<Node>();
-      mid->edge.assign(child->edge.begin(),
-                       child->edge.begin() + static_cast<long>(common));
-      mid->parent = node;
-      std::unique_ptr<Node> tail = std::move(child_it->second);
-      tail->edge.erase(tail->edge.begin(),
-                       tail->edge.begin() + static_cast<long>(common));
-      tail->parent = mid.get();
-      mid->children.emplace(tail->edge.front(), std::move(tail));
-      Node* mid_raw = mid.get();
-      child_it->second = std::move(mid);
-      node = mid_raw;
-      offset += common;
-      continue;  // re-enter: descend (or create) below the split point
-    }
-    offset += child->edge.size();
-    node = child;
-  }
-  return node;
-}
-
-void PrefixCache::RemoveEntryLocked(Node* node) {
-  bytes_ -= node->bytes;
-  --entries_;
-  node->block.reset();
-  node->bytes = 0;
-  // Prune now-useless leaves upward, then re-merge a surviving interior
-  // node that is left with a single child and no entry of its own.
-  while (node != nullptr && node->parent != nullptr &&
-         node->block == nullptr && node->children.empty() &&
-         node->pins == 0) {
-    Node* parent = node->parent;
-    parent->children.erase(node->edge.front());
-    node = parent;
-  }
-  if (node != nullptr && node->parent != nullptr &&
-      node->block == nullptr && node->children.size() == 1 &&
-      node->pins == 0) {
-    std::unique_ptr<Node> child = std::move(node->children.begin()->second);
-    node->children.clear();
-    node->edge.insert(node->edge.end(), child->edge.begin(),
-                      child->edge.end());
-    node->block = std::move(child->block);
-    node->pins = child->pins;
-    node->lru = child->lru;
-    node->bytes = child->bytes;
-    node->children = std::move(child->children);
-    for (auto& grandchild : node->children) {
-      grandchild.second->parent = node;
-    }
-  }
+    : options_(options) {
+  VIST5_CHECK(options.max_bytes > 0) << "a prefix cache needs a byte budget";
 }
 
 void PrefixCache::TrimLocked() {
-  while (bytes_ > options_.max_bytes) {
-    Node* victim = nullptr;
+  while (stats_.bytes > options_.max_bytes) {
     // Linear scan for the least-recently-used unpinned entry. Entry counts
-    // are small (each holds a whole encoder block, typically megabytes),
-    // so a scan beats maintaining an intrusive LRU list under eviction,
-    // splitting, and re-merging.
-    std::vector<Node*> stack;
-    for (auto& root : roots_) stack.push_back(root.second.get());
-    while (!stack.empty()) {
-      Node* node = stack.back();
-      stack.pop_back();
-      if (node->block != nullptr && node->pins == 0 &&
-          (victim == nullptr || node->lru < victim->lru)) {
-        victim = node;
+    // are small (each holds every layer's cross K/V for its source, about
+    // 93 KB for a 91-token t5_small source), so a scan beats maintaining an
+    // LRU list beside the table.
+    auto victim = entries_.end();
+    for (auto it = entries_.begin(); it != entries_.end(); ++it) {
+      if (it->second.pins == 0 &&
+          (victim == entries_.end() || it->second.lru < victim->second.lru)) {
+        victim = it;
       }
-      for (auto& child : node->children) stack.push_back(child.second.get());
     }
-    if (victim == nullptr) return;  // everything resident is pinned
-    RemoveEntryLocked(victim);
+    if (victim == entries_.end()) return;  // everything resident is pinned
+    stats_.bytes -= victim->second.bytes;
+    entries_.erase(victim);
     ++stats_.evictions;
     GlobalMetrics().evictions->Add();
   }
 }
 
 void PrefixCache::UpdateGaugesLocked() {
-  stats_.bytes = bytes_;
-  stats_.entries = entries_;
-  GlobalMetrics().bytes->Set(static_cast<double>(bytes_));
-  GlobalMetrics().entries->Set(static_cast<double>(entries_));
+  stats_.entries = entries_.size();
+  GlobalMetrics().bytes->Set(static_cast<double>(stats_.bytes));
+  GlobalMetrics().entries->Set(static_cast<double>(stats_.entries));
 }
 
 PrefixCache::Handle PrefixCache::Acquire(const std::vector<int>& tokens,
@@ -198,30 +65,20 @@ PrefixCache::Handle PrefixCache::Acquire(const std::vector<int>& tokens,
   Handle handle;
   if (tokens.empty()) return handle;
   std::lock_guard<std::mutex> lock(mu_);
-  if (!enabled()) {
+  const auto it = entries_.find(KeyRef{dtype, tokens});
+  if (it == entries_.end()) {
     ++stats_.misses;
     GlobalMetrics().misses->Add();
     return handle;
   }
-  const Walk walk = WalkLocked(tokens, dtype);
-  handle.matched_tokens = walk.matched;
-  if (walk.exact && walk.node->block != nullptr) {
-    handle.block = walk.node->block;
-    handle.hit = true;
-    ++walk.node->pins;
-    walk.node->lru = ++tick_;
-    ++stats_.hits;
-    stats_.reuse_tokens += tokens.size();
-    GlobalMetrics().hits->Add();
-    GlobalMetrics().reuse_tokens->Add(static_cast<int64_t>(tokens.size()));
-  } else {
-    ++stats_.misses;
-    GlobalMetrics().misses->Add();
-    if (walk.matched > 0) {
-      ++stats_.partial_hits;
-      GlobalMetrics().partial->Add();
-    }
-  }
+  handle.block = it->second.block;
+  handle.hit = true;
+  ++it->second.pins;
+  it->second.lru = ++tick_;
+  ++stats_.hits;
+  stats_.reuse_tokens += tokens.size();
+  GlobalMetrics().hits->Add();
+  GlobalMetrics().reuse_tokens->Add(static_cast<int64_t>(tokens.size()));
   return handle;
 }
 
@@ -229,26 +86,22 @@ PrefixCache::Handle PrefixCache::Insert(
     std::shared_ptr<const model::EncodedPrefix> block) {
   Handle handle;
   if (block == nullptr || block->tokens.empty()) return handle;
-  // Even when nothing is retained, the caller decodes from the block it
-  // just computed; hand it back so the call site is branch-free.
-  handle.block = block;
-  handle.matched_tokens = static_cast<int>(block->tokens.size());
-  if (!enabled()) return handle;
   std::lock_guard<std::mutex> lock(mu_);
-  Node* node = DescendLocked(block->tokens, block->dtype);
-  if (node->block == nullptr) {
-    node->block = std::move(block);
-    node->bytes = node->block->ByteSize();
-    bytes_ += node->bytes;
-    ++entries_;
+  const auto [it, inserted] =
+      entries_.try_emplace(Key{block->dtype, block->tokens});
+  Entry& entry = it->second;
+  if (inserted) {
+    entry.bytes = block->ByteSize();
+    entry.block = std::move(block);
+    stats_.bytes += entry.bytes;
     ++stats_.insertions;
     GlobalMetrics().insertions->Add();
   }
   // An entry may already exist (another donor won the race); the resident
   // block wins so every same-key consumer aliases one storage.
-  handle.block = node->block;
-  ++node->pins;
-  node->lru = ++tick_;
+  handle.block = entry.block;
+  ++entry.pins;
+  entry.lru = ++tick_;
   TrimLocked();  // never touches this entry: it is pinned
   UpdateGaugesLocked();
   return handle;
@@ -257,29 +110,22 @@ PrefixCache::Handle PrefixCache::Insert(
 void PrefixCache::Release(const Handle& handle) {
   if (handle.block == nullptr) return;
   std::lock_guard<std::mutex> lock(mu_);
-  const Walk walk = WalkLocked(handle.block->tokens, handle.block->dtype);
+  const auto it =
+      entries_.find(KeyRef{handle.block->dtype, handle.block->tokens});
   // Identity check, not just key equality: after Clear (or an evict +
   // reinsert of the same sequence) the resident block is a different
   // object and this handle no longer holds a pin on it.
-  if (!walk.exact || walk.node->block != handle.block) return;
-  if (walk.node->pins > 0) --walk.node->pins;
-  walk.node->lru = ++tick_;
+  if (it == entries_.end() || it->second.block != handle.block) return;
+  if (it->second.pins > 0) --it->second.pins;
+  it->second.lru = ++tick_;
   TrimLocked();
   UpdateGaugesLocked();
 }
 
-int PrefixCache::MatchLen(const std::vector<int>& tokens,
-                          WeightDtype dtype) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!enabled() || tokens.empty()) return 0;
-  return WalkLocked(tokens, dtype).matched;
-}
-
 void PrefixCache::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
-  roots_.clear();
-  bytes_ = 0;
-  entries_ = 0;
+  entries_.clear();
+  stats_.bytes = 0;
   UpdateGaugesLocked();
 }
 

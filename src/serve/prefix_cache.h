@@ -3,9 +3,11 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <utility>
 #include <vector>
 
 #include "model/transformer_model.h"
@@ -14,20 +16,15 @@ namespace vist5 {
 namespace serve {
 
 struct PrefixCacheOptions {
-  /// Byte budget for resident blocks. 0 disables the cache entirely —
-  /// Acquire always misses, Insert retains nothing — so serving behaves
-  /// exactly as if the cache did not exist (the default).
+  /// Byte budget for resident blocks; must be > 0. A scheduler with
+  /// prefix_cache_bytes 0 builds no cache at all.
   size_t max_bytes = 0;
 };
 
 /// Point-in-time counters, all monotone except bytes/entries.
 struct PrefixCacheStats {
-  uint64_t hits = 0;          ///< Acquire found a complete block
-  uint64_t misses = 0;        ///< Acquire found nothing usable
-  /// Misses whose longest radix match still covered >= 1 input token (the
-  /// schema prefix matched but the question differed) — the signal behind
-  /// scheduler co-batching affinity.
-  uint64_t partial_hits = 0;
+  uint64_t hits = 0;          ///< Acquire found a block
+  uint64_t misses = 0;        ///< Acquire found none
   uint64_t insertions = 0;    ///< blocks newly retained by Insert
   uint64_t evictions = 0;     ///< blocks dropped to stay under budget
   /// Encoder tokens whose prefill was skipped thanks to hits.
@@ -36,28 +33,25 @@ struct PrefixCacheStats {
   size_t entries = 0;         ///< resident blocks right now
 };
 
-/// Radix-indexed, refcounted cache of encoder-side prefill blocks
+/// Exact-match, refcounted cache of encoder-side prefill blocks
 /// (model::EncodedPrefix), shared across requests by the serve scheduler.
 ///
-/// Keying: the full encoder token sequence plus the weight dtype it was
-/// computed under (one radix tree per dtype — int8 and float32 encoder
-/// outputs differ numerically). A lookup only *reuses* a block on an exact
-/// full-sequence match: the T5 encoder is bidirectional, so the hidden
-/// state at every position depends on the whole input and a
-/// partial-prefix splice could not reproduce bit-exact tokens
-/// (docs/SERVING.md). Partial radix matches are still tracked — they feed
-/// the partial_hits metric and the scheduler's same-prefix co-batching
-/// affinity.
+/// Keying: one table keyed on (weight dtype, full encoder token sequence)
+/// — int8 and float32 encoder outputs differ numerically. Only an exact
+/// match is reusable: the T5 encoder is bidirectional, so the hidden state
+/// at every position depends on the whole input, and a block for any
+/// other sequence, however long the shared prefix, could not reproduce
+/// bit-exact tokens (docs/SERVING.md).
 ///
 /// Lifetime: Acquire (on hit) and Insert pin the block — pinned entries
 /// are never evicted, so a batch mid-decode can never lose the storage it
 /// aliases. Release unpins and, together with Insert, trims unpinned
-/// entries in LRU order until the byte budget holds. Clear drops the whole
-/// index (checkpoint reload: new weights invalidate every block); handles
+/// entries in LRU order until the byte budget holds. Clear drops every
+/// entry (checkpoint reload: new weights invalidate every block); handles
 /// still outstanding keep their block alive through the shared_ptr and
 /// their Release becomes a no-op.
 ///
-/// Thread-safe: one mutex guards the index. The scheduler loop is the only
+/// Thread-safe: one mutex guards the table. The scheduler loop is the only
 /// mutator, but /admin/stats and /metrics scrape stats() from transport
 /// threads concurrently.
 class PrefixCache {
@@ -67,36 +61,27 @@ class PrefixCache {
   /// handle back to Release exactly once when the request completes.
   struct Handle {
     std::shared_ptr<const model::EncodedPrefix> block;
-    int matched_tokens = 0;  ///< radix tokens matched (full or partial)
     bool hit = false;
   };
 
   explicit PrefixCache(const PrefixCacheOptions& options);
-  ~PrefixCache();
 
   PrefixCache(const PrefixCache&) = delete;
   PrefixCache& operator=(const PrefixCache&) = delete;
 
   /// Looks up the exact sequence. On a hit the entry is pinned and its
-  /// LRU clock touched; on a miss the handle carries only matched_tokens
-  /// (longest radix prefix found, for affinity/metrics).
+  /// LRU clock touched; a miss returns an empty handle.
   Handle Acquire(const std::vector<int>& tokens, WeightDtype dtype);
 
-  /// Donates a freshly computed block. Retains and pins it (splitting
-  /// radix edges as needed), then trims unpinned LRU entries to budget;
-  /// if the sequence is already resident the existing block wins and the
-  /// returned handle carries it. No-op (unpinned passthrough handle) when
-  /// the cache is disabled.
+  /// Donates a freshly computed block. Retains and pins it, then trims
+  /// unpinned LRU entries to budget; if the sequence is already resident
+  /// the existing block wins and the returned handle carries it.
   Handle Insert(std::shared_ptr<const model::EncodedPrefix> block);
 
   /// Unpins a handle from Acquire/Insert. Safe after Clear (the entry may
   /// be gone — identity is checked, not just the key). Triggers an LRU
   /// trim, since the newly unpinned entry may now be evictable.
   void Release(const Handle& handle);
-
-  /// Longest cached prefix (in tokens) of `tokens`, without pinning or
-  /// touching LRU state. The scheduler's co-batching affinity signal.
-  int MatchLen(const std::vector<int>& tokens, WeightDtype dtype) const;
 
   /// Drops every entry regardless of LRU state. Outstanding handles keep
   /// their blocks alive; callers use this when the model weights change
@@ -105,35 +90,45 @@ class PrefixCache {
 
   PrefixCacheStats stats() const;
 
-  bool enabled() const { return options_.max_bytes > 0; }
   size_t max_bytes() const { return options_.max_bytes; }
 
  private:
-  struct Node;
-
-  struct Walk {
-    Node* node = nullptr;  ///< deepest node whose edge was fully consumed
-    int matched = 0;       ///< tokens matched, including a partial edge
-    bool exact = false;    ///< all tokens consumed, exactly at `node`
+  using Key = std::pair<WeightDtype, std::vector<int>>;
+  /// A lookup key over the caller's tokens, so that Acquire and Release
+  /// copy no tokens.
+  using KeyRef = std::pair<WeightDtype, const std::vector<int>&>;
+  /// Orders keys by dtype, then length, then raw token bytes. An exact-match
+  /// table needs only some strict order, and memcmp compares a whole
+  /// sequence at memory speed; an element-wise lexicographic compare made
+  /// Acquire about 1.7x slower.
+  struct KeyLess {
+    using is_transparent = void;
+    template <typename A, typename B>
+    bool operator()(const A& a, const B& b) const {
+      if (a.first != b.first) return a.first < b.first;
+      if (a.second.size() != b.second.size()) {
+        return a.second.size() < b.second.size();
+      }
+      return std::memcmp(a.second.data(), b.second.data(),
+                         a.second.size() * sizeof(int)) < 0;
+    }
+  };
+  struct Entry {
+    std::shared_ptr<const model::EncodedPrefix> block;
+    int pins = 0;
+    uint64_t lru = 0;
+    size_t bytes = 0;
   };
 
-  Walk WalkLocked(const std::vector<int>& tokens, WeightDtype dtype) const;
-  /// Finds-or-creates the node for `tokens`, splitting edges as needed.
-  Node* DescendLocked(const std::vector<int>& tokens, WeightDtype dtype);
-  /// Drops `node`'s block and prunes / re-merges the trie around it.
-  void RemoveEntryLocked(Node* node);
-  /// Evicts unpinned entries, least recently used first, until
-  /// bytes_ <= max_bytes (or only pinned entries remain).
+  /// Evicts unpinned entries, least recently used first, until the
+  /// resident bytes fit max_bytes (or only pinned entries remain).
   void TrimLocked();
   void UpdateGaugesLocked();
 
   const PrefixCacheOptions options_;
   mutable std::mutex mu_;
-  /// One radix root per weight dtype; roots hold no entry themselves.
-  std::map<int, std::unique_ptr<Node>> roots_;
-  uint64_t tick_ = 0;   ///< LRU clock, bumped on every pin/unpin/touch
-  size_t bytes_ = 0;
-  size_t entries_ = 0;
+  std::map<Key, Entry, KeyLess> entries_;
+  uint64_t tick_ = 0;  ///< LRU clock, bumped on every pin/unpin/touch
   PrefixCacheStats stats_;
 };
 

@@ -79,37 +79,6 @@ bool RequestQueue::TryPop(Entry* out) {
   return PopLocked(out);
 }
 
-bool RequestQueue::TryPopPreferring(const std::vector<int>& ref,
-                                    Entry* out) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (heap_.empty()) return false;
-  const int top_priority = heap_.front().entry.request.priority;
-  // The heap is small (bounded by capacity_), so a linear scan over the
-  // top priority level is cheaper than maintaining a per-prefix index.
-  size_t best = heap_.size();
-  size_t best_lcp = 0;
-  uint64_t best_seq = 0;
-  for (size_t i = 0; i < heap_.size(); ++i) {
-    const Item& item = heap_[i];
-    if (item.entry.request.priority != top_priority) continue;
-    const std::vector<int>& tokens = item.entry.request.tokens;
-    const size_t limit = std::min(tokens.size(), ref.size());
-    size_t lcp = 0;
-    while (lcp < limit && tokens[lcp] == ref[lcp]) ++lcp;
-    if (best == heap_.size() || lcp > best_lcp ||
-        (lcp == best_lcp && item.seq < best_seq)) {
-      best = i;
-      best_lcp = lcp;
-      best_seq = item.seq;
-    }
-  }
-  *out = std::move(heap_[best].entry);
-  heap_.erase(heap_.begin() + static_cast<long>(best));
-  std::make_heap(heap_.begin(), heap_.end(), HeapLess);
-  QueueDepthGauge()->Set(static_cast<double>(heap_.size()));
-  return true;
-}
-
 void RequestQueue::Close() {
   {
     std::lock_guard<std::mutex> lock(mu_);

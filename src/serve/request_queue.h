@@ -130,9 +130,12 @@ struct Response {
 using Completion = std::function<void(Response)>;
 
 /// Bounded, priority-ordered admission queue between transport threads and
-/// the scheduler's decode loop. Push returns Unavailable when full
-/// (backpressure — callers translate this into a "rejected, retry after"
-/// response instead of queueing unboundedly). Thread-safe.
+/// the scheduler's decode loop. It pops the highest priority first and
+/// equal priorities in arrival order, and that is the scheduler's whole
+/// admission order, with or without the prefix cache (docs/SERVING.md).
+/// Push returns Unavailable when full (backpressure — callers translate
+/// this into a "rejected, retry after" response instead of queueing
+/// unboundedly). Thread-safe.
 class RequestQueue {
  public:
   struct Entry {
@@ -159,15 +162,6 @@ class RequestQueue {
 
   /// Non-blocking pop; false when empty (or closed-and-empty).
   bool TryPop(Entry* out);
-
-  /// TryPop that prefers, among entries at the current top priority
-  /// level, the one whose token sequence shares the longest common prefix
-  /// with `ref` (earliest arrival on ties — plain FIFO when nothing
-  /// matches). Lower priority levels are never jumped; only the order
-  /// *within* the top level bends toward prefix locality, which is what
-  /// the scheduler's same-schema co-batching affinity needs
-  /// (docs/SERVING.md).
-  bool TryPopPreferring(const std::vector<int>& ref, Entry* out);
 
   /// Rejects future pushes and wakes blocked poppers. Entries already
   /// queued remain poppable (graceful drain).

@@ -230,7 +230,6 @@ void BatchScheduler::ServiceReload(bool aborting) {
       // only run at a batch-empty boundary, so no pins are outstanding
       // and the whole index can drop.
       prefix_cache_->Clear();
-      affinity_ref_.clear();
     }
   }
   pending->done.set_value(std::move(status));
@@ -328,13 +327,12 @@ void BatchScheduler::Admit(RequestQueue::Entry entry,
         prefix_cache_->Acquire(req.tokens, req.options.weight_dtype);
     if (!track.cache_handle.hit) {
       // Miss: compute the block once and donate it immediately, so
-      // same-prefix requests already queued behind this one admit warm.
+      // exact repeats already queued behind this one admit warm.
       track.cache_handle = prefix_cache_->Insert(
           model_->EncodePrefix(req.tokens, req.options.weight_dtype));
     }
     decoder_.Admit(req.id, req.tokens, req.options, req.deadline,
                    track.cache_handle.block.get());
-    affinity_ref_ = req.tokens;
   } else {
     decoder_.Admit(req.id, req.tokens, req.options, req.deadline);
   }
@@ -365,14 +363,7 @@ bool BatchScheduler::FillBatch(std::vector<Track>* tracks,
     } else {
       // Mid-flight: join whatever is already queued at this step
       // boundary, but never stall the running batch to wait for more.
-      // With the prefix cache on, prefer the queued request sharing the
-      // longest prefix with the last admission — same-schema requests
-      // co-batch and land on warm blocks.
-      const bool affine = prefix_cache_ != nullptr && !affinity_ref_.empty();
-      if (affine ? !queue_.TryPopPreferring(affinity_ref_, &entry)
-                 : !queue_.TryPop(&entry)) {
-        return false;
-      }
+      if (!queue_.TryPop(&entry)) return false;
     }
     const model::GenerationOptions& options = entry.request.options;
     if (decoder_.active() > 0 &&

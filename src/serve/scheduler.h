@@ -26,12 +26,8 @@ struct SchedulerOptions {
   /// Backpressure hint attached to rejected responses.
   int retry_after_ms = 50;
   /// Byte budget for the shared encoder-prefix cache (docs/SERVING.md).
-  /// 0 (the default) disables prefix caching entirely — behavior is
-  /// identical to a scheduler without the cache.
-  /// With the cache on, mid-flight admissions also prefer queued requests
-  /// sharing the longest token prefix with the most recently admitted one,
-  /// so same-schema requests co-batch and hit warm blocks (only within the
-  /// top priority level).
+  /// 0 (the default) builds no cache. Admission order is the same either
+  /// way: priority first, then FIFO.
   size_t prefix_cache_bytes = 0;
   /// Draft model for speculative decoding (docs/SPECULATIVE.md). Null
   /// (the default) disables it: requests carrying draft_k > 0 are rejected
@@ -132,10 +128,6 @@ class BatchScheduler {
   /// Null when prefix_cache_bytes == 0. Mutated only on the loop thread
   /// (the cache itself is internally locked for stats scrapes).
   std::unique_ptr<PrefixCache> prefix_cache_;
-  /// Tokens of the most recently admitted request; steers
-  /// RequestQueue::TryPopPreferring when the prefix cache is on. Loop
-  /// thread only.
-  std::vector<int> affinity_ref_;
   RequestQueue queue_;
   std::thread loop_;
   std::atomic<bool> started_{false};

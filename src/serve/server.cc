@@ -905,8 +905,6 @@ std::string Server::RouteHttp(const std::string& method,
       JsonValue pc = JsonValue::Object();
       pc.Set("hits", JsonValue::Number(static_cast<double>(s.hits)));
       pc.Set("misses", JsonValue::Number(static_cast<double>(s.misses)));
-      pc.Set("partial_hits",
-             JsonValue::Number(static_cast<double>(s.partial_hits)));
       pc.Set("insertions",
              JsonValue::Number(static_cast<double>(s.insertions)));
       pc.Set("evictions",

@@ -117,7 +117,7 @@ Tensor Add(const Tensor& a, const Tensor& b) {
   auto bi = b.impl();
   Tensor result = MakeResult(a.shape(), std::move(out), {a, b}, nullptr);
   if (result.requires_grad()) {
-    auto ri = result.impl();
+    TensorImpl* ri = result.impl().get();
     result.impl()->backward_fn = [ai, bi, ri]() {
       if (ai->requires_grad) {
         ai->EnsureGrad();
@@ -151,7 +151,7 @@ Tensor AddBroadcast(const Tensor& a, const Tensor& b) {
   auto bi = b.impl();
   Tensor result = MakeResult(a.shape(), std::move(out), {a, b}, nullptr);
   if (result.requires_grad()) {
-    auto ri = result.impl();
+    TensorImpl* ri = result.impl().get();
     result.impl()->backward_fn = [ai, bi, ri, outer, inner]() {
       if (ai->requires_grad) {
         ai->EnsureGrad();
@@ -186,7 +186,7 @@ Tensor Mul(const Tensor& a, const Tensor& b) {
   auto bi = b.impl();
   Tensor result = MakeResult(a.shape(), std::move(out), {a, b}, nullptr);
   if (result.requires_grad()) {
-    auto ri = result.impl();
+    TensorImpl* ri = result.impl().get();
     result.impl()->backward_fn = [ai, bi, ri]() {
       if (ai->requires_grad) {
         ai->EnsureGrad();
@@ -212,7 +212,7 @@ Tensor Scale(const Tensor& a, float s) {
   auto ai = a.impl();
   Tensor result = MakeResult(a.shape(), std::move(out), {a}, nullptr);
   if (result.requires_grad()) {
-    auto ri = result.impl();
+    TensorImpl* ri = result.impl().get();
     result.impl()->backward_fn = [ai, ri, s]() {
       ai->EnsureGrad();
       ParallelElems(static_cast<int64_t>(ri->grad.size()),
@@ -229,7 +229,7 @@ Tensor AddScalar(const Tensor& a, float s) {
   auto ai = a.impl();
   Tensor result = MakeResult(a.shape(), std::move(out), {a}, nullptr);
   if (result.requires_grad()) {
-    auto ri = result.impl();
+    TensorImpl* ri = result.impl().get();
     result.impl()->backward_fn = [ai, ri]() {
       ai->EnsureGrad();
       ParallelElems(static_cast<int64_t>(ri->grad.size()),
@@ -348,7 +348,7 @@ Tensor MatMulImpl(const Tensor& a, const Tensor& b, bool transpose_b) {
   Tensor result =
       MakeResult(std::move(out_shape), std::move(out), {a, b}, nullptr);
   if (result.requires_grad()) {
-    auto ri = result.impl();
+    TensorImpl* ri = result.impl().get();
     result.impl()->backward_fn = [ai, bimpl, ri, batch, m, k, n, a_stride,
                                   b_stride, c_stride, transpose_b]() {
       const bool need_a = ai->requires_grad;
@@ -623,7 +623,7 @@ Tensor SoftmaxImpl(const Tensor& x,
   auto xi = x.impl();
   Tensor result = MakeResult(x.shape(), std::move(out), {x}, nullptr);
   if (result.requires_grad()) {
-    auto ri = result.impl();
+    TensorImpl* ri = result.impl().get();
     result.impl()->backward_fn = [xi, ri, rows, last]() {
       xi->EnsureGrad();
       rt::ParallelFor(
@@ -698,7 +698,7 @@ Tensor RmsNorm(const Tensor& x, const Tensor& weight, float eps) {
   auto wi = weight.impl();
   Tensor result = MakeResult(x.shape(), std::move(out), {x, weight}, nullptr);
   if (result.requires_grad()) {
-    auto ri = result.impl();
+    TensorImpl* ri = result.impl().get();
     result.impl()->backward_fn = [xi, wi, ri, rows, d,
                                   inv_rms = std::move(inv_rms)]() {
       const bool need_x = xi->requires_grad;
@@ -783,7 +783,7 @@ Tensor LayerNorm(const Tensor& x, const Tensor& gain, const Tensor& bias,
   Tensor result =
       MakeResult(x.shape(), std::move(out), {x, gain, bias}, nullptr);
   if (result.requires_grad()) {
-    auto ri = result.impl();
+    TensorImpl* ri = result.impl().get();
     result.impl()->backward_fn = [xi, gi, bi, ri, rows, d,
                                   inv_std = std::move(inv_std),
                                   means = std::move(means)]() {
@@ -860,7 +860,7 @@ Tensor Sigmoid(const Tensor& x) {
   auto xi = x.impl();
   Tensor result = MakeResult(x.shape(), std::move(out), {x}, nullptr);
   if (result.requires_grad()) {
-    auto ri = result.impl();
+    TensorImpl* ri = result.impl().get();
     result.impl()->backward_fn = [xi, ri]() {
       xi->EnsureGrad();
       ParallelElems(static_cast<int64_t>(ri->grad.size()), [&](int64_t i) {
@@ -879,7 +879,7 @@ Tensor Tanh(const Tensor& x) {
   auto xi = x.impl();
   Tensor result = MakeResult(x.shape(), std::move(out), {x}, nullptr);
   if (result.requires_grad()) {
-    auto ri = result.impl();
+    TensorImpl* ri = result.impl().get();
     result.impl()->backward_fn = [xi, ri]() {
       xi->EnsureGrad();
       ParallelElems(static_cast<int64_t>(ri->grad.size()), [&](int64_t i) {
@@ -907,7 +907,7 @@ Tensor Transpose2D(const Tensor& x) {
   auto xi = x.impl();
   Tensor result = MakeResult({n, m}, std::move(out), {x}, nullptr);
   if (result.requires_grad()) {
-    auto ri = result.impl();
+    TensorImpl* ri = result.impl().get();
     result.impl()->backward_fn = [xi, ri, m, n]() {
       xi->EnsureGrad();
       rt::ParallelFor(RowOpGrain(n), 0, m, [&](int64_t lo, int64_t hi) {
@@ -931,7 +931,7 @@ Tensor Relu(const Tensor& x) {
   auto xi = x.impl();
   Tensor result = MakeResult(x.shape(), std::move(out), {x}, nullptr);
   if (result.requires_grad()) {
-    auto ri = result.impl();
+    TensorImpl* ri = result.impl().get();
     result.impl()->backward_fn = [xi, ri]() {
       xi->EnsureGrad();
       ParallelElems(static_cast<int64_t>(ri->grad.size()), [&](int64_t i) {
@@ -953,7 +953,7 @@ Tensor Gelu(const Tensor& x) {
   auto xi = x.impl();
   Tensor result = MakeResult(x.shape(), std::move(out), {x}, nullptr);
   if (result.requires_grad()) {
-    auto ri = result.impl();
+    TensorImpl* ri = result.impl().get();
     result.impl()->backward_fn = [xi, ri]() {
       xi->EnsureGrad();
       ParallelElems(static_cast<int64_t>(ri->grad.size()), [&](int64_t i) {
@@ -982,7 +982,7 @@ Tensor Dropout(const Tensor& x, float p, Rng* rng) {
   auto xi = x.impl();
   Tensor result = MakeResult(x.shape(), std::move(out), {x}, nullptr);
   if (result.requires_grad()) {
-    auto ri = result.impl();
+    TensorImpl* ri = result.impl().get();
     result.impl()->backward_fn = [xi, ri, mask = std::move(mask)]() {
       xi->EnsureGrad();
       for (size_t i = 0; i < ri->grad.size(); ++i)
@@ -1012,7 +1012,7 @@ Tensor Embedding(const Tensor& table, const std::vector<int>& ids) {
   auto ti = table.impl();
   Tensor result = MakeResult({n, d}, std::move(out), {table}, nullptr);
   if (result.requires_grad()) {
-    auto ri = result.impl();
+    TensorImpl* ri = result.impl().get();
     result.impl()->backward_fn = [ti, ri, ids, d]() {
       ti->EnsureGrad();
       // Scatter-add stays serial: repeated ids (padding, common tokens)
@@ -1077,7 +1077,7 @@ Tensor CrossEntropyLoss(const Tensor& logits, const std::vector<int>& targets,
   auto li = logits.impl();
   Tensor result = MakeResult({1}, {mean}, {logits}, nullptr);
   if (result.requires_grad()) {
-    auto ri = result.impl();
+    TensorImpl* ri = result.impl().get();
     result.impl()->backward_fn = [li, ri, targets, ignore_index, n, v, count,
                                   probs = std::move(probs)]() {
       if (count == 0) return;
@@ -1105,7 +1105,7 @@ Tensor Reshape(const Tensor& x, std::vector<int> new_shape) {
   Tensor result =
       MakeResult(std::move(new_shape), x.data(), {x}, nullptr);
   if (result.requires_grad()) {
-    auto ri = result.impl();
+    TensorImpl* ri = result.impl().get();
     result.impl()->backward_fn = [xi, ri]() {
       xi->EnsureGrad();
       for (size_t i = 0; i < ri->grad.size(); ++i)
@@ -1144,7 +1144,7 @@ Tensor SplitHeads(const Tensor& x, int batch, int seq, int heads) {
   Tensor result =
       MakeResult({batch, heads, seq, dh}, std::move(out), {x}, nullptr);
   if (result.requires_grad()) {
-    auto ri = result.impl();
+    TensorImpl* ri = result.impl().get();
     result.impl()->backward_fn = [xi, ri, batch, seq, heads, dh, d]() {
       xi->EnsureGrad();
       rt::ParallelFor(
@@ -1198,7 +1198,7 @@ Tensor MergeHeads(const Tensor& x) {
   auto xi = x.impl();
   Tensor result = MakeResult({batch * seq, d}, std::move(out), {x}, nullptr);
   if (result.requires_grad()) {
-    auto ri = result.impl();
+    TensorImpl* ri = result.impl().get();
     result.impl()->backward_fn = [xi, ri, batch, heads, seq, dh, d]() {
       xi->EnsureGrad();
       rt::ParallelFor(
@@ -1239,7 +1239,7 @@ Tensor ConcatRows(const std::vector<Tensor>& parts) {
   }
   Tensor result = MakeResult({total, d}, std::move(out), parts, nullptr);
   if (result.requires_grad()) {
-    auto ri = result.impl();
+    TensorImpl* ri = result.impl().get();
     std::vector<std::shared_ptr<TensorImpl>> impls;
     for (const Tensor& p : parts) impls.push_back(p.impl());
     result.impl()->backward_fn = [impls, ri]() {
@@ -1371,7 +1371,7 @@ Tensor GatherRows(const Tensor& x, const std::vector<int>& rows) {
   auto xi = x.impl();
   Tensor result = MakeResult({n, d}, std::move(out), {x}, nullptr);
   if (result.requires_grad()) {
-    auto ri = result.impl();
+    TensorImpl* ri = result.impl().get();
     result.impl()->backward_fn = [xi, ri, rows, d]() {
       xi->EnsureGrad();
       for (size_t i = 0; i < rows.size(); ++i) {
@@ -1391,7 +1391,7 @@ Tensor Sum(const Tensor& x) {
   Tensor result =
       MakeResult({1}, {static_cast<float>(total)}, {x}, nullptr);
   if (result.requires_grad()) {
-    auto ri = result.impl();
+    TensorImpl* ri = result.impl().get();
     result.impl()->backward_fn = [xi, ri]() {
       xi->EnsureGrad();
       for (size_t i = 0; i < xi->grad.size(); ++i)

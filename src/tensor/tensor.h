@@ -24,7 +24,9 @@ struct TensorImpl {
   /// hashing the contents.
   uint64_t data_version = 0;
   bool requires_grad = false;
-  /// Propagates this node's grad into its parents' grads.
+  /// Propagates this node's grad into its parents' grads. It reaches this
+  /// node by raw pointer (it lives inside it), so a graph holds no cycle
+  /// and is freed with its last handle.
   std::function<void()> backward_fn;
   /// Autograd graph edges (inputs that produced this tensor).
   std::vector<std::shared_ptr<TensorImpl>> parents;

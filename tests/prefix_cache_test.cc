@@ -1,9 +1,9 @@
-// serve::PrefixCache pins: the radix index itself (insert, longest-prefix
-// match, refcount pins vs. LRU eviction under a byte budget, budget-zero
-// disable) and — the part that actually matters — bit-exact parity between
+// serve::PrefixCache pins: the exact-match table itself (insert, exact
+// lookup, refcount pins vs. LRU eviction under a byte budget, dtype keying,
+// Clear) and — the part that actually matters — bit-exact parity between
 // cache-on and cache-off decoding. A spliced encoder block must never move
-// a single token: greedy, continuously batched, staggered warm/cold/
-// partial arrivals, and eviction-then-reinsert all decode token-for-token
+// a single token: greedy, continuously batched, staggered warm/cold
+// arrivals, and eviction-then-reinsert all decode token-for-token
 // identical to a plain sequential Generate (docs/SERVING.md).
 
 #include <chrono>
@@ -42,18 +42,20 @@ std::vector<int> RandomSeq(Rng* rng, int len) {
 }
 
 // ---------------------------------------------------------------------------
-// Radix index unit tests. Blocks here are synthetic — a small payload
-// tensor stands in for the encoder output, so byte budgets can be set in
+// Exact-match table unit tests. Blocks here are synthetic — a small cross
+// K/V payload stands in for a real encode, so byte budgets can be set in
 // units of "one block" without running a model.
 // ---------------------------------------------------------------------------
 
 std::shared_ptr<const model::EncodedPrefix> MakeBlock(
-    std::vector<int> tokens, WeightDtype dtype = WeightDtype::kFloat32,
-    int payload_floats = 256) {
+    std::vector<int> tokens, WeightDtype dtype = WeightDtype::kFloat32) {
   auto block = std::make_shared<model::EncodedPrefix>();
   block->tokens = std::move(tokens);
   block->dtype = dtype;
-  block->memory = Tensor({payload_floats, 1});
+  nn::DecodeState::LayerCache layer;
+  layer.cross_k = Tensor({128, 1});
+  layer.cross_v = Tensor({128, 1});
+  block->state.layers.push_back(std::move(layer));
   return block;
 }
 
@@ -69,23 +71,20 @@ TEST(PrefixCacheIndex, InsertExactLookupAndPartialMatch) {
       cache.Acquire({1, 2, 3}, WeightDtype::kFloat32);
   ASSERT_TRUE(hit.hit);
   EXPECT_EQ(hit.block.get(), block.get());
-  EXPECT_EQ(hit.matched_tokens, 3);
 
-  // Proper prefixes and extensions of an entry are misses, but the radix
-  // walk still reports how far they matched.
-  serve::PrefixCache::Handle prefix =
-      cache.Acquire({1, 2}, WeightDtype::kFloat32);
-  EXPECT_FALSE(prefix.hit);
-  EXPECT_EQ(prefix.block, nullptr);
-  EXPECT_EQ(prefix.matched_tokens, 2);
-  EXPECT_EQ(cache.MatchLen({1, 2, 3, 4}, WeightDtype::kFloat32), 3);
-  EXPECT_EQ(cache.MatchLen({7, 8}, WeightDtype::kFloat32), 0);
+  // A strict prefix, a strict extension and a one-token change of the
+  // resident key are all plain misses.
+  for (const std::vector<int>& key :
+       {std::vector<int>{1, 2}, {1, 2, 3, 4}, {1, 9, 3}}) {
+    serve::PrefixCache::Handle miss = cache.Acquire(key, WeightDtype::kFloat32);
+    EXPECT_FALSE(miss.hit) << "key size " << key.size();
+    EXPECT_EQ(miss.block, nullptr) << "key size " << key.size();
+  }
 
   const serve::PrefixCacheStats stats = cache.stats();
   EXPECT_EQ(stats.insertions, 1u);
   EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.partial_hits, 1u);
+  EXPECT_EQ(stats.misses, 3u);
   EXPECT_EQ(stats.entries, 1u);
   EXPECT_EQ(stats.reuse_tokens, 3u);
 
@@ -95,8 +94,7 @@ TEST(PrefixCacheIndex, InsertExactLookupAndPartialMatch) {
 
 TEST(PrefixCacheIndex, EdgeSplittingKeepsAllEntriesReachable) {
   serve::PrefixCache cache({/*max_bytes=*/1 << 20});
-  // {1,2,3} then {1,2,4} splits the first edge; {1,2} lands an entry on
-  // the interior node the split created.
+  // Keys that are prefixes of one another are separate entries.
   cache.Release(cache.Insert(MakeBlock({1, 2, 3})));
   cache.Release(cache.Insert(MakeBlock({1, 2, 4})));
   cache.Release(cache.Insert(MakeBlock({1, 2})));
@@ -107,7 +105,7 @@ TEST(PrefixCacheIndex, EdgeSplittingKeepsAllEntriesReachable) {
     EXPECT_TRUE(h.hit) << "key size " << key.size();
     cache.Release(h);
   }
-  EXPECT_EQ(cache.MatchLen({1, 2, 9}, WeightDtype::kFloat32), 2);
+  EXPECT_FALSE(cache.Acquire({1}, WeightDtype::kFloat32).hit);
 }
 
 TEST(PrefixCacheIndex, LruEvictionSkipsPinnedEntries) {
@@ -159,26 +157,10 @@ TEST(PrefixCacheIndex, LruOrderFollowsTouches) {
   EXPECT_TRUE(cache.Acquire({3, 3, 3}, WeightDtype::kFloat32).hit);
 }
 
-TEST(PrefixCacheIndex, BudgetZeroDisablesCleanly) {
-  serve::PrefixCache cache({/*max_bytes=*/0});
-  EXPECT_FALSE(cache.enabled());
-  auto block = MakeBlock({1, 2, 3});
-  serve::PrefixCache::Handle inserted = cache.Insert(block);
-  // The caller still gets its freshly computed block back to decode from;
-  // the cache just retains nothing.
-  EXPECT_EQ(inserted.block.get(), block.get());
-  EXPECT_EQ(cache.stats().entries, 0u);
-  EXPECT_EQ(cache.stats().bytes, 0u);
-  EXPECT_FALSE(cache.Acquire({1, 2, 3}, WeightDtype::kFloat32).hit);
-  EXPECT_EQ(cache.MatchLen({1, 2, 3}, WeightDtype::kFloat32), 0);
-  cache.Release(inserted);  // must be safe even though nothing is resident
-}
-
 TEST(PrefixCacheIndex, DtypesKeySeparateTrees) {
   serve::PrefixCache cache({/*max_bytes=*/1 << 20});
   cache.Release(cache.Insert(MakeBlock({1, 2, 3}, WeightDtype::kFloat32)));
   EXPECT_FALSE(cache.Acquire({1, 2, 3}, WeightDtype::kInt8).hit);
-  EXPECT_EQ(cache.MatchLen({1, 2, 3}, WeightDtype::kInt8), 0);
   EXPECT_TRUE(cache.Acquire({1, 2, 3}, WeightDtype::kFloat32).hit);
 }
 
@@ -226,7 +208,7 @@ class PrefixCacheParity
   }
 
   /// Request mix covering every cache temperature: a shared schema prefix
-  /// with two questions (cold then partially-covered), exact repeats
+  /// with two questions (both cold: only exact repeats hit), exact repeats
   /// (warm), an unrelated sequence (cold), and the bare schema (an entry
   /// that is a proper prefix of another).
   std::vector<std::vector<int>> MakeSources() const {
@@ -268,7 +250,7 @@ TEST_P(PrefixCacheParity, SplicedAdmitBitIdenticalToPlainAdmit) {
   const std::vector<int> beam_reference =
       oracle::BeamDecodeFull(m, srcs[0], beam);
   const auto snapshot = [](const model::EncodedPrefix& block) {
-    std::vector<float> out = block.memory.data();
+    std::vector<float> out;
     for (const nn::DecodeState::LayerCache& layer : block.state.layers) {
       out.insert(out.end(), layer.cross_k.data().begin(),
                  layer.cross_k.data().end());
@@ -343,10 +325,8 @@ TEST_P(PrefixCacheParity, SchedulerCacheOnMatchesCacheOffStaggered) {
     if (cache_bytes > 0) {
       ASSERT_NE(scheduler.prefix_cache(), nullptr);
       const serve::PrefixCacheStats stats = scheduler.prefix_cache()->stats();
-      // Three exact repeats of s0 → at least two warm hits; the schema-
-      // prefixed misses registered partial radix matches.
+      // Three exact repeats of s0 → at least two warm hits.
       EXPECT_GE(stats.hits, 2u) << preset().name;
-      EXPECT_GE(stats.partial_hits, 1u) << preset().name;
       EXPECT_GE(stats.insertions, 3u) << preset().name;
       EXPECT_GT(stats.reuse_tokens, 0u) << preset().name;
     } else {

@@ -2,6 +2,7 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -15,9 +16,9 @@
 namespace vist5 {
 namespace {
 
-// Evaluates `fn` and releases the graph it recorded. Each backward closure
-// holds its own output node, a reference cycle that only DetachGraph
-// breaks, so an undetached evaluation leaks every activation it made.
+// Evaluates `fn` and releases the graph it recorded. Dropping `loss` alone
+// would free it too (a backward closure reaches its own node by raw
+// pointer, so a graph holds no cycle); DetachGraph frees it at once.
 float EvalAndRelease(const std::function<Tensor()>& fn) {
   Tensor loss = fn();
   const float value = loss.item();
@@ -422,6 +423,29 @@ TEST(TensorTest, DetachGraphReleasesHistory) {
   EXPECT_TRUE(loss.impl()->parents.empty());
   EXPECT_TRUE(b.impl()->parents.empty());
   EXPECT_FALSE(static_cast<bool>(b.impl()->backward_fn));
+}
+
+// A graph dropped without Backward or DetachGraph frees every node it
+// holds, parameters included once their last handle goes.
+TEST(TensorTest, DroppedGraphIsFreedWithoutDetach) {
+  std::weak_ptr<TensorImpl> output;
+  std::weak_ptr<TensorImpl> intermediate;
+  std::weak_ptr<TensorImpl> parameter;
+  {
+    Rng rng(5);
+    Tensor table = RandomParam({6, 4}, &rng);
+    Tensor gain = RandomParam({4}, &rng);
+    Tensor w = RandomParam({4, 6}, &rng);
+    Tensor hidden = ops::RmsNorm(ops::Embedding(table, {1, 3, 5}), gain);
+    Tensor loss = ops::CrossEntropyLoss(ops::MatMul(ops::Gelu(hidden), w),
+                                        {2, 0, 4});
+    output = loss.impl();
+    intermediate = hidden.impl();
+    parameter = table.impl();
+  }
+  EXPECT_TRUE(output.expired());
+  EXPECT_TRUE(intermediate.expired());
+  EXPECT_TRUE(parameter.expired());
 }
 
 // ---------------------------------------------------------------------------
