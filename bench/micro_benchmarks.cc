@@ -7,7 +7,8 @@
 // are printed and, when VIST5_BENCH_JSON is set, appended as JSON lines
 // (scripts/run_all_benches.sh exports them into build/obs/):
 // `gemm_isa_dtype` (single-thread GEMM throughput per backend/dtype),
-// `gemm_decode_shapes` (the 1- and 4-row kernels at decode weight shapes),
+// `gemm_decode_shapes` (the kernels at decode's row counts and weight
+// shapes),
 // `decode_weight_bytes` (weight traffic per generated token per dtype),
 // and `checkpoint_save_load` (checkpoint latency and size).
 
@@ -414,11 +415,11 @@ constexpr DecodeGemmShape kDecodeGemmShapes[] = {
     {"base128_512x128", 512, 128},
 };
 
-/// One decode-shaped product: 1 or 4 activation rows (greedy, or beam 4
-/// and the 4-row group of a 5-row verify) against a [K, N] weight, in
-/// float32 or int8. Run() calls the dispatched kernel ops::MatMul would
-/// pick for that row group directly, so the rate is the kernel's, without
-/// the per-op allocation around it.
+/// One decode-shaped product: `rows` activation rows (1 for greedy, 4 for
+/// beam 4, 5 for a verify of four drafts, 8 for a full batch) against a
+/// [K, N] weight, in float32 or int8. Run() calls the dispatched kernel
+/// entry that ops::MatMul calls, directly, so the rate is the kernel's,
+/// without the per-op allocation around it.
 class DecodeGemm {
  public:
   DecodeGemm(const DecodeGemmShape& shape, int rows, bool int8)
@@ -434,11 +435,10 @@ class DecodeGemm {
   void Run() {
     const simd::KernelSet& ks = simd::ActiveKernels();
     if (int8_) {
-      (rows_ == 4 ? ks.gemm4_row_nn_zero_i8 : ks.gemm_row_nn_zero_i8)(
-          a_.data(), q_.data.data(), q_.scales.data(), c_.data(), k_, n_);
+      ks.gemm_nn_zero_i8(a_.data(), q_.data.data(), q_.scales.data(),
+                         c_.data(), rows_, k_, n_);
     } else {
-      (rows_ == 4 ? ks.gemm4_row_nn_zero : ks.gemm_row_nn_zero)(
-          a_.data(), b_.data(), c_.data(), k_, n_);
+      ks.gemm_nn_zero(a_.data(), b_.data(), c_.data(), rows_, k_, n_);
     }
     benchmark::DoNotOptimize(c_.data());
     benchmark::ClobberMemory();
@@ -452,9 +452,9 @@ class DecodeGemm {
 };
 
 /// Prints `gemm_decode_shapes` rows (mirrored to VIST5_BENCH_JSON): the
-/// single-thread GFLOP/s of the 1- and 4-row kernels at each decode weight
-/// shape, per backend and dtype, each the best of five batches of about
-/// 40 MFLOP. The weight stays cache-resident across calls; a decode step
+/// single-thread GFLOP/s of 1-, 4-, 5- and 8-row products at each decode
+/// weight shape, per backend and dtype, each the best of five batches of
+/// about 40 MFLOP. The weight stays cache-resident across calls; a decode step
 /// reads every layer's weights between two uses of one, so it can run
 /// below these rates. Backends the host cannot run print "-".
 void ReportGemmDecodeShapes() {
@@ -464,7 +464,7 @@ void ReportGemmDecodeShapes() {
   bench::PrintHeader("gemm_decode_shapes",
                      {"scalar_f32", "scalar_i8", "avx2_f32", "avx2_i8"});
   for (const DecodeGemmShape& shape : kDecodeGemmShapes) {
-    for (const int rows : {1, 4}) {
+    for (const int rows : {1, 4, 5, 8}) {
       std::vector<double> gflops;
       for (const simd::Isa isa : {simd::Isa::kScalar, simd::Isa::kAvx2}) {
         IsaGuard isa_guard(isa);

@@ -14,7 +14,7 @@ namespace {
 // ---------------------------------------------------------------------------
 // Backward-only GEMM row kernels. Both accumulate into C.
 //
-// The forward-path kernels (zero-init NN tiles, the NT dot) live in the
+// The forward-path kernels (the zero-init NN product, the NT dot) live in the
 // runtime-dispatched tensor::simd backends (docs/KERNELS.md); these two
 // stay here because they only run during training, where the gradient
 // accumulation order — not raw kernel speed — is the binding constraint.
@@ -88,17 +88,13 @@ void ParallelElems(int64_t n, F&& f) {
 int GemmRowGrain(int k, int n) {
   // ~32k multiply-adds per chunk: coarse enough to amortize dispatch, fine
   // enough that attention-sized GEMMs still split across the pool. Floored
-  // at the dispatched backend's shared-B tile width so the widest
-  // multi-row kernel (Gemm8RowNNZero) can engage on batched decode-step
-  // row panels — a smaller grain would cap every run below the tile and
+  // at the widest shared-B row block so batched decode-step row panels
+  // reach it — a smaller grain would cap every run below the block and
   // silently disable the weight-reuse path that carries the serve
-  // throughput contract (docs/SERVING.md). Deriving the floor from the
-  // *dispatched* KernelSet (rather than a literal 8) keeps the row-space
-  // partition identical across backends that share a tile width, which
-  // the per-ISA any-thread-count contract depends on (docs/KERNELS.md).
-  const int tile = tensor::simd::ActiveKernels().tile_width;
+  // throughput contract (docs/SERVING.md).
   const int64_t row_flops = std::max<int64_t>(1, static_cast<int64_t>(k) * n);
-  return static_cast<int>(std::max<int64_t>(tile, 32768 / row_flops));
+  return static_cast<int>(
+      std::max<int64_t>(tensor::simd::kTileRows, 32768 / row_flops));
 }
 
 int RowOpGrain(int width) {
@@ -294,51 +290,25 @@ Tensor MatMulImpl(const Tensor& a, const Tensor& b, bool transpose_b) {
   {
     // One flat row space across the whole batch, so small-M batched GEMMs
     // (per-head attention, single-token decode steps) still fan out.
-    // Within a chunk, runs of rows that share one B matrix go through the
-    // multi-row kernels, which load B once per 8 (or 4) output rows.
-    // Grouping never changes an output element's accumulation order
-    // (always p ascending), so results stay bit-identical at any thread
-    // count.
+    // Within a chunk, each run of rows that share one B matrix is one
+    // kernel call; the backend walks the run (docs/KERNELS.md). An output
+    // element's accumulation order never depends on the run, so results
+    // stay bit-identical at any thread count.
     const float* adata = a.data().data();
     const float* bdata = b.data().data();
     float* cdata = out.data();
     const tensor::simd::KernelSet& ks = tensor::simd::ActiveKernels();
+    const auto gemm = transpose_b ? ks.gemm_nt : ks.gemm_nn_zero;
     rt::ParallelFor(
         GemmRowGrain(k, n), 0, batch * m, [&](int64_t lo, int64_t hi) {
-          int64_t r = lo;
-          while (r < hi) {
+          for (int64_t r = lo; r < hi;) {
             const int64_t bi = r / m;
             const int64_t i = r % m;
-            const float* arow = adata + bi * a_stride + i * k;
-            const float* bp = bdata + bi * b_stride;
-            float* crow = cdata + bi * c_stride + i * n;
-            const int64_t run = std::min(hi - r, static_cast<int64_t>(m - i));
-            int64_t done = 0;
-            if (!transpose_b) {
-              // Walk the rows sharing this B matrix in groups of eight,
-              // then four, so the widest multi-row kernel reuses each B
-              // load. Grouping never changes an output element's
-              // accumulation order (always p ascending), so results stay
-              // bit-identical at any thread count and batch size. The NT
-              // path stays row-at-a-time on purpose — see GemmRowNT.
-              for (; done + 8 <= run; done += 8) {
-                ks.gemm8_row_nn_zero(arow + done * k, bp, crow + done * n, k,
-                                     n);
-              }
-              for (; done + 4 <= run; done += 4) {
-                ks.gemm4_row_nn_zero(arow + done * k, bp, crow + done * n, k,
-                                     n);
-              }
-            }
-            for (; done < run; ++done) {
-              if (transpose_b) {
-                ks.gemm_row_nt(arow + done * k, bp, crow + done * n, k, n);
-              } else {
-                ks.gemm_row_nn_zero(arow + done * k, bp, crow + done * n, k,
-                                    n);
-              }
-            }
-            r += run;
+            const int rows =
+                static_cast<int>(std::min(hi - r, static_cast<int64_t>(m - i)));
+            gemm(adata + bi * a_stride + i * k, bdata + bi * b_stride,
+                 cdata + bi * c_stride + i * n, rows, k, n);
+            r += rows;
           }
         });
   }
@@ -374,7 +344,7 @@ Tensor MatMulImpl(const Tensor& a, const Tensor& b, bool transpose_b) {
                 if (transpose_b) {
                   GemmRowNN(grow, bp, garow, n, k);
                 } else {
-                  ks.gemm_row_nt(grow, bp, garow, n, k);
+                  ks.gemm_nt(grow, bp, garow, /*rows=*/1, n, k);
                 }
               }
             });
@@ -484,31 +454,11 @@ Tensor MatMulInt8(const Tensor& a, const QuantizedMatrix& b) {
   const float* sdata = b.scales.data();
   float* cdata = out.data();
   const tensor::simd::KernelSet& ks = tensor::simd::ActiveKernels();
-  // Same flat row space, grain, and 8/4/1 shared-B grouping as the float
-  // MatMul: grouping never changes an output element's accumulation order
-  // (always p ascending), so results stay bit-identical at any thread
-  // count and batch size.
+  // Same flat row space and grain as the float MatMul; every row shares B,
+  // so each chunk is one kernel call.
   rt::ParallelFor(GemmRowGrain(k, n), 0, m, [&](int64_t lo, int64_t hi) {
-    int64_t r = lo;
-    while (r < hi) {
-      const float* arow = adata + r * k;
-      float* crow = cdata + r * n;
-      const int64_t run = hi - r;
-      int64_t done = 0;
-      for (; done + 8 <= run; done += 8) {
-        ks.gemm8_row_nn_zero_i8(arow + done * k, bdata, sdata,
-                                crow + done * n, k, n);
-      }
-      for (; done + 4 <= run; done += 4) {
-        ks.gemm4_row_nn_zero_i8(arow + done * k, bdata, sdata,
-                                crow + done * n, k, n);
-      }
-      for (; done < run; ++done) {
-        ks.gemm_row_nn_zero_i8(arow + done * k, bdata, sdata,
-                               crow + done * n, k, n);
-      }
-      r += run;
-    }
+    ks.gemm_nn_zero_i8(adata + lo * k, bdata, sdata, cdata + lo * n,
+                       static_cast<int>(hi - lo), k, n);
   });
   return Tensor(std::move(out_shape), std::move(out));
 }
@@ -543,8 +493,8 @@ Tensor BoundedAttnScores(const Tensor& q, const Tensor& k,
           const int64_t vi = plane / h * tq + row % tq;
           const int n = std::min(std::max(valid[static_cast<size_t>(vi)], 0),
                                  tk);
-          ks.gemm_row_nt(qd + row * dh, kd + plane * tk * dh, od + row * tk,
-                         dh, n);
+          ks.gemm_nt(qd + row * dh, kd + plane * tk * dh, od + row * tk,
+                     /*rows=*/1, dh, n);
         }
       });
   return Tensor({b, h, tq, tk}, std::move(out));
@@ -578,8 +528,8 @@ Tensor BoundedAttnContext(const Tensor& probs, const Tensor& v,
           const int64_t vi = plane / h * tq + row % tq;
           const int n = std::min(std::max(valid[static_cast<size_t>(vi)], 0),
                                  tk);
-          ks.gemm_row_nn_zero(pd + row * tk, vd + plane * tk * dh,
-                              od + row * dh, n, dh);
+          ks.gemm_nn_zero(pd + row * tk, vd + plane * tk * dh,
+                          od + row * dh, /*rows=*/1, n, dh);
         }
       });
   return Tensor({b, h, tq, dh}, std::move(out));

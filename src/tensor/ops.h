@@ -184,10 +184,10 @@ Tensor DequantizeWeights(const QuantizedMatrix& q);
 /// `a` [.., K] times an int8-quantized weight [K, N] with per-column
 /// scales: out[r, j] = scales[j] * sum_p a[r, p] * float(b[p, j]).
 /// Leading dims of `a` fold into rows exactly like the unbatched MatMul.
-/// Runs the same 8/4/1 shared-B row grouping and grain as MatMul, and the
-/// accumulation is an fma chain over p ascending in every backend, so
-/// results are bit-identical across scalar/AVX2 *and* across thread
-/// counts and batch groupings (docs/KERNELS.md). Inference-only.
+/// Runs the same row space and grain as MatMul, and the accumulation is an
+/// fma chain over p ascending in every backend, so results are
+/// bit-identical across scalar/AVX2 *and* across thread counts and batch
+/// groupings (docs/KERNELS.md). Inference-only.
 Tensor MatMulInt8(const Tensor& a, const QuantizedMatrix& b);
 
 /// Sum of all elements as a scalar.

@@ -7,60 +7,51 @@ namespace vist5 {
 namespace tensor {
 namespace simd {
 
-/// Instruction-set backends for the GEMM row kernels (docs/KERNELS.md).
+/// Instruction-set backends for the GEMM kernels (docs/KERNELS.md).
 ///
 /// kScalar is the determinism reference: its translation unit is compiled
 /// with strict IEEE flags (no fast-math, no contraction, no
 /// auto-vectorization), so every accumulation is the literal source-order
 /// sequence. kAvx2 is the AVX2+FMA backend. Both honor the same per-row
-/// contracts — one output row per call, accumulation over p ascending —
-/// so the rt-level determinism guarantees (bit-identical at any thread
-/// count, batched ≡ sequential) hold within each backend; cross-backend
-/// float parity is a bounded-tolerance contract, not bit-exactness (the
-/// NT dot product uses a different reduction tree under AVX2).
+/// contracts — each output row depends only on its own A row, accumulated
+/// over p ascending — so the rt-level determinism guarantees (bit-identical
+/// at any thread count, batched ≡ sequential) hold within each backend;
+/// cross-backend float parity is a bounded-tolerance contract, not
+/// bit-exactness (the NT dot product uses a different reduction tree under
+/// AVX2).
 enum class Isa {
   kScalar = 0,
   kAvx2 = 1,
 };
 
-/// One resolved set of row-kernel entry points. All float kernels share
-/// the calling conventions of the historical ops.cc kernels:
+/// Rows in the widest shared-B block a backend walks (AVX2's 8-row
+/// NNBlock). ops::GemmRowGrain never cuts a chunk below this, so the
+/// batched decode step's row panels reach that block at any thread count.
+inline constexpr int kTileRows = 8;
+
+/// One resolved set of kernel entry points. Each takes `rows` rows of a
+/// row-major A [rows, K] and writes the same rows of C [rows, N]; the
+/// backend decides how to walk them (AVX2 in blocks of 8, 4, then 1 rows
+/// sharing each B load, scalar one row at a time):
 ///
-///   gemm_row_nt:       crow[N] += arow[K] · B[N,K]^T      (accumulating)
-///   gemm_row_nn_zero:  crow[N]  = arow[K] · B[K,N]        (zero-init dest)
-///   gemm4_row_nn_zero: c[4,N]   = a[4,K] · B[K,N]         (shared-B tile)
-///   gemm8_row_nn_zero: c[8,N]   = a[8,K] · B[K,N]         (shared-B tile)
+///   gemm_nt:       c[rows,N] += a[rows,K] · B[N,K]^T   (accumulating)
+///   gemm_nn_zero:  c[rows,N]  = a[rows,K] · B[K,N]     (overwrites c)
 ///
-/// The *_i8 variants read an int8 weight matrix B[K,N] with per-column
-/// scales[N] (symmetric, zero-point 0) and compute
+/// gemm_nn_zero_i8 reads an int8 weight matrix B[K,N] with per-column
+/// scales[N] (symmetric, zero-point 0) and computes
 ///   c[r, j] = scales[j] * sum_p fma(a[r, p], float(B[p, j]))
 /// i.e. the accumulation runs in float over the raw int8 values and the
 /// scale multiplies once at store. Because that per-element chain is the
-/// same fma sequence in both backends, int8 results are bit-identical
-/// across scalar and AVX2 (docs/KERNELS.md).
+/// same fma sequence in both backends and for every row walk, int8 and NN
+/// results are bit-identical across scalar and AVX2 (docs/KERNELS.md).
 struct KernelSet {
-  const char* name;
-  /// Widest shared-B row group this backend ships (8 for both backends).
-  /// GemmRowGrain derives its row floor from the *dispatched* value so
-  /// every backend partitions the row space identically — a prerequisite
-  /// for the any-thread-count contract holding per ISA.
-  int tile_width;
-
-  void (*gemm_row_nt)(const float* arow, const float* b, float* crow, int k,
-                      int n);
-  void (*gemm_row_nn_zero)(const float* arow, const float* b, float* crow,
-                           int k, int n);
-  void (*gemm4_row_nn_zero)(const float* a, const float* b, float* c, int k,
-                            int n);
-  void (*gemm8_row_nn_zero)(const float* a, const float* b, float* c, int k,
-                            int n);
-
-  void (*gemm_row_nn_zero_i8)(const float* arow, const int8_t* b,
-                              const float* scales, float* crow, int k, int n);
-  void (*gemm4_row_nn_zero_i8)(const float* a, const int8_t* b,
-                               const float* scales, float* c, int k, int n);
-  void (*gemm8_row_nn_zero_i8)(const float* a, const int8_t* b,
-                               const float* scales, float* c, int k, int n);
+  void (*gemm_nt)(const float* a, const float* b, float* c, int rows, int k,
+                  int n);
+  void (*gemm_nn_zero)(const float* a, const float* b, float* c, int rows,
+                       int k, int n);
+  void (*gemm_nn_zero_i8)(const float* a, const int8_t* b,
+                          const float* scales, float* c, int rows, int k,
+                          int n);
 };
 
 /// True when the running CPU can execute the AVX2+FMA backend.

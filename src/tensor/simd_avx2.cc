@@ -45,25 +45,30 @@ VIST5_AVX2 inline float HSum(__m256 v) {
   return _mm_cvtss_f32(s);
 }
 
-// crow[N] += arow[K] · B[N,K]^T. Eight k-lanes accumulate in parallel per
-// output column, then reduce; the scalar remainder accumulates separately
-// and joins at the end. Single uniform body for every (k, n) — the same
-// "one reduction shape per dot" rule the scalar backend follows, so
-// growing-tk (sequential) and preallocated-tk (batched) decode paths see
-// identical bits *within* this backend (docs/SERVING.md).
-VIST5_AVX2 void GemmRowNT(const float* arow, const float* b, float* crow,
-                          int k, int n) {
-  for (int j = 0; j < n; ++j) {
-    const float* brow = b + static_cast<size_t>(j) * k;
-    __m256 acc = _mm256_setzero_ps();
-    int p = 0;
-    for (; p + 8 <= k; p += 8) {
-      acc = _mm256_fmadd_ps(_mm256_loadu_ps(arow + p),
-                            _mm256_loadu_ps(brow + p), acc);
+// c[rows,N] += a[rows,K] · B[N,K]^T, one row at a time. Eight k-lanes
+// accumulate in parallel per output column, then reduce; the scalar
+// remainder accumulates separately and joins at the end. Single uniform
+// body for every (k, n) — the same "one reduction shape per dot" rule the
+// scalar backend follows, so growing-tk (sequential) and preallocated-tk
+// (batched) decode paths see identical bits *within* this backend
+// (docs/SERVING.md).
+VIST5_AVX2 void GemmNT(const float* a, const float* b, float* c, int rows,
+                       int k, int n) {
+  for (int r = 0; r < rows; ++r) {
+    const float* arow = a + static_cast<size_t>(r) * k;
+    float* crow = c + static_cast<size_t>(r) * n;
+    for (int j = 0; j < n; ++j) {
+      const float* brow = b + static_cast<size_t>(j) * k;
+      __m256 acc = _mm256_setzero_ps();
+      int p = 0;
+      for (; p + 8 <= k; p += 8) {
+        acc = _mm256_fmadd_ps(_mm256_loadu_ps(arow + p),
+                              _mm256_loadu_ps(brow + p), acc);
+      }
+      float tail = 0.0f;
+      for (; p < k; ++p) tail += arow[p] * brow[p];
+      crow[j] += HSum(acc) + tail;
     }
-    float tail = 0.0f;
-    for (; p < k; ++p) tail += arow[p] * brow[p];
-    crow[j] += HSum(acc) + tail;
   }
 }
 
@@ -137,175 +142,53 @@ VIST5_AVX2 inline void NNTail(const float* a, const W* b, const float* scales,
   }
 }
 
-// One output row: 64-, 32-, 16- and 8-column blocks (8/4/2/1 strips), so
-// all but the last few strips of a row run eight fma chains at once.
+// Columns [j0, N) of R rows: S-strip blocks while they fit, then at most
+// one block each of S/2, S/4, ..., 1 strips, then the scalar tail. With
+// S = 8/R every full block runs eight fma chains at once.
+template <int R, int S, typename W>
+VIST5_AVX2 inline void NNStrips(const float* a, const W* b,
+                                const float* scales, float* c, int k, int n,
+                                int j0) {
+  for (; j0 + 8 * S <= n; j0 += 8 * S) {
+    NNBlock<R, S>(a, b, scales, c, k, n, j0);
+  }
+  if constexpr (S > 1) {
+    NNStrips<R, S / 2>(a, b, scales, c, k, n, j0);
+  } else {
+    NNTail(a, b, scales, c, R, k, n, j0);
+  }
+}
+
+// c[rows,N] = a[rows,K] · B[K,N]: blocks of 8 rows, then 4, then 1, each
+// block sharing one B load across its rows (docs/KERNELS.md, "Small-M
+// products"). Which block a row lands in never changes its bits.
 template <typename W>
-VIST5_AVX2 inline void RowNNZero(const float* arow, const W* b,
-                                 const float* scales, float* crow, int k,
-                                 int n) {
-  int j0 = 0;
-  for (; j0 + 64 <= n; j0 += 64) NNBlock<1, 8>(arow, b, scales, crow, k, n, j0);
-  if (j0 + 32 <= n) {
-    NNBlock<1, 4>(arow, b, scales, crow, k, n, j0);
-    j0 += 32;
+VIST5_AVX2 void NNRows(const float* a, const W* b, const float* scales,
+                       float* c, int rows, int k, int n) {
+  int r = 0;
+  for (; r + kTileRows <= rows; r += kTileRows) {
+    NNStrips<kTileRows, 1>(a + static_cast<size_t>(r) * k, b, scales,
+                           c + static_cast<size_t>(r) * n, k, n, 0);
   }
-  if (j0 + 16 <= n) {
-    NNBlock<1, 2>(arow, b, scales, crow, k, n, j0);
-    j0 += 16;
+  for (; r + 4 <= rows; r += 4) {
+    NNStrips<4, 2>(a + static_cast<size_t>(r) * k, b, scales,
+                   c + static_cast<size_t>(r) * n, k, n, 0);
   }
-  if (j0 + 8 <= n) {
-    NNBlock<1, 1>(arow, b, scales, crow, k, n, j0);
-    j0 += 8;
-  }
-  NNTail(arow, b, scales, crow, 1, k, n, j0);
-}
-
-// Four output rows sharing each B load: 16-column blocks (2 strips x 4
-// rows = 8 chains), then one 8-column block.
-template <typename W>
-VIST5_AVX2 inline void FourRowNNZero(const float* a, const W* b,
-                                     const float* scales, float* c, int k,
-                                     int n) {
-  int j0 = 0;
-  for (; j0 + 16 <= n; j0 += 16) NNBlock<4, 2>(a, b, scales, c, k, n, j0);
-  if (j0 + 8 <= n) {
-    NNBlock<4, 1>(a, b, scales, c, k, n, j0);
-    j0 += 8;
-  }
-  NNTail(a, b, scales, c, 4, k, n, j0);
-}
-
-// crow[N] = arow[K] · B[K,N].
-VIST5_AVX2 void GemmRowNNZero(const float* arow, const float* b, float* crow,
-                              int k, int n) {
-  RowNNZero(arow, b, nullptr, crow, k, n);
-}
-
-// c[4,N] = a[4,K] · B[K,N] with one B load per four output rows.
-VIST5_AVX2 void Gemm4RowNNZero(const float* a, const float* b, float* c,
-                               int k, int n) {
-  FourRowNNZero(a, b, nullptr, c, k, n);
-}
-
-// c[8,N] = a[8,K] · B[K,N] with one B load per eight output rows.
-VIST5_AVX2 void Gemm8RowNNZero(const float* a, const float* b, float* c,
-                               int k, int n) {
-  int j0 = 0;
-  for (; j0 + 8 <= n; j0 += 8) {
-    __m256 acc0 = _mm256_setzero_ps();
-    __m256 acc1 = _mm256_setzero_ps();
-    __m256 acc2 = _mm256_setzero_ps();
-    __m256 acc3 = _mm256_setzero_ps();
-    __m256 acc4 = _mm256_setzero_ps();
-    __m256 acc5 = _mm256_setzero_ps();
-    __m256 acc6 = _mm256_setzero_ps();
-    __m256 acc7 = _mm256_setzero_ps();
-    for (int p = 0; p < k; ++p) {
-      const __m256 bv =
-          _mm256_loadu_ps(b + static_cast<size_t>(p) * n + j0);
-      acc0 = _mm256_fmadd_ps(_mm256_set1_ps(a[p]), bv, acc0);
-      acc1 = _mm256_fmadd_ps(_mm256_set1_ps(a[k + p]), bv, acc1);
-      acc2 = _mm256_fmadd_ps(_mm256_set1_ps(a[2 * k + p]), bv, acc2);
-      acc3 = _mm256_fmadd_ps(_mm256_set1_ps(a[3 * k + p]), bv, acc3);
-      acc4 = _mm256_fmadd_ps(_mm256_set1_ps(a[4 * k + p]), bv, acc4);
-      acc5 = _mm256_fmadd_ps(_mm256_set1_ps(a[5 * k + p]), bv, acc5);
-      acc6 = _mm256_fmadd_ps(_mm256_set1_ps(a[6 * k + p]), bv, acc6);
-      acc7 = _mm256_fmadd_ps(_mm256_set1_ps(a[7 * k + p]), bv, acc7);
-    }
-    _mm256_storeu_ps(c + j0, acc0);
-    _mm256_storeu_ps(c + n + j0, acc1);
-    _mm256_storeu_ps(c + 2 * n + j0, acc2);
-    _mm256_storeu_ps(c + 3 * n + j0, acc3);
-    _mm256_storeu_ps(c + 4 * n + j0, acc4);
-    _mm256_storeu_ps(c + 5 * n + j0, acc5);
-    _mm256_storeu_ps(c + 6 * n + j0, acc6);
-    _mm256_storeu_ps(c + 7 * n + j0, acc7);
-  }
-  for (int row = 0; row < 8 && j0 < n; ++row) {
-    const float* arow = a + static_cast<size_t>(row) * k;
-    float* crow = c + static_cast<size_t>(row) * n;
-    for (int j = j0; j < n; ++j) {
-      float acc = 0.0f;
-      for (int p = 0; p < k; ++p) {
-        acc = std::fma(arow[p], b[static_cast<size_t>(p) * n + j], acc);
-      }
-      crow[j] = acc;
-    }
+  for (; r < rows; ++r) {
+    NNStrips<1, 8>(a + static_cast<size_t>(r) * k, b, scales,
+                   c + static_cast<size_t>(r) * n, k, n, 0);
   }
 }
 
-// The int8 twins: crow[N] = (arow[K] · float(B[K,N])) * scales[N].
-VIST5_AVX2 void GemmRowNNZeroI8(const float* arow, const int8_t* b,
-                                const float* scales, float* crow, int k,
-                                int n) {
-  RowNNZero(arow, b, scales, crow, k, n);
-}
-
-VIST5_AVX2 void Gemm4RowNNZeroI8(const float* a, const int8_t* b,
-                                 const float* scales, float* c, int k,
-                                 int n) {
-  FourRowNNZero(a, b, scales, c, k, n);
-}
-
-VIST5_AVX2 void Gemm8RowNNZeroI8(const float* a, const int8_t* b,
-                                 const float* scales, float* c, int k,
-                                 int n) {
-  int j0 = 0;
-  for (; j0 + 8 <= n; j0 += 8) {
-    __m256 acc0 = _mm256_setzero_ps();
-    __m256 acc1 = _mm256_setzero_ps();
-    __m256 acc2 = _mm256_setzero_ps();
-    __m256 acc3 = _mm256_setzero_ps();
-    __m256 acc4 = _mm256_setzero_ps();
-    __m256 acc5 = _mm256_setzero_ps();
-    __m256 acc6 = _mm256_setzero_ps();
-    __m256 acc7 = _mm256_setzero_ps();
-    for (int p = 0; p < k; ++p) {
-      const __m256 bv = LoadI8AsFloat(b + static_cast<size_t>(p) * n + j0);
-      acc0 = _mm256_fmadd_ps(_mm256_set1_ps(a[p]), bv, acc0);
-      acc1 = _mm256_fmadd_ps(_mm256_set1_ps(a[k + p]), bv, acc1);
-      acc2 = _mm256_fmadd_ps(_mm256_set1_ps(a[2 * k + p]), bv, acc2);
-      acc3 = _mm256_fmadd_ps(_mm256_set1_ps(a[3 * k + p]), bv, acc3);
-      acc4 = _mm256_fmadd_ps(_mm256_set1_ps(a[4 * k + p]), bv, acc4);
-      acc5 = _mm256_fmadd_ps(_mm256_set1_ps(a[5 * k + p]), bv, acc5);
-      acc6 = _mm256_fmadd_ps(_mm256_set1_ps(a[6 * k + p]), bv, acc6);
-      acc7 = _mm256_fmadd_ps(_mm256_set1_ps(a[7 * k + p]), bv, acc7);
-    }
-    const __m256 sv = _mm256_loadu_ps(scales + j0);
-    _mm256_storeu_ps(c + j0, _mm256_mul_ps(acc0, sv));
-    _mm256_storeu_ps(c + n + j0, _mm256_mul_ps(acc1, sv));
-    _mm256_storeu_ps(c + 2 * n + j0, _mm256_mul_ps(acc2, sv));
-    _mm256_storeu_ps(c + 3 * n + j0, _mm256_mul_ps(acc3, sv));
-    _mm256_storeu_ps(c + 4 * n + j0, _mm256_mul_ps(acc4, sv));
-    _mm256_storeu_ps(c + 5 * n + j0, _mm256_mul_ps(acc5, sv));
-    _mm256_storeu_ps(c + 6 * n + j0, _mm256_mul_ps(acc6, sv));
-    _mm256_storeu_ps(c + 7 * n + j0, _mm256_mul_ps(acc7, sv));
-  }
-  for (int row = 0; row < 8 && j0 < n; ++row) {
-    const float* arow = a + static_cast<size_t>(row) * k;
-    float* crow = c + static_cast<size_t>(row) * n;
-    for (int j = j0; j < n; ++j) {
-      float acc = 0.0f;
-      for (int p = 0; p < k; ++p) {
-        acc = std::fma(arow[p],
-                       static_cast<float>(b[static_cast<size_t>(p) * n + j]),
-                       acc);
-      }
-      crow[j] = acc * scales[j];
-    }
-  }
+VIST5_AVX2 void GemmNNZero(const float* a, const float* b, float* c, int rows,
+                           int k, int n) {
+  NNRows(a, b, nullptr, c, rows, k, n);
 }
 
 const KernelSet kAvx2Kernels = {
-    /*name=*/"avx2",
-    /*tile_width=*/8,
-    &GemmRowNT,
-    &GemmRowNNZero,
-    &Gemm4RowNNZero,
-    &Gemm8RowNNZero,
-    &GemmRowNNZeroI8,
-    &Gemm4RowNNZeroI8,
-    &Gemm8RowNNZeroI8,
+    &GemmNT,
+    &GemmNNZero,
+    &NNRows<int8_t>,
 };
 
 }  // namespace

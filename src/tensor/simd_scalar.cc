@@ -18,6 +18,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <type_traits>
 
 #include "tensor/simd.h"
 
@@ -26,167 +27,58 @@ namespace tensor {
 namespace simd {
 namespace {
 
-// One NB-wide column block of GemmRowNNZero: acc[j] accumulates over p
-// ascending in registers, then stores.
+// One NB-wide column block of one GemmNNZeroRows row: acc[j] accumulates
+// over p ascending in registers, then stores (times the column scale for
+// int8 weights, which convert to float exactly).
 //
-// Every accumulation in the zero-init NN kernels is an explicit std::fma.
-// The hard fma chain pins every output element to one rounding sequence,
-// so the 1-row and multi-row kernels agree bit-for-bit and the
-// incremental/batched/full decode paths stay interchangeable
-// (docs/SERVING.md) — and the AVX2 backend, which runs the same chain
-// eight columns at a time, matches them as well.
-template <int NB>
-inline int GemmRowNNBlock(const float* arow, const float* b, float* crow,
-                          int k, int n, int j0) {
+// Every accumulation is an explicit std::fma. The hard fma chain pins
+// every output element to one rounding sequence, so the incremental,
+// batched and full decode paths stay interchangeable (docs/SERVING.md) —
+// and the AVX2 backend, which runs the same chain eight columns and up to
+// eight rows at a time, matches it as well.
+template <int NB, typename W>
+inline int RowNNBlock(const float* arow, const W* b, const float* scales,
+                      float* crow, int k, int n, int j0) {
   for (; j0 + NB <= n; j0 += NB) {
     float acc[NB] = {};
     for (int p = 0; p < k; ++p) {
       const float av = arow[p];
-      const float* brow = b + static_cast<size_t>(p) * n + j0;
-      for (int j = 0; j < NB; ++j) acc[j] = std::fma(av, brow[j], acc[j]);
-    }
-    for (int j = 0; j < NB; ++j) crow[j0 + j] = acc[j];
-  }
-  return j0;
-}
-
-// crow[N] = arow[K] * B[K,N] for a crow known to start zeroed (the forward
-// MatMul output buffer). Register-blocked, which matters for the small
-// row-at-a-time GEMMs of the batched decode step (docs/SERVING.md).
-void GemmRowNNZero(const float* arow, const float* b, float* crow, int k,
-                   int n) {
-  int j0 = GemmRowNNBlock<32>(arow, b, crow, k, n, 0);
-  j0 = GemmRowNNBlock<16>(arow, b, crow, k, n, j0);
-  j0 = GemmRowNNBlock<8>(arow, b, crow, k, n, j0);
-  for (; j0 < n; ++j0) {
-    float acc = 0.0f;
-    for (int p = 0; p < k; ++p) {
-      acc = std::fma(arow[p], b[static_cast<size_t>(p) * n + j0], acc);
-    }
-    crow[j0] = acc;
-  }
-}
-
-// Four-row x NB-column register tile of the zero-init NN product; the B
-// block is loaded once per four output rows instead of once per row, which
-// quarters the weight-matrix traffic of the batched decode step's
-// row-panel GEMMs (FFN, logits, attention projections). Each acc element
-// is the same std::fma chain over p ascending as the single-row kernels
-// (see GemmRowNNBlock), so rows computed here match rows computed there
-// bit-for-bit regardless of how the batch gets grouped.
-//
-// The accumulators are distinct named scalar arrays, not one acc[R][NB]
-// 2D array: the named form is what GCC/Clang reliably keep in vector
-// registers; the 2D-array form spills to the stack and costs ~5x on the
-// decode-step panels.
-template <int NB>
-inline int Gemm4RowNNBlock(const float* a, const float* b, float* c, int k,
-                           int n, int j0) {
-  for (; j0 + NB <= n; j0 += NB) {
-    float acc0[NB] = {}, acc1[NB] = {}, acc2[NB] = {}, acc3[NB] = {};
-    for (int p = 0; p < k; ++p) {
-      const float* brow = b + static_cast<size_t>(p) * n + j0;
-      const float a0 = a[p];
-      const float a1 = a[k + p];
-      const float a2 = a[2 * k + p];
-      const float a3 = a[3 * k + p];
+      const W* brow = b + static_cast<size_t>(p) * n + j0;
       for (int j = 0; j < NB; ++j) {
-        acc0[j] = std::fma(a0, brow[j], acc0[j]);
-        acc1[j] = std::fma(a1, brow[j], acc1[j]);
-        acc2[j] = std::fma(a2, brow[j], acc2[j]);
-        acc3[j] = std::fma(a3, brow[j], acc3[j]);
+        acc[j] = std::fma(av, static_cast<float>(brow[j]), acc[j]);
       }
     }
     for (int j = 0; j < NB; ++j) {
-      c[j0 + j] = acc0[j];
-      c[n + j0 + j] = acc1[j];
-      c[2 * n + j0 + j] = acc2[j];
-      c[3 * n + j0 + j] = acc3[j];
+      if constexpr (std::is_same_v<W, int8_t>) acc[j] *= scales[j0 + j];
+      crow[j0 + j] = acc[j];
     }
   }
   return j0;
 }
 
-// Four-row zero-init NN product (shared-B variant of GemmRowNNZero).
-void Gemm4RowNNZero(const float* a, const float* b, float* c, int k, int n) {
-  int j0 = Gemm4RowNNBlock<16>(a, b, c, k, n, 0);
-  j0 = Gemm4RowNNBlock<8>(a, b, c, k, n, j0);
-  for (int row = 0; row < 4 && j0 < n; ++row) {
-    const float* arow = a + static_cast<size_t>(row) * k;
-    float* crow = c + static_cast<size_t>(row) * n;
-    for (int j = j0; j < n; ++j) {
-      float acc = 0.0f;
-      for (int p = 0; p < k; ++p) {
-        acc = std::fma(arow[p], b[static_cast<size_t>(p) * n + j], acc);
-      }
-      crow[j] = acc;
-    }
+// c[rows,N] = a[rows,K] * B[K,N], one row at a time, each row
+// register-blocked by columns. With auto-vectorization off, a multi-row
+// register tile runs no faster than this loop (docs/KERNELS.md,
+// "Measured").
+template <typename W>
+void GemmNNZeroRows(const float* a, const W* b, const float* scales,
+                    float* c, int rows, int k, int n) {
+  for (int r = 0; r < rows; ++r) {
+    const float* arow = a + static_cast<size_t>(r) * k;
+    float* crow = c + static_cast<size_t>(r) * n;
+    int j0 = RowNNBlock<16>(arow, b, scales, crow, k, n, 0);
+    j0 = RowNNBlock<8>(arow, b, scales, crow, k, n, j0);
+    RowNNBlock<1>(arow, b, scales, crow, k, n, j0);
   }
 }
 
-// Eight-row x NB-column register tile: one pass of the B block now feeds
-// eight output rows, halving the weight traffic of the 4-row tile for
-// full-width serve batches. Same pinned fma chain per element as every
-// other NN kernel, so 1/4/8-row groupings all agree bit-for-bit.
-template <int NB>
-inline int Gemm8RowNNBlock(const float* a, const float* b, float* c, int k,
-                           int n, int j0) {
-  for (; j0 + NB <= n; j0 += NB) {
-    float acc0[NB] = {}, acc1[NB] = {}, acc2[NB] = {}, acc3[NB] = {};
-    float acc4[NB] = {}, acc5[NB] = {}, acc6[NB] = {}, acc7[NB] = {};
-    for (int p = 0; p < k; ++p) {
-      const float* brow = b + static_cast<size_t>(p) * n + j0;
-      const float a0 = a[p];
-      const float a1 = a[k + p];
-      const float a2 = a[2 * k + p];
-      const float a3 = a[3 * k + p];
-      const float a4 = a[4 * k + p];
-      const float a5 = a[5 * k + p];
-      const float a6 = a[6 * k + p];
-      const float a7 = a[7 * k + p];
-      for (int j = 0; j < NB; ++j) {
-        acc0[j] = std::fma(a0, brow[j], acc0[j]);
-        acc1[j] = std::fma(a1, brow[j], acc1[j]);
-        acc2[j] = std::fma(a2, brow[j], acc2[j]);
-        acc3[j] = std::fma(a3, brow[j], acc3[j]);
-        acc4[j] = std::fma(a4, brow[j], acc4[j]);
-        acc5[j] = std::fma(a5, brow[j], acc5[j]);
-        acc6[j] = std::fma(a6, brow[j], acc6[j]);
-        acc7[j] = std::fma(a7, brow[j], acc7[j]);
-      }
-    }
-    for (int j = 0; j < NB; ++j) {
-      c[j0 + j] = acc0[j];
-      c[n + j0 + j] = acc1[j];
-      c[2 * n + j0 + j] = acc2[j];
-      c[3 * n + j0 + j] = acc3[j];
-      c[4 * n + j0 + j] = acc4[j];
-      c[5 * n + j0 + j] = acc5[j];
-      c[6 * n + j0 + j] = acc6[j];
-      c[7 * n + j0 + j] = acc7[j];
-    }
-  }
-  return j0;
+void GemmNNZero(const float* a, const float* b, float* c, int rows, int k,
+                int n) {
+  GemmNNZeroRows(a, b, nullptr, c, rows, k, n);
 }
 
-// Eight-row zero-init NN product (shared-B variant of GemmRowNNZero).
-void Gemm8RowNNZero(const float* a, const float* b, float* c, int k, int n) {
-  int j0 = Gemm8RowNNBlock<16>(a, b, c, k, n, 0);
-  j0 = Gemm8RowNNBlock<8>(a, b, c, k, n, j0);
-  for (int row = 0; row < 8 && j0 < n; ++row) {
-    const float* arow = a + static_cast<size_t>(row) * k;
-    float* crow = c + static_cast<size_t>(row) * n;
-    for (int j = j0; j < n; ++j) {
-      float acc = 0.0f;
-      for (int p = 0; p < k; ++p) {
-        acc = std::fma(arow[p], b[static_cast<size_t>(p) * n + j], acc);
-      }
-      crow[j] = acc;
-    }
-  }
-}
-
-// crow[N] += arow[K] * B[N,K]^T  (rows of B are the columns of the product)
+// c[rows,N] += a[rows,K] * B[N,K]^T  (rows of B are the columns of the
+// product)
 //
 // Deliberately one uniform loop body: giving the "same" dot product
 // different bodies for different (n, m) would let the KV-cached decode
@@ -196,181 +88,24 @@ void Gemm8RowNNZero(const float* a, const float* b, float* c, int k, int n) {
 // single body. Under this TU's strict flags the reduction is the exact
 // left-to-right IEEE sum — the reference the AVX2 lane-split reduction is
 // toleranced against (docs/KERNELS.md).
-void GemmRowNT(const float* arow, const float* b, float* crow, int k, int n) {
-  for (int j = 0; j < n; ++j) {
-    const float* brow = b + static_cast<size_t>(j) * k;
-    float acc = 0.0f;
-    for (int p = 0; p < k; ++p) acc += arow[p] * brow[p];
-    crow[j] += acc;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// int8-weight kernels. B is int8 [K, N] with per-column symmetric scales;
-// accumulation runs in float over the raw int8 values (exactly
-// representable in float), and the scale multiplies once at store:
-//   c[j] = scales[j] * sum_p fma(a[p], float(b[p, j])).
-// The chain is the same explicit std::fma sequence as the float NN
-// kernels, so the AVX2 int8 kernels (which widen int8 lanes to float and
-// run the identical chain) are bit-exact against these.
-// ---------------------------------------------------------------------------
-
-template <int NB>
-inline int GemmRowNNBlockI8(const float* arow, const int8_t* b,
-                            const float* scales, float* crow, int k, int n,
-                            int j0) {
-  for (; j0 + NB <= n; j0 += NB) {
-    float acc[NB] = {};
-    for (int p = 0; p < k; ++p) {
-      const float av = arow[p];
-      const int8_t* brow = b + static_cast<size_t>(p) * n + j0;
-      for (int j = 0; j < NB; ++j) {
-        acc[j] = std::fma(av, static_cast<float>(brow[j]), acc[j]);
-      }
-    }
-    for (int j = 0; j < NB; ++j) crow[j0 + j] = acc[j] * scales[j0 + j];
-  }
-  return j0;
-}
-
-void GemmRowNNZeroI8(const float* arow, const int8_t* b, const float* scales,
-                     float* crow, int k, int n) {
-  int j0 = GemmRowNNBlockI8<16>(arow, b, scales, crow, k, n, 0);
-  j0 = GemmRowNNBlockI8<8>(arow, b, scales, crow, k, n, j0);
-  for (; j0 < n; ++j0) {
-    float acc = 0.0f;
-    for (int p = 0; p < k; ++p) {
-      acc = std::fma(arow[p],
-                     static_cast<float>(b[static_cast<size_t>(p) * n + j0]),
-                     acc);
-    }
-    crow[j0] = acc * scales[j0];
-  }
-}
-
-template <int NB>
-inline int Gemm4RowNNBlockI8(const float* a, const int8_t* b,
-                             const float* scales, float* c, int k, int n,
-                             int j0) {
-  for (; j0 + NB <= n; j0 += NB) {
-    float acc0[NB] = {}, acc1[NB] = {}, acc2[NB] = {}, acc3[NB] = {};
-    for (int p = 0; p < k; ++p) {
-      const int8_t* brow = b + static_cast<size_t>(p) * n + j0;
-      const float a0 = a[p];
-      const float a1 = a[k + p];
-      const float a2 = a[2 * k + p];
-      const float a3 = a[3 * k + p];
-      for (int j = 0; j < NB; ++j) {
-        const float bv = static_cast<float>(brow[j]);
-        acc0[j] = std::fma(a0, bv, acc0[j]);
-        acc1[j] = std::fma(a1, bv, acc1[j]);
-        acc2[j] = std::fma(a2, bv, acc2[j]);
-        acc3[j] = std::fma(a3, bv, acc3[j]);
-      }
-    }
-    for (int j = 0; j < NB; ++j) {
-      const float s = scales[j0 + j];
-      c[j0 + j] = acc0[j] * s;
-      c[n + j0 + j] = acc1[j] * s;
-      c[2 * n + j0 + j] = acc2[j] * s;
-      c[3 * n + j0 + j] = acc3[j] * s;
-    }
-  }
-  return j0;
-}
-
-void Gemm4RowNNZeroI8(const float* a, const int8_t* b, const float* scales,
-                      float* c, int k, int n) {
-  int j0 = Gemm4RowNNBlockI8<16>(a, b, scales, c, k, n, 0);
-  j0 = Gemm4RowNNBlockI8<8>(a, b, scales, c, k, n, j0);
-  for (int row = 0; row < 4 && j0 < n; ++row) {
-    const float* arow = a + static_cast<size_t>(row) * k;
-    float* crow = c + static_cast<size_t>(row) * n;
-    for (int j = j0; j < n; ++j) {
+void GemmNT(const float* a, const float* b, float* c, int rows, int k,
+            int n) {
+  for (int r = 0; r < rows; ++r) {
+    const float* arow = a + static_cast<size_t>(r) * k;
+    float* crow = c + static_cast<size_t>(r) * n;
+    for (int j = 0; j < n; ++j) {
+      const float* brow = b + static_cast<size_t>(j) * k;
       float acc = 0.0f;
-      for (int p = 0; p < k; ++p) {
-        acc = std::fma(arow[p],
-                       static_cast<float>(b[static_cast<size_t>(p) * n + j]),
-                       acc);
-      }
-      crow[j] = acc * scales[j];
-    }
-  }
-}
-
-template <int NB>
-inline int Gemm8RowNNBlockI8(const float* a, const int8_t* b,
-                             const float* scales, float* c, int k, int n,
-                             int j0) {
-  for (; j0 + NB <= n; j0 += NB) {
-    float acc0[NB] = {}, acc1[NB] = {}, acc2[NB] = {}, acc3[NB] = {};
-    float acc4[NB] = {}, acc5[NB] = {}, acc6[NB] = {}, acc7[NB] = {};
-    for (int p = 0; p < k; ++p) {
-      const int8_t* brow = b + static_cast<size_t>(p) * n + j0;
-      const float a0 = a[p];
-      const float a1 = a[k + p];
-      const float a2 = a[2 * k + p];
-      const float a3 = a[3 * k + p];
-      const float a4 = a[4 * k + p];
-      const float a5 = a[5 * k + p];
-      const float a6 = a[6 * k + p];
-      const float a7 = a[7 * k + p];
-      for (int j = 0; j < NB; ++j) {
-        const float bv = static_cast<float>(brow[j]);
-        acc0[j] = std::fma(a0, bv, acc0[j]);
-        acc1[j] = std::fma(a1, bv, acc1[j]);
-        acc2[j] = std::fma(a2, bv, acc2[j]);
-        acc3[j] = std::fma(a3, bv, acc3[j]);
-        acc4[j] = std::fma(a4, bv, acc4[j]);
-        acc5[j] = std::fma(a5, bv, acc5[j]);
-        acc6[j] = std::fma(a6, bv, acc6[j]);
-        acc7[j] = std::fma(a7, bv, acc7[j]);
-      }
-    }
-    for (int j = 0; j < NB; ++j) {
-      const float s = scales[j0 + j];
-      c[j0 + j] = acc0[j] * s;
-      c[n + j0 + j] = acc1[j] * s;
-      c[2 * n + j0 + j] = acc2[j] * s;
-      c[3 * n + j0 + j] = acc3[j] * s;
-      c[4 * n + j0 + j] = acc4[j] * s;
-      c[5 * n + j0 + j] = acc5[j] * s;
-      c[6 * n + j0 + j] = acc6[j] * s;
-      c[7 * n + j0 + j] = acc7[j] * s;
-    }
-  }
-  return j0;
-}
-
-void Gemm8RowNNZeroI8(const float* a, const int8_t* b, const float* scales,
-                      float* c, int k, int n) {
-  int j0 = Gemm8RowNNBlockI8<16>(a, b, scales, c, k, n, 0);
-  j0 = Gemm8RowNNBlockI8<8>(a, b, scales, c, k, n, j0);
-  for (int row = 0; row < 8 && j0 < n; ++row) {
-    const float* arow = a + static_cast<size_t>(row) * k;
-    float* crow = c + static_cast<size_t>(row) * n;
-    for (int j = j0; j < n; ++j) {
-      float acc = 0.0f;
-      for (int p = 0; p < k; ++p) {
-        acc = std::fma(arow[p],
-                       static_cast<float>(b[static_cast<size_t>(p) * n + j]),
-                       acc);
-      }
-      crow[j] = acc * scales[j];
+      for (int p = 0; p < k; ++p) acc += arow[p] * brow[p];
+      crow[j] += acc;
     }
   }
 }
 
 const KernelSet kScalarKernels = {
-    /*name=*/"scalar",
-    /*tile_width=*/8,
-    &GemmRowNT,
-    &GemmRowNNZero,
-    &Gemm4RowNNZero,
-    &Gemm8RowNNZero,
-    &GemmRowNNZeroI8,
-    &Gemm4RowNNZeroI8,
-    &Gemm8RowNNZeroI8,
+    &GemmNT,
+    &GemmNNZero,
+    &GemmNNZeroRows<int8_t>,
 };
 
 }  // namespace

@@ -486,13 +486,19 @@ class SimdParity : public ::testing::Test {
 };
 
 // Appends {m, k, n} shapes whose column counts bracket every column block
-// of the AVX2 1- and 4-row kernels (8/16/32/64 wide) and their scalar
+// of the AVX2 1- and 4-row blocks (8/16/32/64 wide) and their scalar
 // tails, plus the vocab sizes of the tied logit projections, at row counts
-// covering every remainder of the 8 -> 4 -> 1 row grouping in ops::MatMul.
+// covering every remainder of the AVX2 8 -> 4 -> 1 row walk, then walks
+// with several blocks before the tail (8+4, 8+4+1, 8+8, 8+8+1, 3x8+1).
 std::vector<std::array<int, 3>> WithColumnBlockShapes(
     std::vector<std::array<int, 3>> shapes) {
-  for (int n : {15, 16, 17, 31, 32, 33, 63, 64, 65, 127, 128, 129, 303, 963}) {
+  const int ns[] = {15, 16, 17, 31, 32, 33, 63,
+                    64, 65, 127, 128, 129, 303, 963};
+  for (int n : ns) {
     for (int m : {1, 2, 3, 4, 5, 7, 8, 9}) shapes.push_back({m, 37, n});
+  }
+  for (int n : ns) {
+    for (int m : {12, 13, 16, 17, 25}) shapes.push_back({m, 37, n});
   }
   return shapes;
 }
@@ -540,14 +546,14 @@ TEST_F(SimdParity, NTMatMulWithinPinnedBound) {
 }
 
 TEST_F(SimdParity, BoundaryShapesAroundTileWidth) {
-  // Satellite regression: shapes straddling the dispatched tile width hit
-  // the vector-loop/scalar-tail seam on both k (NT reduction) and n (NN
-  // columns). tile-1 is all tail, tile is all vector, tile+1 is one lane
-  // of tail after a full vector pass.
+  // Regression: shapes straddling the tile width (8, also the AVX2
+  // lane count) hit the vector-loop/scalar-tail seam on both k (NT
+  // reduction) and n (NN columns). tile-1 is all tail, tile is all
+  // vector, tile+1 is one lane of tail after a full vector pass.
   NoGradGuard inference;
   IsaGuard restore;
   VIST5_CHECK(simd::SetIsa(simd::Isa::kAvx2));
-  const int tile = simd::ActiveKernels().tile_width;
+  const int tile = simd::kTileRows;
   ASSERT_GE(tile, 1);
   Rng rng(102);
   for (int delta : {-1, 0, 1}) {
@@ -565,13 +571,13 @@ TEST_F(SimdParity, BoundaryShapesAroundTileWidth) {
 }
 
 TEST_F(SimdParity, GemmRowGrainCoversDispatchedTile) {
-  // The parallel-for grain must never split a chunk below the dispatched
-  // tile width, even for absurdly expensive rows where the flops-derived
-  // grain would round to 1.
+  // The parallel-for grain must never split a chunk below the widest row
+  // block, at either backend, even for absurdly expensive rows where the
+  // flops-derived grain would round to 1.
   IsaGuard restore;
   for (simd::Isa isa : {simd::Isa::kScalar, simd::Isa::kAvx2}) {
     ASSERT_TRUE(simd::SetIsa(isa));
-    const int tile = simd::ActiveKernels().tile_width;
+    const int tile = simd::kTileRows;
     EXPECT_GE(ops::GemmRowGrain(4096, 4096), tile) << simd::IsaName(isa);
     EXPECT_GE(ops::GemmRowGrain(8, 8), tile) << simd::IsaName(isa);
   }
