@@ -5,6 +5,7 @@
 
 #include "obs/trace.h"
 #include "rt/thread_pool.h"
+#include "tensor/simd.h"
 
 namespace vist5 {
 namespace nn {
@@ -65,44 +66,12 @@ Tensor RelativePositionBias::Forward(int tq, int tk) const {
   return ops::Reshape(transposed, {heads_, tq, tk});
 }
 
-Tensor RelativePositionBias::ForwardBatched(
-    const std::vector<int>& query_positions, int span, int tk) const {
-  VIST5_CHECK(!GradEnabled()) << "ForwardBatched is inference-only";
-  const int b = static_cast<int>(query_positions.size());
-  const float* table = table_.data().data();
-  // Bias values are copied straight out of the learned table — the same
-  // floats Forward() would gather — so every decode step sees exactly the
-  // bias the teacher-forced Decode adds at those positions.
-  std::vector<float> out(static_cast<size_t>(b) * heads_ * span * tk, 0.0f);
-  const size_t row_elems = static_cast<size_t>(heads_) * span * tk;
-  int prev_q = -1;
-  for (int bi = 0; bi < b; ++bi) {
-    const int q0 = query_positions[bi];
-    VIST5_CHECK_LE(q0 + span, tk);
-    float* row = out.data() + static_cast<size_t>(bi) * row_elems;
-    if (q0 == prev_q) {
-      // Rows at the same position share the whole [H, span, tk] slab — copy
-      // the floats just computed instead of re-deriving every bucket.
-      // Beams and GenerateBatch's first step put every row at one position,
-      // so this turns the O(B * tk) Bucket() walk into a single walk plus
-      // B - 1 memcpys.
-      std::copy_n(row - row_elems, row_elems, row);
-      continue;
-    }
-    prev_q = q0;
-    for (int i = 0; i < span; ++i) {
-      const int q = q0 + i;
-      for (int k = 0; k <= q; ++k) {
-        const int bucket =
-            Bucket(k - q, bidirectional_, num_buckets_, max_distance_);
-        for (int h = 0; h < heads_; ++h) {
-          row[(static_cast<size_t>(h) * span + i) * tk + k] =
-              table[static_cast<size_t>(bucket) * heads_ + h];
-        }
-      }
-    }
+void RelativePositionBias::ExtendDistanceBuckets(
+    int n, std::vector<int>* buckets) const {
+  for (int d = static_cast<int>(buckets->size()); d < n; ++d) {
+    buckets->push_back(
+        Bucket(-d, bidirectional_, num_buckets_, max_distance_));
   }
-  return Tensor({b, heads_, span, tk}, std::move(out));
 }
 
 MultiHeadAttention::MultiHeadAttention(int dim, int heads, bool bias,
@@ -110,6 +79,7 @@ MultiHeadAttention::MultiHeadAttention(int dim, int heads, bool bias,
     : dim_(dim),
       heads_(heads),
       scale_scores_(scale_scores),
+      score_scale_(1.0f / std::sqrt(static_cast<float>(dim / heads))),
       wq_(dim, dim, bias, rng),
       wk_(dim, dim, bias, rng),
       wv_(dim, dim, bias, rng),
@@ -123,9 +93,24 @@ MultiHeadAttention::MultiHeadAttention(int dim, int heads, bool bias,
 
 Tensor MultiHeadAttention::Forward(const Tensor& query, const Tensor& memory,
                                    const ForwardArgs& args) const {
+  VIST5_TRACE_SPAN("nn/attention");
+  VIST5_CHECK(args.key_lengths != nullptr);
+  VIST5_CHECK_EQ(static_cast<int>(args.key_lengths->size()), args.batch);
   Tensor k, v;
   ProjectKv(memory, args.batch, args.tk, &k, &v);
-  return ForwardCached(query, k, v, args);
+  Tensor q = ops::SplitHeads(wq_.Forward(query), args.batch, args.tq, heads_);
+  Tensor scores = ops::MatMulTransposeB(q, k);  // [B, H, Tq, Tk]
+  if (scale_scores_) scores = ops::Scale(scores, score_scale_);
+  if (args.position_bias != nullptr) {
+    scores = ops::AddBroadcast(scores, *args.position_bias);
+  }
+  Tensor attn = ops::MaskedSoftmax(scores, *args.key_lengths, args.causal);
+  if (args.dropout_p > 0.0f && args.rng != nullptr) {
+    attn = ops::Dropout(attn, args.dropout_p, args.rng);
+  }
+  Tensor context = ops::MatMul(attn, v);     // [B, H, Tq, dh]
+  Tensor merged = ops::MergeHeads(context);  // [B*Tq, d]
+  return wo_.Forward(merged);
 }
 
 void MultiHeadAttention::ProjectKv(const Tensor& memory, int batch, int tk,
@@ -134,57 +119,167 @@ void MultiHeadAttention::ProjectKv(const Tensor& memory, int batch, int tk,
   *v = ops::SplitHeads(wv_.Forward(memory), batch, tk, heads_);
 }
 
-Tensor MultiHeadAttention::ForwardCached(const Tensor& query, const Tensor& k,
-                                         const Tensor& v,
-                                         const ForwardArgs& args) const {
-  VIST5_TRACE_SPAN("nn/attention");
-  VIST5_CHECK(args.key_lengths != nullptr);
-  VIST5_CHECK_EQ(static_cast<int>(args.key_lengths->size()), args.batch);
-  VIST5_CHECK_EQ(k.dim(2), args.tk);
-  const int dh = dim_ / heads_;
+namespace {
 
-  Tensor q = ops::SplitHeads(wq_.Forward(query), args.batch, args.tq, heads_);
+/// Makes `*cache` a [batch, heads, >= needed, dh] tensor that the step may
+/// write in place. An undefined cache, one shorter than `needed`, or one
+/// whose storage another handle shares is replaced by a copy grown to
+/// max(T, needed), zero past its old extent.
+void EnsureWritableCache(Tensor* cache, int batch, int heads, int needed,
+                         int dh) {
+  int t = 0;
+  if (cache->defined()) {
+    VIST5_CHECK_EQ(cache->ndim(), 4);
+    VIST5_CHECK_EQ(cache->dim(0), batch);
+    VIST5_CHECK_EQ(cache->dim(1), heads);
+    VIST5_CHECK_EQ(cache->dim(3), dh);
+    t = cache->dim(2);
+  }
+  if (t >= needed && cache->impl().use_count() == 1) return;
+  const int t_new = std::max(t, needed);
+  std::vector<float> grown(static_cast<size_t>(batch) * heads * t_new * dh,
+                           0.0f);
+  for (int64_t plane = 0; t > 0 && plane < static_cast<int64_t>(batch) * heads;
+       ++plane) {
+    std::copy_n(cache->data().data() + plane * t * dh,
+                static_cast<size_t>(t) * dh, grown.data() + plane * t_new * dh);
+  }
+  *cache = Tensor({batch, heads, t_new, dh}, std::move(grown));
+}
 
-  // Decode steps bound the score and context products by each (row,
-  // query)'s visible-key count — the same prefix MaskedSoftmax keeps. The
-  // bounded ops run the identical row kernels on the identical elements,
-  // so results match the unbounded products bit-for-bit while skipping the
-  // masked tail: with preallocated KV capacity (continuous batching) that
-  // halves the K/V stream per step on average, and a cache's stale tail
-  // past a row's position (DecodeState::TruncateTo) is never read.
-  const bool bounded = args.query_positions != nullptr;
-  std::vector<int> valid;
-  if (bounded) {
-    valid.resize(static_cast<size_t>(args.batch) * args.tq);
-    for (int b = 0; b < args.batch; ++b) {
-      const int len = std::min((*args.key_lengths)[static_cast<size_t>(b)],
-                               args.tk);
-      const int q0 = (*args.query_positions)[static_cast<size_t>(b)];
-      for (int i = 0; i < args.tq; ++i) {
-        const int n = args.causal ? std::min(len, q0 + i + 1) : len;
-        valid[static_cast<size_t>(b) * args.tq + i] = std::max(n, 0);
+/// Writes the step's projected rows `x` [R, d] into `cache` [B, H, T, dh]
+/// at time positions[b] + i for query i of row b: the head split and the
+/// time scatter in one copy.
+void WriteStepRows(const float* x, const StepRows& rows, int heads, int dh,
+                   Tensor* cache) {
+  const int t = cache->dim(2);
+  const int d = heads * dh;
+  float* data = cache->mutable_data().data();
+  for (int b = 0; b < rows.batch; ++b) {
+    for (int i = 0; i < rows.span; ++i) {
+      const float* src = x + (static_cast<size_t>(b) * rows.span + i) * d;
+      for (int h = 0; h < heads; ++h) {
+        std::copy_n(src + static_cast<size_t>(h) * dh, dh,
+                    data + ((static_cast<size_t>(b) * heads + h) * t +
+                            rows.positions[b] + i) *
+                               dh);
       }
     }
   }
-  Tensor scores = bounded ? ops::BoundedAttnScores(q, k, valid)
-                          : ops::MatMulTransposeB(q, k);  // [B, H, Tq, Tk]
-  if (scale_scores_) {
-    scores = ops::Scale(scores, 1.0f / std::sqrt(static_cast<float>(dh)));
+}
+
+/// The attention rows of one ForwardStep, one per (row, head, query). Each
+/// runs Forward's sequence on the keys its query can see: the score row
+/// (the NT kernel accumulating into zeros, as MatMulTransposeB does), the
+/// 1/sqrt(dh) scale, then the bias, each rounded on its own, the softmax
+/// row, and the context product.
+struct AttentionRows {
+  const tensor::simd::KernelSet* ks = nullptr;
+  const float* q = nullptr;  // [R, d]
+  const float* k = nullptr;  // [B, H, T, dh]
+  const float* v = nullptr;  // [B, H, T, dh]
+  float* ctx = nullptr;      // [R, d]
+  float* scores = nullptr;   // [B * H * span, T]
+  float* probs = nullptr;    // [B * H * span, T]
+  const StepRows* rows = nullptr;
+  bool causal = false;
+  const float* bias_table = nullptr;  // self-attention with relative bias
+  float scale = 1.0f;
+  bool scaled = false;
+  int heads = 0;
+  int t = 0;
+  int dh = 0;
+
+  void Run(int64_t lo, int64_t hi) const {
+    const int span = rows->span;
+    const int d = heads * dh;
+    for (int64_t r = lo; r < hi; ++r) {
+      const int b = static_cast<int>(r / (static_cast<int64_t>(heads) * span));
+      const int h = static_cast<int>(r / span % heads);
+      const int i = static_cast<int>(r % span);
+      const int pos = rows->positions[b] + i;
+      const int n = std::clamp(causal ? pos + 1 : rows->memory_lengths[b], 0,
+                               t);
+      const size_t plane = (static_cast<size_t>(b) * heads + h) * t * dh;
+      const size_t qrow =
+          (static_cast<size_t>(b) * span + i) * d + static_cast<size_t>(h) * dh;
+      float* srow = scores + r * t;
+      float* prow = probs + r * t;
+      std::fill_n(srow, n, 0.0f);
+      ks->gemm_nt(q + qrow, k + plane, srow, /*rows=*/1, dh, n);
+      if (scaled) {
+        for (int j = 0; j < n; ++j) srow[j] *= scale;
+      }
+      if (bias_table != nullptr) {
+        const int* buckets = rows->bias_buckets;
+        for (int j = 0; j < n; ++j) {
+          srow[j] += bias_table[static_cast<size_t>(buckets[pos - j]) * heads +
+                                h];
+        }
+      }
+      ops::SoftmaxRow(srow, prow, n, n);
+      ks->gemm_nn_zero(prow, v + plane, ctx + qrow, /*rows=*/1, n, dh);
+    }
   }
-  if (args.position_bias != nullptr) {
-    scores = args.position_bias->ndim() == 4
-                 ? ops::Add(scores, *args.position_bias)
-                 : ops::AddBroadcast(scores, *args.position_bias);
+};
+
+}  // namespace
+
+void MultiHeadAttention::ForwardStep(const StepRows& rows, const float* x,
+                                     bool self, Tensor* k, Tensor* v,
+                                     float* out) const {
+  VIST5_CHECK(!GradEnabled()) << "ForwardStep is inference-only";
+  const int dh = dim_ / heads_;
+  const int r = rows.rows();
+  if (self) {
+    int needed = 0;
+    for (int b = 0; b < rows.batch; ++b) {
+      VIST5_CHECK_GE(rows.positions[b], 0);
+      needed = std::max(needed, rows.positions[b] + rows.span);
+    }
+    EnsureWritableCache(k, rows.batch, heads_, needed, dh);
+    EnsureWritableCache(v, rows.batch, heads_, needed, dh);
   }
-  Tensor attn = ops::MaskedSoftmax(scores, *args.key_lengths, args.causal,
-                                   args.query_positions);
-  if (args.dropout_p > 0.0f && args.rng != nullptr) {
-    attn = ops::Dropout(attn, args.dropout_p, args.rng);
+  VIST5_CHECK_EQ(k->dim(0), rows.batch);
+  VIST5_CHECK(k->shape() == v->shape());
+  const int t = k->dim(2);
+  const int64_t rd = static_cast<int64_t>(r) * dim_;
+  const int64_t attn_rows =
+      static_cast<int64_t>(rows.batch) * heads_ * rows.span;
+  std::vector<float>& work = *rows.attn_work;
+  const size_t need =
+      static_cast<size_t>((self ? 4 : 2) * rd + 2 * attn_rows * t);
+  if (work.size() < need) work.resize(need);
+
+  AttentionRows a;
+  a.ks = &tensor::simd::ActiveKernels();
+  float* q = work.data();
+  a.q = q;
+  a.ctx = q + rd;
+  a.scores = a.ctx + rd;
+  a.probs = a.scores + attn_rows * t;
+  wq_.ForwardRows(x, r, q);
+  if (self) {
+    float* k_rows = a.probs + attn_rows * t;
+    float* v_rows = k_rows + rd;
+    wk_.ForwardRows(x, r, k_rows);
+    wv_.ForwardRows(x, r, v_rows);
+    WriteStepRows(k_rows, rows, heads_, dh, k);
+    WriteStepRows(v_rows, rows, heads_, dh, v);
+    a.bias_table = rows.bias_table;
   }
-  Tensor context = bounded ? ops::BoundedAttnContext(attn, v, valid)
-                           : ops::MatMul(attn, v);  // [B, H, Tq, dh]
-  Tensor merged = ops::MergeHeads(context);   // [B*Tq, d]
-  return wo_.Forward(merged);
+  a.k = k->data().data();
+  a.v = v->data().data();
+  a.rows = &rows;
+  a.causal = self;
+  a.scale = score_scale_;
+  a.scaled = scale_scores_;
+  a.heads = heads_;
+  a.t = t;
+  a.dh = dh;
+  rt::ParallelFor(ops::GemmRowGrain(dh, t), 0, attn_rows,
+                  [&a](int64_t lo, int64_t hi) { a.Run(lo, hi); });
+  wo_.ForwardRows(a.ctx, r, out);
 }
 
 }  // namespace nn

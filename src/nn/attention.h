@@ -22,15 +22,14 @@ class RelativePositionBias : public Module {
   /// Differentiable: gradients flow into the table.
   Tensor Forward(int tq, int tk) const;
 
-  /// Per-row bias for a decode step: row b holds the bias of `span` queries
-  /// at absolute positions query_positions[b] .. query_positions[b] +
-  /// span - 1 against keys 0..tk-1 — the same table floats Forward
-  /// gathers, copied directly. Keys past a query's position are
-  /// zero-filled; the causal mask drops them. Returns [B, heads, span, tk].
-  /// Inference-only (reads the table without recording autograd history);
-  /// must run under NoGradGuard.
-  Tensor ForwardBatched(const std::vector<int>& query_positions, int span,
-                        int tk) const;
+  /// Extends `buckets` to `n` entries, entry d holding the bucket of a key
+  /// d positions before its query: the bucket Forward gathers for that
+  /// (query, key) pair. The decode step reads its bias straight from
+  /// table() through these, so it adds the same floats as Forward.
+  void ExtendDistanceBuckets(int n, std::vector<int>* buckets) const;
+
+  /// The learned [num_buckets, heads] bias table.
+  const Tensor& table() const { return table_; }
 
   /// Maps a relative position (key_pos - query_pos) to a bucket index,
   /// following the T5 reference bucketing scheme.
@@ -43,6 +42,25 @@ class RelativePositionBias : public Module {
   int heads_;
   bool bidirectional_;
   Tensor table_;
+};
+
+/// The rows of one decode step (Transformer::DecodeStep), as each decoder
+/// layer and its attention read them. Row b consumes `span` tokens, the
+/// first at absolute position positions[b].
+struct StepRows {
+  int batch = 0;
+  int span = 1;
+  const int* positions = nullptr;       ///< [batch]
+  const int* memory_lengths = nullptr;  ///< [batch] encoder lengths
+  /// Relative-bias configs: the decoder's [buckets, H] bias table, and the
+  /// bucket of every key distance up to the step's last position
+  /// (RelativePositionBias::ExtendDistanceBuckets). Null otherwise.
+  const float* bias_table = nullptr;
+  const int* bias_buckets = nullptr;
+  /// The attention step's buffers, grown on first use and reused.
+  std::vector<float>* attn_work = nullptr;
+
+  int rows() const { return batch * span; }
 };
 
 /// Multi-head scaled dot-product attention over padded batches.
@@ -62,16 +80,8 @@ class MultiHeadAttention : public Module {
     /// Valid key length per batch element (padding mask).
     const std::vector<int>* key_lengths = nullptr;
     bool causal = false;
-    /// Optional additive bias: [H, Tq, Tk] broadcast over the batch, or
-    /// [B, H, Tq, Tk] per row (decode steps, where each row sits at its own
-    /// absolute position). The rank tells the two apart.
+    /// Optional additive [H, Tq, Tk] bias, broadcast over the batch.
     const Tensor* position_bias = nullptr;
-    /// Decode steps only: absolute position of each row's first query
-    /// ([B]). Shifts the causal mask per row, and bounds the score and
-    /// context products by each (row, query)'s visible-key count. Null for
-    /// Encode and the teacher-forced Decode: queries start at 0 and the
-    /// products run in full.
-    const std::vector<int>* query_positions = nullptr;
     float dropout_p = 0.0f;
     Rng* rng = nullptr;
   };
@@ -86,13 +96,24 @@ class MultiHeadAttention : public Module {
   void ProjectKv(const Tensor& memory, int batch, int tk, Tensor* k,
                  Tensor* v) const;
 
-  /// Attention against pre-projected key/value tensors ([B, H, Tk, Dh],
-  /// from ProjectKv / a decode cache). Identical arithmetic to Forward —
-  /// Forward is ProjectKv + ForwardCached — so cached decoding is
-  /// bit-exact against re-running Forward over the whole prefix. args.tk
-  /// must equal the cache time dimension.
-  Tensor ForwardCached(const Tensor& query, const Tensor& k, const Tensor& v,
-                       const ForwardArgs& args) const;
+  /// The decode step's attention, on raw rows (DecoderLayer::ForwardStep).
+  /// `x` holds the step's R = batch·span query rows [R, d]; keys and values
+  /// come from the [B, H, T, Dh] caches `*k` and `*v`.
+  ///  - Self-attention (`self`): the rows' own keys/values are projected
+  ///    from `x` and written at time positions[b] .. positions[b] + span -
+  ///    1 first, and query i of row b sees keys 0 .. positions[b] + i, plus
+  ///    the relative bias when `rows` carries one. A cache that is too
+  ///    short, or whose storage another handle shares (a copied
+  ///    DecodeState, a spliced prefix block), is replaced by a grown copy
+  ///    before the write, zero-padded past its old extent.
+  ///  - Cross-attention: row b sees its memory_lengths[b] keys, and the
+  ///    caches are only read.
+  /// Writes the [R, d] output to `out`. Runs Forward's kernels, row
+  /// functions and rounding points on the keys each query can see, so a
+  /// step reproduces Forward's row for that query bit for bit
+  /// (docs/INFERENCE.md, "Parity contract"). Inference-only.
+  void ForwardStep(const StepRows& rows, const float* x, bool self, Tensor* k,
+                   Tensor* v, float* out) const;
 
   /// Attaches LoRA adapters to the query and value projections (the
   /// standard LoRA placement).
@@ -108,6 +129,7 @@ class MultiHeadAttention : public Module {
   int dim_;
   int heads_;
   bool scale_scores_;
+  float score_scale_;  ///< 1/sqrt(dh), shared by Forward and ForwardStep
   Linear wq_;
   Linear wk_;
   Linear wv_;

@@ -54,6 +54,12 @@ class Linear : public Module {
 
   Tensor Forward(const Tensor& x) const;
 
+  /// Forward on raw rows, for the decode step: y[rows, out] = x[rows, in] W
+  /// (+ b) (+ LoRA). Calls the active kernels directly with Forward's
+  /// weight choice (int8 under the same rule), row split, rounding points
+  /// and weight-byte counters, so it gives Forward's bits. Inference-only.
+  void ForwardRows(const float* x, int rows, float* y) const;
+
   const Tensor& weight() const { return weight_; }
   Tensor& weight() { return weight_; }
   bool has_bias() const { return has_bias_; }
@@ -104,9 +110,15 @@ class EmbeddingLayer : public Module {
 class RmsNormLayer : public Module {
  public:
   explicit RmsNormLayer(int dim);
-  Tensor Forward(const Tensor& x) const { return ops::RmsNorm(x, weight_); }
+  Tensor Forward(const Tensor& x) const {
+    return ops::RmsNorm(x, weight_, kEps);
+  }
+  /// Forward on raw rows [rows, dim] (decode step); `out` must not overlap
+  /// `x`.
+  void ForwardRows(const float* x, int rows, float* out) const;
 
  private:
+  static constexpr float kEps = 1e-6f;
   Tensor weight_;
 };
 
@@ -115,10 +127,14 @@ class LayerNormLayer : public Module {
  public:
   explicit LayerNormLayer(int dim);
   Tensor Forward(const Tensor& x) const {
-    return ops::LayerNorm(x, gain_, bias_);
+    return ops::LayerNorm(x, gain_, bias_, kEps);
   }
+  /// Forward on raw rows [rows, dim] (decode step); `out` must not overlap
+  /// `x`.
+  void ForwardRows(const float* x, int rows, float* out) const;
 
  private:
+  static constexpr float kEps = 1e-5f;
   Tensor gain_;
   Tensor bias_;
 };
@@ -133,6 +149,10 @@ class FeedForward : public Module {
 
   Tensor Forward(const Tensor& x, float dropout_p, Rng* rng) const;
 
+  /// Inference Forward on raw rows (decode step): out[rows, dim] from
+  /// x[rows, dim]. `work` holds 2 * rows * hidden_dim floats.
+  void ForwardRows(const float* x, int rows, float* out, float* work) const;
+
   /// Attaches LoRA adapters to both projections.
   void EnableLora(int rank, float alpha, Rng* rng) {
     in_.EnableLora(rank, alpha, rng);
@@ -141,6 +161,7 @@ class FeedForward : public Module {
 
  private:
   Activation activation_;
+  int hidden_dim_;
   Linear in_;
   Linear out_;
 };

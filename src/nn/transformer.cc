@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "rt/thread_pool.h"
+
 namespace vist5 {
 namespace nn {
 
@@ -68,6 +70,19 @@ namespace {
 bool IsPreRms(TransformerConfig::NormStyle s) {
   return s == TransformerConfig::NormStyle::kPreRms;
 }
+
+/// out[e] = x[e] + y[e] over `n` elements of raw rows, split like ops::Add.
+/// `out` may be `x`.
+void AddRows(const float* x, const float* y, float* out, int64_t n) {
+  struct Args {
+    const float* x;
+    const float* y;
+    float* out;
+  } p{x, y, out};
+  rt::ParallelFor(ops::kElemGrain, 0, n, [&p](int64_t lo, int64_t hi) {
+    for (int64_t e = lo; e < hi; ++e) p.out[e] = p.x[e] + p.y[e];
+  });
+}
 }  // namespace
 
 void DecodeState::Reorder(const std::vector<int>& parents) {
@@ -108,7 +123,9 @@ void DecodeState::Reorder(const std::vector<int>& parents) {
 
 void DecodeState::MergeFrom(DecodeState&& other) {
   if (batch == 0) {
+    Scratch warm = std::move(scratch);
     *this = std::move(other);
+    scratch = std::move(warm);
     return;
   }
   VIST5_CHECK_EQ(layers.size(), other.layers.size());
@@ -213,6 +230,7 @@ Tensor EncoderLayer::Forward(const Tensor& x, int batch, int seq,
 
 DecoderLayer::DecoderLayer(const TransformerConfig& config, Rng* rng)
     : norm_style_(config.norm_style),
+      dim_(config.d_model),
       self_attn_(config.d_model, config.num_heads, config.linear_bias,
                  config.scale_scores, rng),
       cross_attn_(config.d_model, config.num_heads, config.linear_bias,
@@ -293,64 +311,47 @@ void DecoderLayer::BeginDecode(const Tensor& memory, int batch, int enc_seq,
                         &cache->cross_v);
 }
 
-Tensor DecoderLayer::ForwardStep(const Tensor& x, const std::vector<int>& steps,
-                                 int span,
-                                 const std::vector<int>& memory_lengths,
-                                 const Tensor* self_bias,
-                                 DecodeState::LayerCache* cache) const {
+void DecoderLayer::ForwardStep(const StepRows& rows,
+                               DecodeState::LayerCache* cache, float* h,
+                               float* work) const {
   // Self-attention keys/values are projected from the same per-row input
   // the full path uses (the pre-norm output for kPreRms, the raw residual
   // stream for kPostLayerNorm); both norms are row-local, so each token's
-  // cache entry never changes once written. Row b's span lands at time
-  // indices steps[b].. — in place when the cache has the capacity
-  // (ContinuousDecoder preallocates max_len at admission), by copy
-  // otherwise. Causal masking from each row's own position keeps query i
-  // from seeing keys past steps[b] + i, so a span matches `span`
-  // sequential one-token calls bit-for-bit, and the padding or stale
-  // entries past a row's position are never read.
-  const int batch = static_cast<int>(steps.size());
-  const Tensor self_input = IsPreRms(norm_style_) ? rms1_->Forward(x) : x;
-  Tensor k_new, v_new;
-  self_attn_.ProjectKv(self_input, batch, span, &k_new, &v_new);
-  ops::ScatterTime(&cache->self_k, k_new, steps);
-  ops::ScatterTime(&cache->self_v, v_new, steps);
-
-  std::vector<int> self_lengths(static_cast<size_t>(batch));
-  for (int b = 0; b < batch; ++b) {
-    self_lengths[static_cast<size_t>(b)] = steps[static_cast<size_t>(b)] + span;
-  }
-  MultiHeadAttention::ForwardArgs self_args;
-  self_args.batch = batch;
-  self_args.tq = span;
-  self_args.tk = cache->self_k.dim(2);
-  self_args.key_lengths = &self_lengths;
-  self_args.causal = true;
-  self_args.query_positions = &steps;
-  self_args.position_bias = self_bias;
-
-  MultiHeadAttention::ForwardArgs cross_args;
-  cross_args.batch = batch;
-  cross_args.tq = span;
-  cross_args.tk = cache->cross_k.dim(2);
-  cross_args.key_lengths = &memory_lengths;
-  cross_args.causal = false;
-  cross_args.query_positions = &steps;
-
+  // cache entry never changes once written. Causal masking from each row's
+  // own position keeps query i from seeing keys past steps[b] + i, so a
+  // span matches `span` sequential one-token calls bit-for-bit, and the
+  // padding or stale entries past a row's position are never read.
+  const int r = rows.rows();
+  const int64_t rd = static_cast<int64_t>(r) * dim_;
+  float* normed = work;  // pre-RMS: each norm's output
+  float* sum = work;     // post-LN: each residual sum, which the norm reads
+  float* attn = work + rd;
+  float* ff_work = attn + rd;
   if (IsPreRms(norm_style_)) {
-    Tensor h = ops::Add(x, self_attn_.ForwardCached(self_input, cache->self_k,
-                                                    cache->self_v, self_args));
-    Tensor h2 = ops::Add(
-        h, cross_attn_.ForwardCached(rms2_->Forward(h), cache->cross_k,
-                                     cache->cross_v, cross_args));
-    return ops::Add(h2, ff_.Forward(rms3_->Forward(h2), 0.0f, nullptr));
+    rms1_->ForwardRows(h, r, normed);
+    self_attn_.ForwardStep(rows, normed, /*self=*/true, &cache->self_k,
+                           &cache->self_v, attn);
+    AddRows(h, attn, h, rd);
+    rms2_->ForwardRows(h, r, normed);
+    cross_attn_.ForwardStep(rows, normed, /*self=*/false, &cache->cross_k,
+                            &cache->cross_v, attn);
+    AddRows(h, attn, h, rd);
+    rms3_->ForwardRows(h, r, normed);
+    ff_.ForwardRows(normed, r, attn, ff_work);
+    AddRows(h, attn, h, rd);
+    return;
   }
-  Tensor h = ln1_->Forward(ops::Add(
-      x, self_attn_.ForwardCached(x, cache->self_k, cache->self_v,
-                                  self_args)));
-  Tensor h2 = ln2_->Forward(ops::Add(
-      h, cross_attn_.ForwardCached(h, cache->cross_k, cache->cross_v,
-                                   cross_args)));
-  return ln3_->Forward(ops::Add(h2, ff_.Forward(h2, 0.0f, nullptr)));
+  self_attn_.ForwardStep(rows, h, /*self=*/true, &cache->self_k,
+                         &cache->self_v, attn);
+  AddRows(h, attn, sum, rd);
+  ln1_->ForwardRows(sum, r, h);
+  cross_attn_.ForwardStep(rows, h, /*self=*/false, &cache->cross_k,
+                          &cache->cross_v, attn);
+  AddRows(h, attn, sum, rd);
+  ln2_->ForwardRows(sum, r, h);
+  ff_.ForwardRows(h, r, attn, ff_work);
+  AddRows(h, attn, sum, rd);
+  ln3_->ForwardRows(sum, r, h);
 }
 
 Transformer::Transformer(const TransformerConfig& config, Rng* rng)
@@ -421,21 +422,16 @@ void Transformer::EnableLora(int rank, float alpha, Rng* rng) {
 }
 
 Tensor Transformer::Embed(const std::vector<int>& ids, int batch, int seq,
-                          bool train, Rng* rng,
-                          const std::vector<int>* offsets) const {
-  if (offsets != nullptr) {
-    VIST5_CHECK_EQ(static_cast<int>(offsets->size()), batch);
-  }
-  const auto position = [&](int b, int t) {
-    const int offset = offsets != nullptr ? (*offsets)[b] : 0;
-    return std::min(t + offset, config_.max_positions - 1);
+                          bool train, Rng* rng) const {
+  const auto position = [&](int t) {
+    return std::min(t, config_.max_positions - 1);
   };
   Tensor emb = embedding_.Forward(ids);
   if (config_.position_style == TransformerConfig::PositionStyle::kLearned) {
     std::vector<int> pos_ids(ids.size());
     for (int b = 0; b < batch; ++b) {
       for (int t = 0; t < seq; ++t) {
-        pos_ids[static_cast<size_t>(b) * seq + t] = position(b, t);
+        pos_ids[static_cast<size_t>(b) * seq + t] = position(t);
       }
     }
     emb = ops::Add(emb, ops::Embedding(learned_positions_, pos_ids));
@@ -446,7 +442,7 @@ Tensor Transformer::Embed(const std::vector<int>& ids, int batch, int seq,
       for (int t = 0; t < seq; ++t) {
         std::copy_n(
             sinusoidal_.data() +
-                static_cast<size_t>(position(b, t)) * config_.d_model,
+                static_cast<size_t>(position(t)) * config_.d_model,
             config_.d_model,
             pos.data() +
                 (static_cast<size_t>(b) * seq + t) * config_.d_model);
@@ -460,6 +456,41 @@ Tensor Transformer::Embed(const std::vector<int>& ids, int batch, int seq,
     emb = ops::Dropout(emb, config_.dropout, rng);
   }
   return emb;
+}
+
+void Transformer::EmbedStep(const std::vector<int>& ids,
+                            const std::vector<int>& steps, int span,
+                            float* h) const {
+  const int d = config_.d_model;
+  const Tensor& table = embedding_.table();
+  const int vocab = table.dim(0);
+  const float* positions = nullptr;  // [max_positions, d] rows, if added
+  if (config_.position_style == TransformerConfig::PositionStyle::kLearned) {
+    positions = learned_positions_.data().data();
+  } else if (config_.position_style ==
+             TransformerConfig::PositionStyle::kSinusoidal) {
+    positions = sinusoidal_.data();
+  }
+  for (size_t b = 0; b < steps.size(); ++b) {
+    for (int i = 0; i < span; ++i) {
+      const size_t row = b * span + i;
+      const int id = ids[row];
+      VIST5_CHECK_GE(id, 0);
+      VIST5_CHECK_LT(id, vocab);
+      const float* token = table.data().data() + static_cast<size_t>(id) * d;
+      float* out = h + row * d;
+      if (positions == nullptr) {
+        std::copy_n(token, d, out);
+        continue;
+      }
+      const float* pos =
+          positions +
+          static_cast<size_t>(std::min(steps[b] + i,
+                                       config_.max_positions - 1)) *
+              d;
+      for (int j = 0; j < d; ++j) out[j] = token[j] + pos[j];
+    }
+  }
 }
 
 Tensor Transformer::Encode(const std::vector<int>& ids, int batch, int seq,
@@ -526,33 +557,55 @@ Tensor Transformer::DecodeStep(const std::vector<int>& next_ids,
   VIST5_CHECK_GE(span, 1);
   VIST5_CHECK_EQ(static_cast<int>(next_ids.size()), state->batch * span);
   VIST5_CHECK_EQ(static_cast<int>(state->steps.size()), state->batch);
+  VIST5_CHECK_EQ(static_cast<int>(state->memory_lengths.size()),
+                 state->batch);
   VIST5_CHECK_EQ(state->layers.size(), decoder_layers_.size());
-  Tensor h = Embed(next_ids, state->batch, span, /*train=*/false, nullptr,
-                   &state->steps);
+  const int rows = state->batch * span;
+  const int d = config_.d_model;
   int needed = 0;
   for (int s : state->steps) needed = std::max(needed, s + span);
-  Tensor bias;
-  const Tensor* bias_ptr = nullptr;
+
+  DecodeState::Scratch& scratch = state->scratch;
+  StepRows step;
+  step.batch = state->batch;
+  step.span = span;
+  step.positions = state->steps.data();
+  step.memory_lengths = state->memory_lengths.data();
+  step.attn_work = &scratch.attn;
   if (decoder_bias_) {
-    // The bias spans the cache's time extent after this step's write, which
-    // exceeds max(steps) + span when caches carry preallocated capacity or
-    // a truncated tail; those columns are never read.
-    int tk = needed;
-    if (!state->layers.empty() && state->layers[0].self_k.defined()) {
-      tk = std::max(tk, state->layers[0].self_k.dim(2));
+    // One bucket per key distance, kept across steps. Reserving the self
+    // cache's capacity lets a decode that fills a preallocated slab append
+    // without reallocating.
+    if (static_cast<int>(scratch.buckets.size()) < needed) {
+      int capacity = needed;
+      if (!state->layers.empty() && state->layers[0].self_k.defined()) {
+        capacity = std::max(capacity, state->layers[0].self_k.dim(2));
+      }
+      scratch.buckets.reserve(static_cast<size_t>(capacity));
+      decoder_bias_->ExtendDistanceBuckets(needed, &scratch.buckets);
     }
-    bias = decoder_bias_->ForwardBatched(state->steps, span, tk);
-    bias_ptr = &bias;
+    step.bias_table = decoder_bias_->table().data().data();
+    step.bias_buckets = scratch.buckets.data();
   }
+  const int64_t rd = static_cast<int64_t>(rows) * d;
+  const size_t need = static_cast<size_t>(
+      rd + static_cast<int64_t>(rows) * (2 * d + 2 * config_.d_ff));
+  if (scratch.rows.size() < need) scratch.rows.resize(need);
+  float* h = scratch.rows.data();
+  EmbedStep(next_ids, state->steps, span, h);
   for (size_t i = 0; i < decoder_layers_.size(); ++i) {
-    h = decoder_layers_[i]->ForwardStep(h, state->steps, span,
-                                        state->memory_lengths, bias_ptr,
-                                        &state->layers[i]);
+    decoder_layers_[i]->ForwardStep(step, &state->layers[i], h, h + rd);
   }
-  if (decoder_final_norm_) h = decoder_final_norm_->Forward(h);
+  Tensor out({rows, d});
+  float* out_rows = out.mutable_data().data();
+  if (decoder_final_norm_) {
+    decoder_final_norm_->ForwardRows(h, rows, out_rows);
+  } else {
+    std::copy_n(h, rd, out_rows);
+  }
   for (int& s : state->steps) s += span;
   state->step = needed;
-  return h;
+  return out;
 }
 
 Tensor Transformer::Logits(const Tensor& decoder_hidden) const {

@@ -93,6 +93,17 @@ struct DecodeState {
   /// states must come from the same Transformer.
   void MergeFrom(DecodeState&& other);
 
+  /// DecodeStep's working memory: the step's row buffers and the relative
+  /// bias bucket of each key distance. Grown on the first step and reused
+  /// by the next, so a warmed step allocates only the Tensor it returns.
+  /// It holds no decode state, and MergeFrom keeps this state's buffers.
+  struct Scratch {
+    std::vector<float> rows;     ///< the residual stream and layer rows
+    std::vector<float> attn;     ///< StepRows::attn_work
+    std::vector<int> buckets;    ///< StepRows::bias_buckets
+  };
+  Scratch scratch;
+
   /// Rolls the decode position back to `len` tokens (0 <= len <= step):
   /// every row's position moves back to at most `len`, so the next
   /// DecodeStep writes at position `len` exactly as if the rejected tokens
@@ -140,16 +151,15 @@ class DecoderLayer : public Module {
   void BeginDecode(const Tensor& memory, int batch, int enc_seq,
                    DecodeState::LayerCache* cache) const;
 
-  /// Incremental counterpart of Forward: row b consumes `span`
-  /// already-embedded tokens (`x` is [B*span, d], row-major) at absolute
-  /// positions steps[b] .. steps[b] + span - 1, writes their self-attention
-  /// K/V there in `cache`, and returns the block output [B*span, d].
-  /// `self_bias` is the per-row [B, H, span, T] bias from
-  /// RelativePositionBias::ForwardBatched (relative-bias configs only).
-  Tensor ForwardStep(const Tensor& x, const std::vector<int>& steps, int span,
-                     const std::vector<int>& memory_lengths,
-                     const Tensor* self_bias,
-                     DecodeState::LayerCache* cache) const;
+  /// The decode step's pass through this block, on raw rows
+  /// (Transformer::DecodeStep): the step's R = rows.rows() already-embedded
+  /// rows `h` [R, d] (updated in place) run through the block, and their
+  /// self-attention keys/values land in `cache` at each row's positions.
+  /// `work` holds R·(2·d + 2·d_ff) floats. Forward's kernels, row functions
+  /// and rounding points throughout, so each row equals Forward's row at
+  /// that position.
+  void ForwardStep(const StepRows& rows, DecodeState::LayerCache* cache,
+                   float* h, float* work) const;
 
   void EnableLora(int rank, float alpha, Rng* rng) {
     self_attn_.EnableLora(rank, alpha, rng);
@@ -159,6 +169,7 @@ class DecoderLayer : public Module {
 
  private:
   TransformerConfig::NormStyle norm_style_;
+  int dim_;
   MultiHeadAttention self_attn_;
   MultiHeadAttention cross_attn_;
   FeedForward ff_;
@@ -204,7 +215,10 @@ class Transformer : public Module {
   /// the same prefix, a span call is bit-exact against `span` one-token
   /// calls (the speculative verify contract, docs/SPECULATIVE.md), and a
   /// row's result never depends on the other rows' positions (the
-  /// continuous-batching contract, docs/SERVING.md).
+  /// continuous-batching contract, docs/SERVING.md). The step runs on raw
+  /// rows in `state->scratch`, calling the kernels and the Tensor ops' row
+  /// functions directly; once warmed it allocates only the returned Tensor
+  /// (and whatever a cache's copy-on-write growth needs).
   Tensor DecodeStep(const std::vector<int>& next_ids, DecodeState* state,
                     int span = 1) const;
 
@@ -233,11 +247,15 @@ class Transformer : public Module {
               const std::vector<int>& dec_lengths, bool train, Rng* rng) const;
 
  private:
-  /// Token plus position embedding of `ids` ([B*seq] row-major). Token t
-  /// of row b sits at position t + (*offsets)[b]; null offsets (training,
-  /// Encode, Decode) start every row at 0.
+  /// Token plus position embedding of `ids` ([B*seq] row-major); token t
+  /// of every row sits at position t.
   Tensor Embed(const std::vector<int>& ids, int batch, int seq, bool train,
-               Rng* rng, const std::vector<int>* offsets = nullptr) const;
+               Rng* rng) const;
+
+  /// Embed's arithmetic for a decode step, into raw rows `h` [B*span, d]:
+  /// token i of row b sits at position steps[b] + i.
+  void EmbedStep(const std::vector<int>& ids, const std::vector<int>& steps,
+                 int span, float* h) const;
 
   TransformerConfig config_;
   EmbeddingLayer embedding_;

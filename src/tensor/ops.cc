@@ -463,78 +463,6 @@ Tensor MatMulInt8(const Tensor& a, const QuantizedMatrix& b) {
   return Tensor(std::move(out_shape), std::move(out));
 }
 
-Tensor BoundedAttnScores(const Tensor& q, const Tensor& k,
-                         const std::vector<int>& valid) {
-  VIST5_CHECK(!GradEnabled()) << "BoundedAttnScores is inference-only";
-  VIST5_CHECK_EQ(q.ndim(), 4);
-  VIST5_CHECK_EQ(k.ndim(), 4);
-  VIST5_CHECK_EQ(q.dim(0), k.dim(0));
-  VIST5_CHECK_EQ(q.dim(1), k.dim(1));
-  VIST5_CHECK_EQ(q.dim(3), k.dim(3));
-  const int b = q.dim(0);
-  const int h = q.dim(1);
-  const int tq = q.dim(2);
-  const int tk = k.dim(2);
-  const int dh = q.dim(3);
-  VIST5_CHECK_EQ(static_cast<int64_t>(valid.size()),
-                 static_cast<int64_t>(b) * tq);
-  std::vector<float> out(static_cast<size_t>(b) * h * tq * tk, 0.0f);
-  const float* qd = q.data().data();
-  const float* kd = k.data().data();
-  float* od = out.data();
-  const tensor::simd::KernelSet& ks = tensor::simd::ActiveKernels();
-  // One output row per (b, h, query); its key plane is shared by the Tq
-  // rows of that (b, h).
-  rt::ParallelFor(
-      GemmRowGrain(dh, tk), 0, static_cast<int64_t>(b) * h * tq,
-      [&](int64_t lo, int64_t hi) {
-        for (int64_t row = lo; row < hi; ++row) {
-          const int64_t plane = row / tq;
-          const int64_t vi = plane / h * tq + row % tq;
-          const int n = std::min(std::max(valid[static_cast<size_t>(vi)], 0),
-                                 tk);
-          ks.gemm_nt(qd + row * dh, kd + plane * tk * dh, od + row * tk,
-                     /*rows=*/1, dh, n);
-        }
-      });
-  return Tensor({b, h, tq, tk}, std::move(out));
-}
-
-Tensor BoundedAttnContext(const Tensor& probs, const Tensor& v,
-                          const std::vector<int>& valid) {
-  VIST5_CHECK(!GradEnabled()) << "BoundedAttnContext is inference-only";
-  VIST5_CHECK_EQ(probs.ndim(), 4);
-  VIST5_CHECK_EQ(v.ndim(), 4);
-  VIST5_CHECK_EQ(probs.dim(0), v.dim(0));
-  VIST5_CHECK_EQ(probs.dim(1), v.dim(1));
-  VIST5_CHECK_EQ(probs.dim(3), v.dim(2));
-  const int b = probs.dim(0);
-  const int h = probs.dim(1);
-  const int tq = probs.dim(2);
-  const int tk = v.dim(2);
-  const int dh = v.dim(3);
-  VIST5_CHECK_EQ(static_cast<int64_t>(valid.size()),
-                 static_cast<int64_t>(b) * tq);
-  std::vector<float> out(static_cast<size_t>(b) * h * tq * dh, 0.0f);
-  const float* pd = probs.data().data();
-  const float* vd = v.data().data();
-  float* od = out.data();
-  const tensor::simd::KernelSet& ks = tensor::simd::ActiveKernels();
-  rt::ParallelFor(
-      GemmRowGrain(tk, dh), 0, static_cast<int64_t>(b) * h * tq,
-      [&](int64_t lo, int64_t hi) {
-        for (int64_t row = lo; row < hi; ++row) {
-          const int64_t plane = row / tq;
-          const int64_t vi = plane / h * tq + row % tq;
-          const int n = std::min(std::max(valid[static_cast<size_t>(vi)], 0),
-                                 tk);
-          ks.gemm_nn_zero(pd + row * tk, vd + plane * tk * dh,
-                          od + row * dh, /*rows=*/1, n, dh);
-        }
-      });
-  return Tensor({b, h, tq, dh}, std::move(out));
-}
-
 namespace {
 
 // Softmax along the last dim with an optional mask predicate; rows where
@@ -553,21 +481,8 @@ Tensor SoftmaxImpl(const Tensor& x,
   // contiguous suffix, so the hot loops carry no per-element predicate.
   rt::ParallelFor(RowOpGrain(last), 0, rows, [&](int64_t lo, int64_t hi) {
     for (int64_t r = lo; r < hi; ++r) {
-      const float* xp = xdata + r * last;
-      float* op = odata + r * last;
-      const int valid = valid_cols ? valid_cols(r) : last;
-      float maxv = -1e30f;
-      for (int j = 0; j < valid; ++j) maxv = std::max(maxv, xp[j]);
-      float sum = 0.0f;
-      for (int j = 0; j < valid; ++j) {
-        op[j] = std::exp(xp[j] - maxv);
-        sum += op[j];
-      }
-      for (int j = valid; j < last; ++j) op[j] = 0.0f;
-      if (sum > 0.0f) {
-        const float inv = 1.0f / sum;
-        for (int j = 0; j < valid; ++j) op[j] *= inv;
-      }
+      SoftmaxRow(xdata + r * last, odata + r * last,
+                 valid_cols ? valid_cols(r) : last, last);
     }
   });
   auto xi = x.impl();
@@ -599,27 +514,19 @@ Tensor Softmax(const Tensor& x) {
 }
 
 Tensor MaskedSoftmax(const Tensor& scores, const std::vector<int>& key_lengths,
-                     bool causal, const std::vector<int>* query_offsets) {
+                     bool causal) {
   VIST5_CHECK_EQ(scores.ndim(), 4);
   const int b = scores.dim(0);
   const int h = scores.dim(1);
   const int tq = scores.dim(2);
   const int tk = scores.dim(3);
   VIST5_CHECK_EQ(static_cast<int>(key_lengths.size()), b);
-  if (query_offsets != nullptr) {
-    VIST5_CHECK_EQ(static_cast<int>(query_offsets->size()), b);
-  }
   auto valid_cols = [=, &key_lengths](int64_t row) {
     // row indexes [B, H, Tq] flattened. Both masks cut a suffix: keys at or
     // beyond the batch entry's length, and (causally) keys after the query.
     const int batch = static_cast<int>(row / (static_cast<int64_t>(h) * tq));
     int valid = std::min(key_lengths[batch], tk);
-    if (causal) {
-      const int q = static_cast<int>(row % tq);
-      const int offset =
-          query_offsets != nullptr ? (*query_offsets)[batch] : 0;
-      valid = std::min(valid, q + offset + 1);
-    }
+    if (causal) valid = std::min(valid, static_cast<int>(row % tq) + 1);
     return std::max(valid, 0);
   };
   return SoftmaxImpl(scores, valid_cols, tk);
@@ -635,13 +542,8 @@ Tensor RmsNorm(const Tensor& x, const Tensor& weight, float eps) {
   const float* wdata = weight.data().data();
   rt::ParallelFor(RowOpGrain(d), 0, rows, [&](int64_t lo, int64_t hi) {
     for (int64_t r = lo; r < hi; ++r) {
-      const float* xp = xdata + r * d;
-      float ss = 0.0f;
-      for (int j = 0; j < d; ++j) ss += xp[j] * xp[j];
-      const float inv = 1.0f / std::sqrt(ss / d + eps);
-      inv_rms[static_cast<size_t>(r)] = inv;
-      float* op = out.data() + r * d;
-      for (int j = 0; j < d; ++j) op[j] = xp[j] * inv * wdata[j];
+      inv_rms[static_cast<size_t>(r)] =
+          RmsNormRow(xdata + r * d, wdata, out.data() + r * d, d, eps);
     }
   });
   auto xi = x.impl();
@@ -711,20 +613,9 @@ Tensor LayerNorm(const Tensor& x, const Tensor& gain, const Tensor& bias,
   const float* bdata = bias.data().data();
   rt::ParallelFor(RowOpGrain(d), 0, rows, [&](int64_t lo, int64_t hi) {
     for (int64_t r = lo; r < hi; ++r) {
-      const float* xp = xdata + r * d;
-      float mean = 0.0f;
-      for (int j = 0; j < d; ++j) mean += xp[j];
-      mean /= d;
-      float var = 0.0f;
-      for (int j = 0; j < d; ++j) var += (xp[j] - mean) * (xp[j] - mean);
-      var /= d;
-      const float inv = 1.0f / std::sqrt(var + eps);
-      means[static_cast<size_t>(r)] = mean;
-      inv_std[static_cast<size_t>(r)] = inv;
-      float* op = out.data() + r * d;
-      for (int j = 0; j < d; ++j) {
-        op[j] = (xp[j] - mean) * inv * gdata[j] + bdata[j];
-      }
+      LayerNormRow(xdata + r * d, gdata, bdata, out.data() + r * d, d, eps,
+                   &means[static_cast<size_t>(r)],
+                   &inv_std[static_cast<size_t>(r)]);
     }
   });
   auto xi = x.impl();
@@ -893,19 +784,20 @@ Tensor Relu(const Tensor& x) {
 }
 
 Tensor Gelu(const Tensor& x) {
-  constexpr float kC = 0.7978845608028654f;  // sqrt(2/pi)
   std::vector<float> out(x.data().size());
-  ParallelElems(static_cast<int64_t>(out.size()), [&](int64_t i) {
-    const float v = x.data()[i];
-    const float t = std::tanh(kC * (v + 0.044715f * v * v * v));
-    out[i] = 0.5f * v * (1.0f + t);
-  });
+  const float* xdata = x.data().data();
+  float* odata = out.data();
+  rt::ParallelFor(kElemGrain, 0, static_cast<int64_t>(out.size()),
+                  [&](int64_t lo, int64_t hi) {
+                    GeluElems(xdata + lo, odata + lo, hi - lo);
+                  });
   auto xi = x.impl();
   Tensor result = MakeResult(x.shape(), std::move(out), {x}, nullptr);
   if (result.requires_grad()) {
     TensorImpl* ri = result.impl().get();
     result.impl()->backward_fn = [xi, ri]() {
       xi->EnsureGrad();
+      constexpr float kC = 0.7978845608028654f;  // sqrt(2/pi)
       ParallelElems(static_cast<int64_t>(ri->grad.size()), [&](int64_t i) {
         const float v = xi->data[i];
         const float u = kC * (v + 0.044715f * v * v * v);
@@ -1222,55 +1114,6 @@ Tensor GatherBatch(const Tensor& x, const std::vector<int>& indices) {
                 out.data() + static_cast<int64_t>(i) * slab);
   }
   return Tensor(std::move(shape), std::move(out));
-}
-
-void ScatterTime(Tensor* cache, const Tensor& chunk,
-                 const std::vector<int>& positions) {
-  VIST5_CHECK(!GradEnabled()) << "ScatterTime is an inference-only helper";
-  VIST5_CHECK(cache != nullptr);
-  VIST5_CHECK_EQ(chunk.ndim(), 4);
-  const int b = chunk.dim(0);
-  const int h = chunk.dim(1);
-  const int s = chunk.dim(2);
-  const int dh = chunk.dim(3);
-  VIST5_CHECK_EQ(static_cast<int>(positions.size()), b);
-  int needed = 0;
-  for (int pos : positions) {
-    VIST5_CHECK_GE(pos, 0);
-    needed = std::max(needed, pos + s);
-  }
-  int t = 0;
-  if (cache->defined()) {
-    VIST5_CHECK_EQ(cache->ndim(), 4);
-    VIST5_CHECK_EQ(cache->dim(0), b);
-    VIST5_CHECK_EQ(cache->dim(1), h);
-    VIST5_CHECK_EQ(cache->dim(3), dh);
-    t = cache->dim(2);
-  }
-  if (t < needed || cache->impl().use_count() != 1) {
-    // Grow by copy. A shared slab (a copied DecodeState, a spliced prefix
-    // block) is never written through: this handle gets its own storage.
-    const int t_new = std::max(t, needed);
-    std::vector<float> out(static_cast<size_t>(b) * h * t_new * dh, 0.0f);
-    if (t > 0) {
-      for (int64_t plane = 0; plane < static_cast<int64_t>(b) * h; ++plane) {
-        std::copy_n(cache->data().data() + plane * t * dh,
-                    static_cast<size_t>(t) * dh,
-                    out.data() + plane * t_new * dh);
-      }
-    }
-    *cache = Tensor({b, h, t_new, dh}, std::move(out));
-    t = t_new;
-  }
-  float* data = cache->mutable_data().data();
-  for (int bi = 0; bi < b; ++bi) {
-    for (int hi = 0; hi < h; ++hi) {
-      const size_t plane = static_cast<size_t>(bi) * h + hi;
-      std::copy_n(chunk.data().data() + plane * s * dh,
-                  static_cast<size_t>(s) * dh,
-                  data + (plane * t + positions[bi]) * dh);
-    }
-  }
 }
 
 Tensor PadTime(const Tensor& x, int t) {

@@ -50,33 +50,11 @@ Tensor MatMulTransposeB(const Tensor& a, const Tensor& b);
 /// Softmax over the last dimension.
 Tensor Softmax(const Tensor& x);
 
-/// Attention scores bounded by valid key counts, one per (row, query):
-/// out[b, h, i, j] = q[b, h, i, :] · k[b, h, j, :] for j < valid[b * Tq + i],
-/// zero beyond. Each dot runs through the same row kernel MatMulTransposeB
-/// uses, so inside the bound the bits match the unbounded product exactly —
-/// the bound only skips keys a later mask would zero anyway. With
-/// preallocated KV capacity (continuous batching) this cuts the per-step
-/// key stream from capacity to the live prefix. Work splits over the
-/// [B, H, Tq] rows by shape alone. Inference-only.
-Tensor BoundedAttnScores(const Tensor& q, const Tensor& k,
-                         const std::vector<int>& valid);
-
-/// Attention context bounded by valid key counts, one per (row, query):
-/// out[b, h, i, :] = sum_{j < valid[b * Tq + i]} probs[b, h, i, j] *
-/// v[b, h, j, :]. Bit-compatible with MatMul whenever probs is zero past
-/// the bound (as MaskedSoftmax leaves it): the skipped tail contributes
-/// only exact-zero terms. Inference-only.
-Tensor BoundedAttnContext(const Tensor& probs, const Tensor& v,
-                          const std::vector<int>& valid);
-
 /// Softmax over the last dim of attention scores [B, H, Tq, Tk] with
 /// padding and causal masking. Key positions >= key_lengths[b] receive zero
-/// probability; if `causal`, key position k > query position is masked,
-/// where query i of row b sits at (*query_offsets)[b] + i (incremental
-/// decoding; null means every row starts at 0).
+/// probability; if `causal`, key position k > query position q is masked.
 Tensor MaskedSoftmax(const Tensor& scores, const std::vector<int>& key_lengths,
-                     bool causal,
-                     const std::vector<int>* query_offsets = nullptr);
+                     bool causal);
 
 /// T5-style RMS norm over the last dimension: x / rms(x) * weight.
 Tensor RmsNorm(const Tensor& x, const Tensor& weight, float eps = 1e-6f);
@@ -127,17 +105,6 @@ Tensor ConcatRows(const std::vector<Tensor>& parts);
 /// reorder/expand per-beam KV caches after hypothesis pruning.
 /// Inference-only: must run under NoGradGuard.
 Tensor GatherBatch(const Tensor& x, const std::vector<int>& indices);
-
-/// Writes `chunk` [B, H, S, Dh] into `*cache` [B, H, T, Dh] at per-row
-/// time indices positions[b] .. positions[b] + S - 1. The write is in place
-/// when the cache is defined, uniquely owned, and already long enough (the
-/// preallocated-capacity decode path: ContinuousDecoder sizes caches to
-/// max_len up front); otherwise `*cache` is replaced by a zero-padded copy
-/// grown to max(T, max(positions) + S). An undefined cache acts as an empty
-/// one. Entries past a row's write are left as they were — decode steps
-/// never read past a row's position (docs/INFERENCE.md). Inference-only.
-void ScatterTime(Tensor* cache, const Tensor& chunk,
-                 const std::vector<int>& positions);
 
 /// Zero-pads a [B, H, T, Dh] tensor along the time dimension to `t` >= T.
 /// Inference-only (KV-cache merging).
@@ -192,6 +159,33 @@ Tensor MatMulInt8(const Tensor& a, const QuantizedMatrix& b);
 
 /// Sum of all elements as a scalar.
 Tensor Sum(const Tensor& x);
+
+// ---------------------------------------------------------------------------
+// Row bodies of RmsNorm, LayerNorm, the (masked) softmax and GELU, on raw
+// floats. The Tensor ops above run them, and so does the decode step
+// (nn::DecoderLayer::ForwardStep), which keeps its rows in reused buffers
+// instead of Tensors. They are compiled once, in row_ops.cc, so both
+// callers run the same loops and get the same bits when they pass the same
+// extents: one row, or for GeluElems the same kElemGrain chunk. Input and
+// output must not overlap.
+// ---------------------------------------------------------------------------
+
+/// out[j] = x[j] * inv * w[j] over one row of `d`, with inv = 1 / sqrt(
+/// mean(x²) + eps). Returns inv.
+float RmsNormRow(const float* x, const float* w, float* out, int d,
+                 float eps);
+
+/// out[j] = (x[j] - mean) * inv * gain[j] + bias[j] over one row of `d`,
+/// with inv = 1 / sqrt(var + eps). Stores mean and inv.
+void LayerNormRow(const float* x, const float* gain, const float* bias,
+                  float* out, int d, float eps, float* mean, float* inv);
+
+/// Softmax of x[0, valid) into out[0, valid), and zeros in out[valid, len).
+/// A row with valid == 0 comes out all zero.
+void SoftmaxRow(const float* x, float* out, int valid, int len);
+
+/// Tanh-approximation GELU of `n` consecutive elements.
+void GeluElems(const float* x, float* out, int64_t n);
 
 }  // namespace ops
 }  // namespace vist5

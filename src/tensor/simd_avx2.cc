@@ -45,19 +45,84 @@ VIST5_AVX2 inline float HSum(__m256 v) {
   return _mm_cvtss_f32(s);
 }
 
-// c[rows,N] += a[rows,K] · B[N,K]^T, one row at a time. Eight k-lanes
-// accumulate in parallel per output column, then reduce; the scalar
-// remainder accumulates separately and joins at the end. Single uniform
-// body for every (k, n) — the same "one reduction shape per dot" rule the
-// scalar backend follows, so growing-tk (sequential) and preallocated-tk
+// Transposes eight vectors: afterwards lane c of v[i] holds what lane i of
+// v[c] held.
+VIST5_AVX2 inline void Transpose8(__m256 v[8]) {
+  const __m256 t0 = _mm256_unpacklo_ps(v[0], v[1]);
+  const __m256 t1 = _mm256_unpackhi_ps(v[0], v[1]);
+  const __m256 t2 = _mm256_unpacklo_ps(v[2], v[3]);
+  const __m256 t3 = _mm256_unpackhi_ps(v[2], v[3]);
+  const __m256 t4 = _mm256_unpacklo_ps(v[4], v[5]);
+  const __m256 t5 = _mm256_unpackhi_ps(v[4], v[5]);
+  const __m256 t6 = _mm256_unpacklo_ps(v[6], v[7]);
+  const __m256 t7 = _mm256_unpackhi_ps(v[6], v[7]);
+  const __m256 s0 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 s1 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(3, 2, 3, 2));
+  const __m256 s2 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 s3 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(3, 2, 3, 2));
+  const __m256 s4 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 s5 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(3, 2, 3, 2));
+  const __m256 s6 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 s7 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(3, 2, 3, 2));
+  v[0] = _mm256_permute2f128_ps(s0, s4, 0x20);
+  v[1] = _mm256_permute2f128_ps(s1, s5, 0x20);
+  v[2] = _mm256_permute2f128_ps(s2, s6, 0x20);
+  v[3] = _mm256_permute2f128_ps(s3, s7, 0x20);
+  v[4] = _mm256_permute2f128_ps(s0, s4, 0x31);
+  v[5] = _mm256_permute2f128_ps(s1, s5, 0x31);
+  v[6] = _mm256_permute2f128_ps(s2, s6, 0x31);
+  v[7] = _mm256_permute2f128_ps(s3, s7, 0x31);
+}
+
+// c[rows,N] += a[rows,K] · B[N,K]^T, one row at a time. Each output column
+// runs one dot: eight k-lanes accumulate in one fma chain, the scalar
+// remainder accumulates separately, and HSum's fixed tree joins the lanes
+// before the remainder joins them. Columns go eight per pass, sharing each
+// load of the A row; the pass applies HSum's tree to all eight at once,
+// vertically, after a transpose, so every column rounds exactly as the
+// one-column body that runs the leftover columns does. A column's bits
+// therefore depend only on its A row, its B row and k — never on n or on
+// where the column falls — so growing-tk (sequential) and preallocated-tk
 // (batched) decode paths see identical bits *within* this backend
 // (docs/SERVING.md).
 VIST5_AVX2 void GemmNT(const float* a, const float* b, float* c, int rows,
                        int k, int n) {
+  const int k8 = k & ~7;
   for (int r = 0; r < rows; ++r) {
     const float* arow = a + static_cast<size_t>(r) * k;
     float* crow = c + static_cast<size_t>(r) * n;
-    for (int j = 0; j < n; ++j) {
+    int j = 0;
+    for (; j + 8 <= n; j += 8) {
+      const float* b0 = b + static_cast<size_t>(j) * k;
+      __m256 acc[8];
+      for (int s = 0; s < 8; ++s) acc[s] = _mm256_setzero_ps();
+      for (int p = 0; p < k8; p += 8) {
+        const __m256 av = _mm256_loadu_ps(arow + p);
+        for (int s = 0; s < 8; ++s) {
+          acc[s] = _mm256_fmadd_ps(
+              av, _mm256_loadu_ps(b0 + static_cast<size_t>(s) * k + p),
+              acc[s]);
+        }
+      }
+      alignas(32) float tail[8];
+      for (int s = 0; s < 8; ++s) {
+        const float* brow = b0 + static_cast<size_t>(s) * k;
+        float t = 0.0f;
+        for (int p = k8; p < k; ++p) t += arow[p] * brow[p];
+        tail[s] = t;
+      }
+      // HSum(v) = ((v0 + v4) + (v2 + v6)) + ((v1 + v5) + (v3 + v7)).
+      Transpose8(acc);
+      const __m256 sum = _mm256_add_ps(
+          _mm256_add_ps(_mm256_add_ps(acc[0], acc[4]),
+                        _mm256_add_ps(acc[2], acc[6])),
+          _mm256_add_ps(_mm256_add_ps(acc[1], acc[5]),
+                        _mm256_add_ps(acc[3], acc[7])));
+      _mm256_storeu_ps(
+          crow + j, _mm256_add_ps(_mm256_loadu_ps(crow + j),
+                                  _mm256_add_ps(sum, _mm256_load_ps(tail))));
+    }
+    for (; j < n; ++j) {
       const float* brow = b + static_cast<size_t>(j) * k;
       __m256 acc = _mm256_setzero_ps();
       int p = 0;

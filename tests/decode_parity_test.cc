@@ -5,8 +5,10 @@
 // bit-identical token sequences, and DecodeStep must reproduce Decode's
 // newest hidden row bit-for-bit, one request at a time and side by side in
 // one ContinuousDecoder. See docs/INFERENCE.md for the contract.
-// The span, ragged-span, and TruncateTo suites pin the shapes of the one
-// decode step that speculative and batched decoding are built on, and the
+// The int8 and LoRA legs run the same checks with int8 weights and with
+// LoRA adapters attached. The span, ragged-span, TruncateTo and
+// copied-state suites pin the shapes of the one decode step that
+// speculative and batched decoding are built on, and the
 // Speculative suite pins its end-to-end contract: draft-verify output is
 // bit-identical to plain greedy regardless of the draft
 // (docs/SPECULATIVE.md).
@@ -58,13 +60,11 @@ class DecodeParity
   uint64_t seed() const { return std::get<1>(GetParam()); }
 };
 
-TEST_P(DecodeParity, HiddenStatesMatchFullDecode) {
-  nn::TransformerConfig cfg = preset().make(kVocab);
-  cfg.dropout = 0.0f;
-  Rng init(seed());
-  nn::Transformer t(cfg, &init);
-
-  Rng data(seed() * 101 + 3);
+/// DecodeStep must reproduce the newest row of the teacher-forced Decode
+/// over the same prefix, bit for bit, at every step.
+void ExpectHiddenStatesMatchFullDecode(const nn::Transformer& t, uint64_t seed,
+                                       const char* name) {
+  Rng data(seed * 101 + 3);
   const int src_len = data.UniformRange(5, 8);
   const std::vector<int> src = RandomSrc(&data, src_len);
   const std::vector<int> src_lengths = {src_len};
@@ -88,9 +88,39 @@ TEST_P(DecodeParity, HiddenStatesMatchFullDecode) {
       // Bit-identical, not approximately equal: the cached path reuses the
       // exact arithmetic of the full path.
       ASSERT_EQ(incremental.data()[i], last.data()[i])
-          << preset().name << " step " << step << " dim " << i;
+          << name << " step " << step << " dim " << i;
     }
     prefix.push_back(2 + step % (kVocab - 2));
+  }
+}
+
+TEST_P(DecodeParity, HiddenStatesMatchFullDecode) {
+  nn::TransformerConfig cfg = preset().make(kVocab);
+  cfg.dropout = 0.0f;
+  Rng init(seed());
+  nn::Transformer t(cfg, &init);
+  ExpectHiddenStatesMatchFullDecode(t, seed(), preset().name);
+}
+
+TEST(DecodeParityLora, HiddenStatesMatchFullDecodeLlmProxy) {
+  // The LLM-proxy baselines decode with LoRA adapters on every attention
+  // and feed-forward projection. A nonzero B makes each adapter's delta
+  // reach the output, through its own rounding points.
+  for (const uint64_t seed : {11, 42, 1234}) {
+    nn::TransformerConfig cfg = nn::TransformerConfig::LlmProxy(kVocab);
+    cfg.dropout = 0.0f;
+    Rng init(seed);
+    nn::Transformer t(cfg, &init);
+    t.EnableLora(/*rank=*/4, /*alpha=*/8.0f, &init);
+    int adapters = 0;
+    for (auto& [name, param] : t.NamedParameters()) {
+      if (name.find("lora_b") == std::string::npos) continue;
+      Tensor b = param;
+      for (float& v : b.mutable_data()) v = 0.2f * init.Normal();
+      ++adapters;
+    }
+    ASSERT_GT(adapters, 0);
+    ExpectHiddenStatesMatchFullDecode(t, seed, "llm_proxy+lora");
   }
 }
 
@@ -105,6 +135,25 @@ TEST_P(DecodeParity, GreedyTokensMatch) {
   cached.max_len = 16;
   EXPECT_EQ(m.Generate(src, cached), oracle::GreedyDecodeFull(m, src, cached))
       << preset().name;
+}
+
+TEST_P(DecodeParity, GreedyInt8TokensMatch) {
+  // Int8 weights: the cached step and the full-prefix oracle both read the
+  // same quantized snapshots, so their tokens must agree too. EOS is
+  // banned so that every case decodes its full length.
+  nn::TransformerConfig cfg = preset().make(kVocab);
+  cfg.dropout = 0.0f;
+  model::TransformerSeq2Seq m(cfg, kPad, kEos, seed());
+  Rng data(seed() * 89 + 59);
+  const std::vector<int> src = RandomSrc(&data, 7);
+
+  model::GenerationOptions int8;
+  int8.max_len = 16;
+  int8.weight_dtype = WeightDtype::kInt8;
+  int8.allowed = [](int token) { return token != kEos; };
+  const std::vector<int> cached = m.Generate(src, int8);
+  EXPECT_EQ(cached.size(), 16u) << preset().name;
+  EXPECT_EQ(cached, oracle::GreedyDecodeFull(m, src, int8)) << preset().name;
 }
 
 TEST_P(DecodeParity, GreedyConstrainedTokensMatch) {
@@ -496,6 +545,48 @@ TEST_P(DecodeParity, TruncateInsidePreallocatedSlab) {
   EXPECT_EQ(slab.layers[0].self_k.dim(2), 16) << "capacity must be kept";
   const Tensor got = t.DecodeStep({8}, &slab);
   ExpectRowsEqual(got, 0, want, preset().name, "corrective step");
+}
+
+TEST_P(DecodeParity, CopiedStateStepsIndependently) {
+  // A copy of a state shares its self caches until one side writes. The
+  // copy's steps must not reach the original: stepping the original after
+  // its copy has decoded other tokens must give the bits of a state that
+  // was never copied. The copy first rolls back into the shared prefix, so
+  // a write through the shared storage would change keys the original
+  // still reads.
+  nn::TransformerConfig cfg = preset().make(kVocab);
+  cfg.dropout = 0.0f;
+  Rng init(seed());
+  nn::Transformer t(cfg, &init);
+
+  Rng data(seed() * 97 + 61);
+  const int src_len = data.UniformRange(5, 8);
+  const std::vector<int> src = RandomSrc(&data, src_len);
+  const std::vector<int> src_lengths = {src_len};
+
+  NoGradGuard guard;
+  const Tensor memory =
+      t.Encode(src, 1, src_len, src_lengths, /*train=*/false, nullptr);
+  nn::DecodeState never_copied =
+      t.BeginDecode(memory, 1, src_len, src_lengths);
+  nn::DecodeState original = t.BeginDecode(memory, 1, src_len, src_lengths);
+  Preallocate(16, &never_copied);
+  Preallocate(16, &original);
+  for (int id : {kPad, 4, 6}) {
+    t.DecodeStep({id}, &never_copied);
+    t.DecodeStep({id}, &original);
+  }
+
+  nn::DecodeState copy = original;
+  copy.TruncateTo(1);
+  for (int id : {11, 13, 9}) t.DecodeStep({id}, &copy);
+  EXPECT_EQ(copy.steps, (std::vector<int>{4}));
+
+  for (int id : {8, 5}) {
+    const Tensor want = t.DecodeStep({id}, &never_copied);
+    const Tensor got = t.DecodeStep({id}, &original);
+    ExpectRowsEqual(got, 0, want, preset().name, "original after copy");
+  }
 }
 
 TEST_P(DecodeParity, CachedGreedy64MatchesOracle) {

@@ -10,7 +10,9 @@
 // surfaces as a hard heap-buffer-overflow report instead of a silent
 // parity wobble. As a side check it re-verifies the cross-backend contract
 // on the ASan build: NN and int8 kernels bit-identical, NT within the
-// pinned bound.
+// pinned bound. A seam check runs each backend's NT kernel over every
+// column-count prefix of one product: a column must keep its bits whether
+// the walk puts it in an 8-column block or among the leftover columns.
 //
 // Plain main (no gtest): the binary must stay free of uninstrumented
 // library code on the hot path so ASan interposes every allocation the
@@ -19,6 +21,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <memory>
 
 #include "tensor/simd.h"
@@ -138,6 +141,53 @@ void ExpectNtBound(const Operands& op, const float* ref, const float* got) {
   }
 }
 
+/// NT column seams: for every n' <= n, the NT product over the first n'
+/// B rows must give each of its columns the bits that column has in the
+/// product over all n rows. The decode step bounds each score row by its
+/// visible keys while the teacher-forced decoder runs the full product, so
+/// a column's bits may not depend on where the column falls in the walk.
+/// C starts nonzero, as the kernel accumulates into it.
+void CheckNtSeams(const char* backend, const simd::KernelSet& ks, Lcg* rng) {
+  constexpr int kN = 41;  // five 8-column blocks and one leftover column
+  const int rows_list[] = {1, 3};
+  const int ks_list[] = {5, 8, 16, 17, 24, 32, 64};
+  for (int rows : rows_list) {
+    for (int k : ks_list) {
+      const Operands op(rows, k, kN, rng);
+      const int64_t size = static_cast<int64_t>(rows) * kN;
+      const std::unique_ptr<float[]> c0 = RandomBuf(size, rng);
+      auto full = std::make_unique<float[]>(static_cast<size_t>(size));
+      std::memcpy(full.get(), c0.get(),
+                  static_cast<size_t>(size) * sizeof(float));
+      ks.gemm_nt(op.a.get(), op.b_nt.get(), full.get(), rows, k, kN);
+      for (int np = 1; np <= kN; ++np) {
+        auto part = std::make_unique<float[]>(static_cast<size_t>(rows) * np);
+        for (int r = 0; r < rows; ++r) {
+          std::memcpy(part.get() + static_cast<size_t>(r) * np,
+                      c0.get() + static_cast<size_t>(r) * kN,
+                      static_cast<size_t>(np) * sizeof(float));
+        }
+        ks.gemm_nt(op.a.get(), op.b_nt.get(), part.get(), rows, k, np);
+        for (int r = 0; r < rows; ++r) {
+          for (int j = 0; j < np; ++j) {
+            const float got = part[static_cast<size_t>(r) * np + j];
+            const float want = full[static_cast<size_t>(r) * kN + j];
+            if (std::memcmp(&got, &want, sizeof(float)) != 0) {
+              std::fprintf(stderr,
+                           "FAIL %s nt seam rows=%d k=%d: column %d of row %d "
+                           "is %.9g over %d columns but %.9g over %d\n",
+                           backend, rows, k, j, r, static_cast<double>(got),
+                           np, static_cast<double>(want), kN);
+              ++g_failures;
+              return;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 
 int main() {
@@ -170,6 +220,9 @@ int main() {
       }
     }
   }
+
+  CheckNtSeams("scalar", *scalar, &rng);
+  if (avx2 != nullptr) CheckNtSeams("avx2", *avx2, &rng);
 
   if (g_failures != 0) {
     std::fprintf(stderr, "simd_asan_test: %d parity failure(s)\n", g_failures);

@@ -4,13 +4,15 @@
 // vist5::model with -O3 and no sanitizer; this binary recompiles
 // src/spec/engine.cc and the decoder that runs its rounds
 // (src/model/batch_decoder.cc), together with the decode step under them
-// (src/tensor/ops.cc, src/nn/transformer.cc), under ASan (see
+// (src/nn/transformer.cc, attention.cc and layers.cc, src/tensor/ops.cc
+// and row_ops.cc), under ASan (see
 // tests/CMakeLists.txt) and churns Generate through every shape of round
 // the decoder has: full accepts, full rejects, partial accepts with
 // mid-span rollback, adaptive-k growth and collapse, constrained
 // vocabularies, deadline cuts, prefix-spliced base prefills, and the
 // self-draft ceiling. The hot path — span DecodeStep writing the
-// KV cache through ScatterTime, bounded attention reads at span > 1,
+// KV cache in place or into a grown copy, bounded attention reads at
+// span > 1 from its reused row buffers,
 // TruncateTo moving the position back over a stale tail, the draft
 // catch-up feed — runs inside instrumented TUs, so an off-by-one in any
 // cache write or bounded read surfaces as a hard heap-buffer-overflow
