@@ -5,7 +5,9 @@
 // (docs/KERNELS.md) so the vectorization and quantization wins are
 // measured, not asserted. After the google-benchmark run, summary rows
 // are printed and, when VIST5_BENCH_JSON is set, appended as JSON lines
-// (scripts/run_all_benches.sh exports them into build/obs/):
+// (scripts/run_all_benches.sh exports them into build/obs/). A run with
+// --benchmark_filter prints only the tables whose names the filter
+// selects:
 // `gemm_isa_dtype` (single-thread GEMM throughput per backend/dtype),
 // `gemm_decode_shapes` (the kernels at decode's row counts and weight
 // shapes),
@@ -16,6 +18,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <regex>
+#include <string>
 
 #include <benchmark/benchmark.h>
 
@@ -594,16 +598,46 @@ void ReportCheckpointSaveLoad() {
                    static_cast<double>(bytes) / 1e6});
 }
 
+/// The --benchmark_filter regex of a command line, empty when it has none
+/// (the last one wins, as in google-benchmark).
+std::string BenchmarkFilter(int argc, char** argv) {
+  const std::string flag = "--benchmark_filter=";
+  std::string filter;
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg.compare(0, flag.size(), flag) == 0) filter = arg.substr(flag.size());
+  }
+  return filter;
+}
+
+/// Whether a run with `filter` prints the summary table `name`: with no
+/// filter, or when the filter selects the name as google-benchmark selects
+/// benchmark names ("all" matches everything, a leading '-' negates).
+bool TableSelected(const std::string& filter, const std::string& name) {
+  if (filter.empty() || filter == "all") return true;
+  if (filter[0] == '-') {
+    return !std::regex_search(name, std::regex(filter.substr(1)));
+  }
+  return std::regex_search(name, std::regex(filter));
+}
+
 }  // namespace vist5
 
 int main(int argc, char** argv) {
+  const std::string filter = vist5::BenchmarkFilter(argc, argv);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  vist5::ReportGemmIsaDtype();
-  vist5::ReportGemmDecodeShapes();
-  vist5::ReportDecodeWeightBytes();
-  vist5::ReportCheckpointSaveLoad();
+  const struct {
+    const char* name;
+    void (*report)();
+  } tables[] = {{"gemm_isa_dtype", vist5::ReportGemmIsaDtype},
+                {"gemm_decode_shapes", vist5::ReportGemmDecodeShapes},
+                {"decode_weight_bytes", vist5::ReportDecodeWeightBytes},
+                {"checkpoint_save_load", vist5::ReportCheckpointSaveLoad}};
+  for (const auto& table : tables) {
+    if (vist5::TableSelected(filter, table.name)) table.report();
+  }
   return 0;
 }

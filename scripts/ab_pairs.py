@@ -36,8 +36,8 @@ def run_slice(binary, regex, slice_s):
          "--benchmark_min_time=" + str(slice_s),
          "--benchmark_format=json"],
         check=True, capture_output=True, text=True).stdout
-    # The JSON report comes first; micro_benchmarks prints its summary
-    # tables after it.
+    # The JSON report comes first; micro_benchmarks prints after it only
+    # the summary tables whose names the filter selects.
     report, _ = json.JSONDecoder().raw_decode(out)
     rows = {}
     for row in report["benchmarks"]:

@@ -95,21 +95,21 @@ void ContinuousDecoder::Admit(uint64_t id, const std::vector<int>& src,
   VIST5_CHECK(prefill->dtype == batch_dtype_)
       << "cached prefix block computed at " << WeightDtypeName(prefill->dtype)
       << " cannot join a " << WeightDtypeName(batch_dtype_) << " batch";
-  // Splice: copy the state *structure*; its tensor handles alias the
+  // Splice: copy the block's state, whose cross K/V handles alias the
   // block's storage. The loop below installs fresh self caches in this
-  // copy only, and every later cross-cache mutation (Reorder's
-  // GatherBatch, MergeFrom's ConcatBatch) replaces handles with copies,
-  // so a shared block stays bit-exact for the next consumer.
+  // copy only. MergeFrom and Reorder move handles and no step writes cross
+  // K/V, so the row aliases the block for its whole decode and the block
+  // stays bit-exact for the next consumer.
   nn::DecodeState fresh = prefill->state;
   if (options.beam_size <= 1) {
-    // Preallocate the self-attention caches to the row's full step budget.
-    // The capacity beyond a row's position is never read, and it lets
-    // every subsequent decode step write keys/values in place instead of
-    // reallocating the whole cache (ops::ScatterTime). A verify span never
-    // writes past max_len - 1 either (Propose). Beam rows get no slab:
-    // Reorder gathers them every step, and a slab would make every gather
-    // copy all max_len positions, so their caches grow with the hypotheses
-    // instead.
+    // Preallocate the row's self-attention caches to its full step budget.
+    // The capacity beyond the row's position is never read, and it lets
+    // every decode step write keys/values in place instead of growing the
+    // cache by a copy (EnsureWritableCache, src/nn/attention.cc). A verify
+    // span never writes past max_len - 1 either (Propose). Beam rows get
+    // no slab: a forked row copies its parent's cache on its first write,
+    // and a slab would make each such copy cover all max_len positions, so
+    // their caches grow with the hypotheses instead.
     const int capacity = std::max(options.max_len, 1);
     for (nn::DecodeState::LayerCache& layer : fresh.layers) {
       const int heads = layer.cross_k.dim(1);
@@ -233,8 +233,6 @@ std::vector<ContinuousDecoder::Finished> ContinuousDecoder::Step(
   std::vector<Finished> done;
   if (requests_.empty()) return done;
   VIST5_TRACE_SPAN("model/batch_decode_step");
-  // Covers the pre-step sweep too: its Reorder gathers KV caches through
-  // inference-only ops (GatherBatch), not just the decode step below.
   NoGradGuard guard;
   WeightDtypeGuard dtype_guard(batch_dtype_);
 
@@ -332,7 +330,7 @@ std::vector<ContinuousDecoder::Finished> ContinuousDecoder::Step(
     if (finished) Finish(&request, false, &done, emitted);
   }
   // Runs even when no request finished, because beam ranges reorder their
-  // rows every step; Reorder skips the copy when the rows are unchanged.
+  // rows every step; Reorder returns at once when the rows are unchanged.
   Retain(parents);
   return done;
 }

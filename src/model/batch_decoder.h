@@ -36,7 +36,7 @@ struct SpecStats {
 };
 
 /// The decoder every request runs through: continuous (in-flight)
-/// batching over a shared KV cache.
+/// batching over per-row KV caches.
 ///
 /// Requests are admitted one at a time — each is prefilled by
 /// TransformerSeq2Seq::EncodePrefix (or spliced from a cached block) and
@@ -120,10 +120,12 @@ class ContinuousDecoder {
   /// When `prefill` is non-null it must hold exactly `src` at the batch's
   /// weight dtype; the encoder forward and cross K/V projection are then
   /// skipped and the cached block's tensors are spliced (aliased, not
-  /// copied) into the batch state. Because blocks are immutable and every
-  /// decode-path mutation of cross caches replaces the handle rather than
-  /// writing through it, a spliced admit is bit-identical to a recomputed
-  /// one (docs/SERVING.md).
+  /// copied) into the batch state. Blocks are immutable, and no decode step
+  /// writes or copies a row's cross caches, so the row aliases the block
+  /// until it leaves and a spliced admit is bit-identical to a recomputed
+  /// one (docs/SERVING.md). Every row except a beam row gets a self-K/V
+  /// slab of max_len positions of its own; admitting copies no other
+  /// row's K/V.
   void Admit(uint64_t id, const std::vector<int>& src,
              const GenerationOptions& options,
              Clock::time_point deadline = Clock::time_point::max(),

@@ -60,9 +60,10 @@ std::vector<int> SelectBeamResult(
 /// sequence: the per-layer cross-attention K/V projection of the encoder
 /// output, all a decode needs before its first step. Produced under
 /// NoGradGuard by TransformerSeq2Seq::EncodePrefix; nothing on the decode
-/// path ever writes through these tensors (Reorder/MergeFrom replace cache
-/// handles with copies, and only self_k/self_v see in-place scatter), so
-/// one block can back any number of concurrent decodes bit-exactly. The
+/// path writes or copies these tensors (MergeFrom and Reorder move row
+/// handles, and a step writes only a row's own self_k/self_v), so one
+/// block can back any number of concurrent decodes bit-exactly, each
+/// aliasing it for as long as its row decodes. The
 /// serve layer refcounts and LRU-evicts them (serve::PrefixCache,
 /// docs/SERVING.md).
 struct EncodedPrefix {

@@ -121,73 +121,66 @@ void MultiHeadAttention::ProjectKv(const Tensor& memory, int batch, int tk,
 
 namespace {
 
-/// Makes `*cache` a [batch, heads, >= needed, dh] tensor that the step may
+/// Makes `*cache` a [1, heads, >= needed, dh] tensor that the step may
 /// write in place. An undefined cache, one shorter than `needed`, or one
 /// whose storage another handle shares is replaced by a copy grown to
 /// max(T, needed), zero past its old extent.
-void EnsureWritableCache(Tensor* cache, int batch, int heads, int needed,
-                         int dh) {
+void EnsureWritableCache(Tensor* cache, int heads, int needed, int dh) {
   int t = 0;
   if (cache->defined()) {
     VIST5_CHECK_EQ(cache->ndim(), 4);
-    VIST5_CHECK_EQ(cache->dim(0), batch);
+    VIST5_CHECK_EQ(cache->dim(0), 1);
     VIST5_CHECK_EQ(cache->dim(1), heads);
     VIST5_CHECK_EQ(cache->dim(3), dh);
     t = cache->dim(2);
   }
   if (t >= needed && cache->impl().use_count() == 1) return;
   const int t_new = std::max(t, needed);
-  std::vector<float> grown(static_cast<size_t>(batch) * heads * t_new * dh,
-                           0.0f);
-  for (int64_t plane = 0; t > 0 && plane < static_cast<int64_t>(batch) * heads;
-       ++plane) {
-    std::copy_n(cache->data().data() + plane * t * dh,
-                static_cast<size_t>(t) * dh, grown.data() + plane * t_new * dh);
+  std::vector<float> grown(static_cast<size_t>(heads) * t_new * dh, 0.0f);
+  for (int h = 0; t > 0 && h < heads; ++h) {
+    std::copy_n(cache->data().data() + static_cast<size_t>(h) * t * dh,
+                static_cast<size_t>(t) * dh,
+                grown.data() + static_cast<size_t>(h) * t_new * dh);
   }
-  *cache = Tensor({batch, heads, t_new, dh}, std::move(grown));
+  *cache = Tensor({1, heads, t_new, dh}, std::move(grown));
 }
 
-/// Writes the step's projected rows `x` [R, d] into `cache` [B, H, T, dh]
-/// at time positions[b] + i for query i of row b: the head split and the
+/// Writes row b's projected step rows `x` [span, d] into its `cache`
+/// [1, H, T, dh] at time position + i for query i: the head split and the
 /// time scatter in one copy.
-void WriteStepRows(const float* x, const StepRows& rows, int heads, int dh,
+void WriteStepRows(const float* x, int span, int position, int heads, int dh,
                    Tensor* cache) {
   const int t = cache->dim(2);
   const int d = heads * dh;
   float* data = cache->mutable_data().data();
-  for (int b = 0; b < rows.batch; ++b) {
-    for (int i = 0; i < rows.span; ++i) {
-      const float* src = x + (static_cast<size_t>(b) * rows.span + i) * d;
-      for (int h = 0; h < heads; ++h) {
-        std::copy_n(src + static_cast<size_t>(h) * dh, dh,
-                    data + ((static_cast<size_t>(b) * heads + h) * t +
-                            rows.positions[b] + i) *
-                               dh);
-      }
+  for (int i = 0; i < span; ++i) {
+    const float* src = x + static_cast<size_t>(i) * d;
+    for (int h = 0; h < heads; ++h) {
+      std::copy_n(src + static_cast<size_t>(h) * dh, dh,
+                  data + (static_cast<size_t>(h) * t + position + i) * dh);
     }
   }
 }
 
 /// The attention rows of one ForwardStep, one per (row, head, query). Each
-/// runs Forward's sequence on the keys its query can see: the score row
-/// (the NT kernel accumulating into zeros, as MatMulTransposeB does), the
-/// 1/sqrt(dh) scale, then the bias, each rounded on its own, the softmax
-/// row, and the context product.
+/// runs Forward's sequence on the keys its query can see in its own row's
+/// caches: the score row (the NT kernel accumulating into zeros, as
+/// MatMulTransposeB does), the 1/sqrt(dh) scale, then the bias, each
+/// rounded on its own, the softmax row, and the context product.
 struct AttentionRows {
   const tensor::simd::KernelSet* ks = nullptr;
   const float* q = nullptr;  // [R, d]
-  const float* k = nullptr;  // [B, H, T, dh]
-  const float* v = nullptr;  // [B, H, T, dh]
   float* ctx = nullptr;      // [R, d]
-  float* scores = nullptr;   // [B * H * span, T]
-  float* probs = nullptr;    // [B * H * span, T]
+  float* scores = nullptr;   // [B * H * span, t]
+  float* probs = nullptr;    // [B * H * span, t]
   const StepRows* rows = nullptr;
+  int layer = 0;
   bool causal = false;
   const float* bias_table = nullptr;  // self-attention with relative bias
   float scale = 1.0f;
   bool scaled = false;
   int heads = 0;
-  int t = 0;
+  int t = 0;  // the score rows' stride: the largest row extent
   int dh = 0;
 
   void Run(int64_t lo, int64_t hi) const {
@@ -197,16 +190,20 @@ struct AttentionRows {
       const int b = static_cast<int>(r / (static_cast<int64_t>(heads) * span));
       const int h = static_cast<int>(r / span % heads);
       const int i = static_cast<int>(r % span);
+      const LayerCache& cache = rows->cache(b, layer);
+      const Tensor& k = causal ? cache.self_k : cache.cross_k;
+      const Tensor& v = causal ? cache.self_v : cache.cross_v;
+      const int t_row = k.shape()[2];
       const int pos = rows->positions[b] + i;
       const int n = std::clamp(causal ? pos + 1 : rows->memory_lengths[b], 0,
-                               t);
-      const size_t plane = (static_cast<size_t>(b) * heads + h) * t * dh;
+                               t_row);
+      const size_t plane = static_cast<size_t>(h) * t_row * dh;
       const size_t qrow =
           (static_cast<size_t>(b) * span + i) * d + static_cast<size_t>(h) * dh;
       float* srow = scores + r * t;
       float* prow = probs + r * t;
       std::fill_n(srow, n, 0.0f);
-      ks->gemm_nt(q + qrow, k + plane, srow, /*rows=*/1, dh, n);
+      ks->gemm_nt(q + qrow, k.data().data() + plane, srow, /*rows=*/1, dh, n);
       if (scaled) {
         for (int j = 0; j < n; ++j) srow[j] *= scale;
       }
@@ -218,31 +215,33 @@ struct AttentionRows {
         }
       }
       ops::SoftmaxRow(srow, prow, n, n);
-      ks->gemm_nn_zero(prow, v + plane, ctx + qrow, /*rows=*/1, n, dh);
+      ks->gemm_nn_zero(prow, v.data().data() + plane, ctx + qrow, /*rows=*/1,
+                       n, dh);
     }
   }
 };
 
 }  // namespace
 
-void MultiHeadAttention::ForwardStep(const StepRows& rows, const float* x,
-                                     bool self, Tensor* k, Tensor* v,
+void MultiHeadAttention::ForwardStep(const StepRows& rows, int layer,
+                                     const float* x, bool self,
                                      float* out) const {
   VIST5_CHECK(!GradEnabled()) << "ForwardStep is inference-only";
   const int dh = dim_ / heads_;
   const int r = rows.rows();
-  if (self) {
-    int needed = 0;
-    for (int b = 0; b < rows.batch; ++b) {
+  int t = 0;
+  for (int b = 0; b < rows.batch; ++b) {
+    LayerCache& cache = rows.cache(b, layer);
+    if (self) {
       VIST5_CHECK_GE(rows.positions[b], 0);
-      needed = std::max(needed, rows.positions[b] + rows.span);
+      const int needed = rows.positions[b] + rows.span;
+      EnsureWritableCache(&cache.self_k, heads_, needed, dh);
+      EnsureWritableCache(&cache.self_v, heads_, needed, dh);
     }
-    EnsureWritableCache(k, rows.batch, heads_, needed, dh);
-    EnsureWritableCache(v, rows.batch, heads_, needed, dh);
+    const Tensor& k = self ? cache.self_k : cache.cross_k;
+    VIST5_CHECK(k.shape() == (self ? cache.self_v : cache.cross_v).shape());
+    t = std::max(t, k.dim(2));
   }
-  VIST5_CHECK_EQ(k->dim(0), rows.batch);
-  VIST5_CHECK(k->shape() == v->shape());
-  const int t = k->dim(2);
   const int64_t rd = static_cast<int64_t>(r) * dim_;
   const int64_t attn_rows =
       static_cast<int64_t>(rows.batch) * heads_ * rows.span;
@@ -264,13 +263,18 @@ void MultiHeadAttention::ForwardStep(const StepRows& rows, const float* x,
     float* v_rows = k_rows + rd;
     wk_.ForwardRows(x, r, k_rows);
     wv_.ForwardRows(x, r, v_rows);
-    WriteStepRows(k_rows, rows, heads_, dh, k);
-    WriteStepRows(v_rows, rows, heads_, dh, v);
+    const int64_t row_floats = static_cast<int64_t>(rows.span) * dim_;
+    for (int b = 0; b < rows.batch; ++b) {
+      LayerCache& cache = rows.cache(b, layer);
+      WriteStepRows(k_rows + b * row_floats, rows.span, rows.positions[b],
+                    heads_, dh, &cache.self_k);
+      WriteStepRows(v_rows + b * row_floats, rows.span, rows.positions[b],
+                    heads_, dh, &cache.self_v);
+    }
     a.bias_table = rows.bias_table;
   }
-  a.k = k->data().data();
-  a.v = v->data().data();
   a.rows = &rows;
+  a.layer = layer;
   a.causal = self;
   a.scale = score_scale_;
   a.scaled = scale_scores_;

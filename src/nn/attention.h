@@ -44,6 +44,15 @@ class RelativePositionBias : public Module {
   Tensor table_;
 };
 
+/// One decode row's caches for one decoder layer (DecodeState::LayerCache).
+/// Each tensor is [1, H, T, Dh], where T is this row's own extent.
+struct LayerCache {
+  Tensor self_k;   ///< T >= the row's position; written by each decode step
+  Tensor self_v;
+  Tensor cross_k;  ///< T = the encoder length; never written after BeginDecode
+  Tensor cross_v;
+};
+
 /// The rows of one decode step (Transformer::DecodeStep), as each decoder
 /// layer and its attention read them. Row b consumes `span` tokens, the
 /// first at absolute position positions[b].
@@ -52,6 +61,9 @@ struct StepRows {
   int span = 1;
   const int* positions = nullptr;       ///< [batch]
   const int* memory_lengths = nullptr;  ///< [batch] encoder lengths
+  /// The decode state's caches: row b's layer l at caches[b * layers + l].
+  LayerCache* caches = nullptr;
+  int layers = 0;
   /// Relative-bias configs: the decoder's [buckets, H] bias table, and the
   /// bucket of every key distance up to the step's last position
   /// (RelativePositionBias::ExtendDistanceBuckets). Null otherwise.
@@ -61,6 +73,10 @@ struct StepRows {
   std::vector<float>* attn_work = nullptr;
 
   int rows() const { return batch * span; }
+  /// Row b's caches for decoder layer `layer`.
+  LayerCache& cache(int b, int layer) const {
+    return caches[static_cast<size_t>(b) * layers + layer];
+  }
 };
 
 /// Multi-head scaled dot-product attention over padded batches.
@@ -97,23 +113,25 @@ class MultiHeadAttention : public Module {
                  Tensor* v) const;
 
   /// The decode step's attention, on raw rows (DecoderLayer::ForwardStep).
-  /// `x` holds the step's R = batch·span query rows [R, d]; keys and values
-  /// come from the [B, H, T, Dh] caches `*k` and `*v`.
+  /// `x` holds the step's R = batch·span query rows [R, d]; row b's keys
+  /// and values come from its own caches for decoder layer `layer`
+  /// (rows.cache(b, layer)), self_k/self_v or cross_k/cross_v.
   ///  - Self-attention (`self`): the rows' own keys/values are projected
   ///    from `x` and written at time positions[b] .. positions[b] + span -
   ///    1 first, and query i of row b sees keys 0 .. positions[b] + i, plus
-  ///    the relative bias when `rows` carries one. A cache that is too
-  ///    short, or whose storage another handle shares (a copied
-  ///    DecodeState, a spliced prefix block), is replaced by a grown copy
-  ///    before the write, zero-padded past its old extent.
+  ///    the relative bias when `rows` carries one. A row's cache that is
+  ///    too short, or whose storage another handle shares (a forked beam
+  ///    row, a copied DecodeState), is replaced by a grown copy before the
+  ///    write, zero-padded past its old extent; the other rows are not
+  ///    touched.
   ///  - Cross-attention: row b sees its memory_lengths[b] keys, and the
   ///    caches are only read.
   /// Writes the [R, d] output to `out`. Runs Forward's kernels, row
   /// functions and rounding points on the keys each query can see, so a
   /// step reproduces Forward's row for that query bit for bit
   /// (docs/INFERENCE.md, "Parity contract"). Inference-only.
-  void ForwardStep(const StepRows& rows, const float* x, bool self, Tensor* k,
-                   Tensor* v, float* out) const;
+  void ForwardStep(const StepRows& rows, int layer, const float* x, bool self,
+                   float* out) const;
 
   /// Attaches LoRA adapters to the query and value projections (the
   /// standard LoRA placement).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 
 #include "rt/thread_pool.h"
 
@@ -71,6 +72,17 @@ bool IsPreRms(TransformerConfig::NormStyle s) {
   return s == TransformerConfig::NormStyle::kPreRms;
 }
 
+/// Batch row `b` of a [B, ...] tensor as a [1, ...] tensor of its own; a
+/// batch-1 tensor is returned as is.
+Tensor BatchRow(const Tensor& x, int b) {
+  if (x.dim(0) == 1) return x;
+  std::vector<int> shape = x.shape();
+  shape[0] = 1;
+  const int64_t n = x.NumElements() / x.dim(0);
+  const auto first = x.data().begin() + b * n;
+  return Tensor(std::move(shape), std::vector<float>(first, first + n));
+}
+
 /// out[e] = x[e] + y[e] over `n` elements of raw rows, split like ops::Add.
 /// `out` may be `x`.
 void AddRows(const float* x, const float* y, float* out, int64_t n) {
@@ -86,35 +98,29 @@ void AddRows(const float* x, const float* y, float* out, int64_t n) {
 }  // namespace
 
 void DecodeState::Reorder(const std::vector<int>& parents) {
-  // Skip the copy when the new beam set is exactly the old one in order.
+  // Skip the rebuild when the new row set is exactly the old one in order.
   bool identity = static_cast<int>(parents.size()) == batch;
   for (size_t i = 0; identity && i < parents.size(); ++i) {
     identity = parents[i] == static_cast<int>(i);
   }
   if (identity) return;
+  const size_t per_row = batch > 0 ? layers.size() / batch : 0;
+  std::vector<LayerCache> rows;
+  rows.reserve(parents.size() * per_row);
   std::vector<int> new_steps(parents.size());
+  std::vector<int> lengths(parents.size());
   int max_step = 0;
   for (size_t i = 0; i < parents.size(); ++i) {
-    new_steps[i] = steps[static_cast<size_t>(parents[i])];
+    VIST5_CHECK_GE(parents[i], 0);
+    VIST5_CHECK_LT(parents[i], batch);
+    const size_t p = static_cast<size_t>(parents[i]);
+    rows.insert(rows.end(), layers.begin() + p * per_row,
+                layers.begin() + (p + 1) * per_row);
+    new_steps[i] = steps[p];
+    lengths[i] = memory_lengths[p];
     max_step = std::max(max_step, new_steps[i]);
   }
-  for (LayerCache& layer : layers) {
-    // Time capacity is kept as-is: surviving rows may be shorter than the
-    // cache's extent, but decode steps never read past a row's position,
-    // and trimming would throw away the preallocated capacity the in-place
-    // scatter path relies on (docs/SERVING.md). Self caches stay undefined
-    // until a step writes them when no row was preallocated (beam rows).
-    if (layer.self_k.defined()) {
-      layer.self_k = ops::GatherBatch(layer.self_k, parents);
-      layer.self_v = ops::GatherBatch(layer.self_v, parents);
-    }
-    layer.cross_k = ops::GatherBatch(layer.cross_k, parents);
-    layer.cross_v = ops::GatherBatch(layer.cross_v, parents);
-  }
-  std::vector<int> lengths(parents.size());
-  for (size_t i = 0; i < parents.size(); ++i) {
-    lengths[i] = memory_lengths[static_cast<size_t>(parents[i])];
-  }
+  layers = std::move(rows);
   memory_lengths = std::move(lengths);
   steps = std::move(new_steps);
   step = max_step;
@@ -122,47 +128,10 @@ void DecodeState::Reorder(const std::vector<int>& parents) {
 }
 
 void DecodeState::MergeFrom(DecodeState&& other) {
-  if (batch == 0) {
-    Scratch warm = std::move(scratch);
-    *this = std::move(other);
-    scratch = std::move(warm);
-    return;
-  }
-  VIST5_CHECK_EQ(layers.size(), other.layers.size());
-  VIST5_CHECK_EQ(static_cast<int>(steps.size()), batch);
-  VIST5_CHECK_EQ(static_cast<int>(other.steps.size()), other.batch);
-  // Builds a zero slab matching `like` for a side whose cache is still
-  // undefined (no decode step taken yet).
-  const auto zeros_like = [](const Tensor& like, int rows) {
-    return Tensor({rows, like.dim(1), like.dim(2), like.dim(3)});
-  };
-  for (size_t i = 0; i < layers.size(); ++i) {
-    LayerCache& a = layers[i];
-    LayerCache& b = other.layers[i];
-    const int t_self = std::max(a.self_k.defined() ? a.self_k.dim(2) : 0,
-                                b.self_k.defined() ? b.self_k.dim(2) : 0);
-    if (t_self > 0) {
-      Tensor ak = a.self_k.defined() ? ops::PadTime(a.self_k, t_self)
-                                     : Tensor();
-      Tensor av = a.self_v.defined() ? ops::PadTime(a.self_v, t_self)
-                                     : Tensor();
-      Tensor bk = b.self_k.defined() ? ops::PadTime(b.self_k, t_self)
-                                     : Tensor();
-      Tensor bv = b.self_v.defined() ? ops::PadTime(b.self_v, t_self)
-                                     : Tensor();
-      if (!ak.defined()) ak = zeros_like(bk, batch);
-      if (!av.defined()) av = zeros_like(bv, batch);
-      if (!bk.defined()) bk = zeros_like(ak, other.batch);
-      if (!bv.defined()) bv = zeros_like(av, other.batch);
-      a.self_k = ops::ConcatBatch(ak, bk);
-      a.self_v = ops::ConcatBatch(av, bv);
-    }
-    const int t_enc = std::max(a.cross_k.dim(2), b.cross_k.dim(2));
-    a.cross_k = ops::ConcatBatch(ops::PadTime(a.cross_k, t_enc),
-                                 ops::PadTime(b.cross_k, t_enc));
-    a.cross_v = ops::ConcatBatch(ops::PadTime(a.cross_v, t_enc),
-                                 ops::PadTime(b.cross_v, t_enc));
-  }
+  VIST5_CHECK(batch == 0 || other.batch == 0 ||
+              layers.size() / batch == other.layers.size() / other.batch);
+  layers.insert(layers.end(), std::make_move_iterator(other.layers.begin()),
+                std::make_move_iterator(other.layers.end()));
   memory_lengths.insert(memory_lengths.end(), other.memory_lengths.begin(),
                         other.memory_lengths.end());
   steps.insert(steps.end(), other.steps.begin(), other.steps.end());
@@ -306,13 +275,11 @@ Tensor DecoderLayer::Forward(const Tensor& x, const Tensor& memory, int batch,
 }
 
 void DecoderLayer::BeginDecode(const Tensor& memory, int batch, int enc_seq,
-                               DecodeState::LayerCache* cache) const {
-  cross_attn_.ProjectKv(memory, batch, enc_seq, &cache->cross_k,
-                        &cache->cross_v);
+                               Tensor* k, Tensor* v) const {
+  cross_attn_.ProjectKv(memory, batch, enc_seq, k, v);
 }
 
-void DecoderLayer::ForwardStep(const StepRows& rows,
-                               DecodeState::LayerCache* cache, float* h,
+void DecoderLayer::ForwardStep(const StepRows& rows, int layer, float* h,
                                float* work) const {
   // Self-attention keys/values are projected from the same per-row input
   // the full path uses (the pre-norm output for kPreRms, the raw residual
@@ -329,24 +296,20 @@ void DecoderLayer::ForwardStep(const StepRows& rows,
   float* ff_work = attn + rd;
   if (IsPreRms(norm_style_)) {
     rms1_->ForwardRows(h, r, normed);
-    self_attn_.ForwardStep(rows, normed, /*self=*/true, &cache->self_k,
-                           &cache->self_v, attn);
+    self_attn_.ForwardStep(rows, layer, normed, /*self=*/true, attn);
     AddRows(h, attn, h, rd);
     rms2_->ForwardRows(h, r, normed);
-    cross_attn_.ForwardStep(rows, normed, /*self=*/false, &cache->cross_k,
-                            &cache->cross_v, attn);
+    cross_attn_.ForwardStep(rows, layer, normed, /*self=*/false, attn);
     AddRows(h, attn, h, rd);
     rms3_->ForwardRows(h, r, normed);
     ff_.ForwardRows(normed, r, attn, ff_work);
     AddRows(h, attn, h, rd);
     return;
   }
-  self_attn_.ForwardStep(rows, h, /*self=*/true, &cache->self_k,
-                         &cache->self_v, attn);
+  self_attn_.ForwardStep(rows, layer, h, /*self=*/true, attn);
   AddRows(h, attn, sum, rd);
   ln1_->ForwardRows(sum, r, h);
-  cross_attn_.ForwardStep(rows, h, /*self=*/false, &cache->cross_k,
-                          &cache->cross_v, attn);
+  cross_attn_.ForwardStep(rows, layer, h, /*self=*/false, attn);
   AddRows(h, attn, sum, rd);
   ln2_->ForwardRows(sum, r, h);
   ff_.ForwardRows(h, r, attn, ff_work);
@@ -543,9 +506,16 @@ DecodeState Transformer::BeginDecode(
   state.batch = batch;
   state.memory_lengths = memory_lengths;
   state.steps.assign(static_cast<size_t>(batch), 0);
-  state.layers.resize(decoder_layers_.size());
-  for (size_t i = 0; i < decoder_layers_.size(); ++i) {
-    decoder_layers_[i]->BeginDecode(memory, batch, enc_seq, &state.layers[i]);
+  const size_t num_layers = decoder_layers_.size();
+  state.layers.resize(static_cast<size_t>(batch) * num_layers);
+  for (size_t l = 0; l < num_layers; ++l) {
+    Tensor k, v;
+    decoder_layers_[l]->BeginDecode(memory, batch, enc_seq, &k, &v);
+    for (int b = 0; b < batch; ++b) {
+      DecodeState::LayerCache& cache = state.layers[b * num_layers + l];
+      cache.cross_k = BatchRow(k, b);
+      cache.cross_v = BatchRow(v, b);
+    }
   }
   return state;
 }
@@ -559,7 +529,9 @@ Tensor Transformer::DecodeStep(const std::vector<int>& next_ids,
   VIST5_CHECK_EQ(static_cast<int>(state->steps.size()), state->batch);
   VIST5_CHECK_EQ(static_cast<int>(state->memory_lengths.size()),
                  state->batch);
-  VIST5_CHECK_EQ(state->layers.size(), decoder_layers_.size());
+  const int num_layers = static_cast<int>(decoder_layers_.size());
+  VIST5_CHECK_EQ(state->layers.size(),
+                 static_cast<size_t>(state->batch) * num_layers);
   const int rows = state->batch * span;
   const int d = config_.d_model;
   int needed = 0;
@@ -571,15 +543,18 @@ Tensor Transformer::DecodeStep(const std::vector<int>& next_ids,
   step.span = span;
   step.positions = state->steps.data();
   step.memory_lengths = state->memory_lengths.data();
+  step.caches = state->layers.data();
+  step.layers = num_layers;
   step.attn_work = &scratch.attn;
   if (decoder_bias_) {
-    // One bucket per key distance, kept across steps. Reserving the self
-    // cache's capacity lets a decode that fills a preallocated slab append
-    // without reallocating.
+    // One bucket per key distance, kept across steps. Reserving the
+    // largest row's self-cache capacity lets a decode that fills a
+    // preallocated slab append without reallocating.
     if (static_cast<int>(scratch.buckets.size()) < needed) {
       int capacity = needed;
-      if (!state->layers.empty() && state->layers[0].self_k.defined()) {
-        capacity = std::max(capacity, state->layers[0].self_k.dim(2));
+      for (int b = 0; b < state->batch; ++b) {
+        const Tensor& self_k = step.cache(b, 0).self_k;
+        if (self_k.defined()) capacity = std::max(capacity, self_k.dim(2));
       }
       scratch.buckets.reserve(static_cast<size_t>(capacity));
       decoder_bias_->ExtendDistanceBuckets(needed, &scratch.buckets);
@@ -593,8 +568,8 @@ Tensor Transformer::DecodeStep(const std::vector<int>& next_ids,
   if (scratch.rows.size() < need) scratch.rows.resize(need);
   float* h = scratch.rows.data();
   EmbedStep(next_ids, state->steps, span, h);
-  for (size_t i = 0; i < decoder_layers_.size(); ++i) {
-    decoder_layers_[i]->ForwardStep(step, &state->layers[i], h, h + rd);
+  for (int l = 0; l < num_layers; ++l) {
+    decoder_layers_[l]->ForwardStep(step, l, h, h + rd);
   }
   Tensor out({rows, d});
   float* out_rows = out.mutable_data().data();

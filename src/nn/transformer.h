@@ -52,21 +52,21 @@ struct TransformerConfig {
   static TransformerConfig LlmProxy(int vocab_size);
 };
 
-/// Per-layer attention caches for KV-cached incremental decoding (see
-/// docs/INFERENCE.md). Each row's self-attention keys/values are written at
-/// that row's own positions, one span at a time; cross-attention
-/// keys/values are projected from the encoder memory exactly once at
-/// BeginDecode. Inference-only: all tensors are built under NoGradGuard
-/// and carry no autograd history.
+/// The state of KV-cached incremental decoding (see docs/INFERENCE.md): a
+/// list of rows, each with its own caches. Row b's self-attention keys and
+/// values are written at that row's own positions, one span at a time; its
+/// cross-attention keys and values are projected from the encoder memory
+/// exactly once, at BeginDecode, and never copied or written after it.
+/// Admitting, evicting and forking rows moves cache handles and copies no
+/// K/V. Inference-only: all tensors are built under NoGradGuard and carry
+/// no autograd history.
 struct DecodeState {
-  struct LayerCache {
-    Tensor self_k;   ///< [B, H, T, Dh], T >= step; written by DecodeStep
-    Tensor self_v;   ///< [B, H, T, Dh]
-    Tensor cross_k;  ///< [B, H, T_enc, Dh], fixed after BeginDecode
-    Tensor cross_v;  ///< [B, H, T_enc, Dh]
-  };
+  using LayerCache = nn::LayerCache;
 
-  std::vector<LayerCache> layers;  ///< one per decoder layer
+  /// Each row's per-layer caches back to back: row b's decoder layer l at
+  /// layers[b * L + l], L layers per row. Every tensor is [1, H, T_b, Dh],
+  /// T_b being that row's own extent, so a batch-1 state holds L entries.
+  std::vector<LayerCache> layers;
   std::vector<int> memory_lengths;
   int batch = 0;
   int step = 0;  ///< max decoder tokens consumed by any row
@@ -78,18 +78,18 @@ struct DecodeState {
   /// position are never read.
   std::vector<int> steps;
 
-  /// Reorders/expands the batch dimension after beam pruning or batch
-  /// eviction: entry i of the new state is old entry `parents[i]`.
-  /// `parents` may repeat (a hypothesis forked) or drop indices (a
-  /// hypothesis died / a request finished). The self-attention time
-  /// capacity is kept as-is, so preallocated slabs stay preallocated, and
-  /// self caches no step has written yet stay undefined.
+  /// Reorders/expands the rows after beam pruning or batch eviction: row i
+  /// of the new state is old row `parents[i]`. `parents` may repeat (a
+  /// hypothesis forked) or drop indices (a hypothesis died / a request
+  /// finished). Only handles move: forked rows share their parent's
+  /// caches until a step writes one of them, which then copies that row
+  /// alone (copy-on-write), and each row keeps its own capacity.
   void Reorder(const std::vector<int>& parents);
 
-  /// Joins `other`'s rows onto this state's batch (continuous batching:
-  /// freshly prefilled requests merge into the running decode batch at a
-  /// step boundary). Time dimensions are zero-padded to the pairwise max;
-  /// padded entries lie past their row's position and are never read. Both
+  /// Appends `other`'s rows to this state (continuous batching: freshly
+  /// prefilled requests join the running decode batch at a step boundary).
+  /// Only handles move, so every row keeps its own storage and extent, and
+  /// a row spliced from a prefix-cache block keeps aliasing the block. Both
   /// states must come from the same Transformer.
   void MergeFrom(DecodeState&& other);
 
@@ -147,19 +147,20 @@ class DecoderLayer : public Module {
                  const std::vector<int>& memory_lengths,
                  const Tensor* self_bias, float dropout_p, Rng* rng) const;
 
-  /// Projects `memory` into the layer's cross-attention cache.
-  void BeginDecode(const Tensor& memory, int batch, int enc_seq,
-                   DecodeState::LayerCache* cache) const;
+  /// Projects `memory` ([B*T_enc, d]) into cross-attention keys and
+  /// values `*k` and `*v`, each [B, H, T_enc, Dh].
+  void BeginDecode(const Tensor& memory, int batch, int enc_seq, Tensor* k,
+                   Tensor* v) const;
 
-  /// The decode step's pass through this block, on raw rows
-  /// (Transformer::DecodeStep): the step's R = rows.rows() already-embedded
-  /// rows `h` [R, d] (updated in place) run through the block, and their
-  /// self-attention keys/values land in `cache` at each row's positions.
-  /// `work` holds R·(2·d + 2·d_ff) floats. Forward's kernels, row functions
-  /// and rounding points throughout, so each row equals Forward's row at
-  /// that position.
-  void ForwardStep(const StepRows& rows, DecodeState::LayerCache* cache,
-                   float* h, float* work) const;
+  /// The decode step's pass through this block, decoder layer `layer`, on
+  /// raw rows (Transformer::DecodeStep): the step's R = rows.rows()
+  /// already-embedded rows `h` [R, d] (updated in place) run through the
+  /// block, and their self-attention keys/values land in each row's cache
+  /// rows.cache(b, layer) at that row's positions. `work` holds
+  /// R·(2·d + 2·d_ff) floats. Forward's kernels, row functions and rounding
+  /// points throughout, so each row equals Forward's row at that position.
+  void ForwardStep(const StepRows& rows, int layer, float* h,
+                   float* work) const;
 
   void EnableLora(int rank, float alpha, Rng* rng) {
     self_attn_.EnableLora(rank, alpha, rng);
@@ -201,8 +202,9 @@ class Transformer : public Module {
                 Rng* rng) const;
 
   /// Starts KV-cached incremental decoding against encoder `memory`
-  /// ([B*T_enc, d]): allocates per-layer caches and projects the
-  /// cross-attention keys/values once. Must run under NoGradGuard.
+  /// ([B*T_enc, d]): projects the cross-attention keys/values once, into
+  /// B rows of per-layer caches with T_enc positions each. Must run under
+  /// NoGradGuard.
   DecodeState BeginDecode(const Tensor& memory, int batch, int enc_seq,
                           const std::vector<int>& memory_lengths) const;
 

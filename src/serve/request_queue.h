@@ -23,9 +23,12 @@ namespace serve {
 /// (docs/SERVING.md).
 using TokenCallback = std::function<void(int token, size_t seq)>;
 
-/// Ranges the line-JSON wire and replayed trace files accept for a
-/// request's "max_len" and "draft" fields.
+/// Upper bounds of a request's max_len, beam_size and draft_k, the wire's
+/// "max_len", "beam" and "draft" fields. The line-JSON server and
+/// BatchScheduler::Submit enforce all three (max_len and beam_size from 1,
+/// draft_k from 0); replayed trace files bound "max_len" and "draft".
 inline constexpr int kMaxRequestMaxLen = 4096;
+inline constexpr int kMaxRequestBeamSize = 64;
 inline constexpr int kMaxRequestDraftK = 1024;
 /// Longest tokenized source BatchScheduler::Submit accepts; longer ones get
 /// a per-request error. The encoder's [heads, n, n] attention scores grow

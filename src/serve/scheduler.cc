@@ -47,6 +47,26 @@ std::string SpecAdmissionError(const model::GenerationOptions& options,
   return "";
 }
 
+/// The wire's range checks for a request submitted in process: an empty
+/// string when max_len, beam_size and draft_k lie in the ranges the
+/// line-JSON server accepts (request_queue.h), else the error.
+std::string OptionRangeError(const model::GenerationOptions& options) {
+  const struct {
+    const char* name;
+    int value, lo, hi;
+  } fields[] = {{"max_len", options.max_len, 1, kMaxRequestMaxLen},
+                {"beam_size", options.beam_size, 1, kMaxRequestBeamSize},
+                {"draft_k", options.draft_k, 0, kMaxRequestDraftK}};
+  for (const auto& f : fields) {
+    if (f.value < f.lo || f.value > f.hi) {
+      return std::string(f.name) + " " + std::to_string(f.value) +
+             " is outside [" + std::to_string(f.lo) + ", " +
+             std::to_string(f.hi) + "]";
+    }
+  }
+  return "";
+}
+
 /// Emits the serve/req<id>/* span family reconstructing one request in the
 /// Chrome trace: queue wait, prefill (admit -> first token), decode, and a
 /// parent span covering the whole request. All on the scheduler thread, so
@@ -135,6 +155,10 @@ Status BatchScheduler::Submit(Request req, Completion done) {
     return fail("source has " + std::to_string(req.tokens.size()) +
                 " tokens; the limit is " +
                 std::to_string(kMaxRequestSrcTokens));
+  }
+  if (const std::string range_error = OptionRangeError(req.options);
+      !range_error.empty()) {
+    return fail(range_error);
   }
   const int vocab = model_->transformer().config().vocab_size;
   for (size_t i = 0; i < req.tokens.size(); ++i) {

@@ -1130,8 +1130,8 @@ void Server::DispatchLine(const std::shared_ptr<Conn>& conn,
   std::string field_error;
   if (!ReadIntField(doc, "max_len", 1, kMaxRequestMaxLen,
                     &req.options.max_len, &field_error) ||
-      !ReadIntField(doc, "beam", 1, 64, &req.options.beam_size,
-                    &field_error) ||
+      !ReadIntField(doc, "beam", 1, kMaxRequestBeamSize,
+                    &req.options.beam_size, &field_error) ||
       !ReadIntField(doc, "deadline_ms", 0, 86400000,
                     &req.options.deadline_ms, &field_error) ||
       !ReadIntField(doc, "priority", -1000000, 1000000, &req.priority,

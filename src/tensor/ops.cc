@@ -1099,57 +1099,6 @@ Tensor ConcatRows(const std::vector<Tensor>& parts) {
   return result;
 }
 
-Tensor GatherBatch(const Tensor& x, const std::vector<int>& indices) {
-  VIST5_CHECK(!GradEnabled()) << "GatherBatch is an inference-only helper";
-  VIST5_CHECK_GE(x.ndim(), 1);
-  const int b = x.dim(0);
-  const int64_t slab = x.NumElements() / b;
-  std::vector<int> shape = x.shape();
-  shape[0] = static_cast<int>(indices.size());
-  std::vector<float> out(static_cast<size_t>(indices.size()) * slab);
-  for (size_t i = 0; i < indices.size(); ++i) {
-    VIST5_CHECK_GE(indices[i], 0);
-    VIST5_CHECK_LT(indices[i], b);
-    std::copy_n(x.data().data() + indices[i] * slab, slab,
-                out.data() + static_cast<int64_t>(i) * slab);
-  }
-  return Tensor(std::move(shape), std::move(out));
-}
-
-Tensor PadTime(const Tensor& x, int t) {
-  VIST5_CHECK(!GradEnabled()) << "PadTime is an inference-only helper";
-  VIST5_CHECK_EQ(x.ndim(), 4);
-  const int b = x.dim(0);
-  const int h = x.dim(1);
-  const int t_old = x.dim(2);
-  const int dh = x.dim(3);
-  VIST5_CHECK_GE(t, t_old);
-  if (t == t_old) return x;
-  std::vector<float> out(static_cast<size_t>(b) * h * t * dh, 0.0f);
-  for (int bi = 0; bi < b; ++bi) {
-    for (int hi = 0; hi < h; ++hi) {
-      const size_t plane = static_cast<size_t>(bi) * h + hi;
-      std::copy_n(x.data().data() + plane * t_old * dh,
-                  static_cast<size_t>(t_old) * dh,
-                  out.data() + plane * t * dh);
-    }
-  }
-  return Tensor({b, h, t, dh}, std::move(out));
-}
-
-Tensor ConcatBatch(const Tensor& a, const Tensor& b) {
-  VIST5_CHECK(!GradEnabled()) << "ConcatBatch is an inference-only helper";
-  VIST5_CHECK_EQ(a.ndim(), 4);
-  VIST5_CHECK_EQ(b.ndim(), 4);
-  for (int d = 1; d < 4; ++d) VIST5_CHECK_EQ(a.dim(d), b.dim(d));
-  std::vector<float> out;
-  out.reserve(a.data().size() + b.data().size());
-  out.insert(out.end(), a.data().begin(), a.data().end());
-  out.insert(out.end(), b.data().begin(), b.data().end());
-  return Tensor({a.dim(0) + b.dim(0), a.dim(1), a.dim(2), a.dim(3)},
-                std::move(out));
-}
-
 Tensor GatherRows(const Tensor& x, const std::vector<int>& rows) {
   VIST5_CHECK_EQ(x.ndim(), 2);
   const int d = x.dim(1);

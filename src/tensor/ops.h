@@ -101,19 +101,6 @@ Tensor MergeHeads(const Tensor& x);
 /// Concatenates 2-D tensors [N_i, D] along dim 0.
 Tensor ConcatRows(const std::vector<Tensor>& parts);
 
-/// Selects slabs along dim 0: out[i, ...] = x[indices[i], ...]. Used to
-/// reorder/expand per-beam KV caches after hypothesis pruning.
-/// Inference-only: must run under NoGradGuard.
-Tensor GatherBatch(const Tensor& x, const std::vector<int>& indices);
-
-/// Zero-pads a [B, H, T, Dh] tensor along the time dimension to `t` >= T.
-/// Inference-only (KV-cache merging).
-Tensor PadTime(const Tensor& x, int t);
-
-/// Concatenates two [B_i, H, T, Dh] tensors along the batch dimension.
-/// Inference-only (joining requests into a shared decode batch).
-Tensor ConcatBatch(const Tensor& a, const Tensor& b);
-
 /// Selects rows of a 2-D tensor: out[i, :] = x[rows[i], :]. Differentiable.
 Tensor GatherRows(const Tensor& x, const std::vector<int>& rows);
 

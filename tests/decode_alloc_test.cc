@@ -4,6 +4,9 @@
 // decode step"). This binary replaces the global operator new with a
 // counting one and checks a warmed t5_small step at batch 1, at batch 4
 // and in a span-5 verify, at float32 and int8, on one and two threads.
+// It also counts the bytes that admitting a row (DecodeState::MergeFrom)
+// and evicting one (Reorder) allocate: both move row handles, so each
+// stays below one row's self-K/V slab.
 
 #include <algorithm>
 #include <atomic>
@@ -20,10 +23,12 @@
 
 namespace {
 std::atomic<int64_t> g_allocations{0};
+std::atomic<int64_t> g_bytes{0};
 }  // namespace
 
 void* operator new(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_bytes.fetch_add(static_cast<int64_t>(size), std::memory_order_relaxed);
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc();
 }
@@ -47,28 +52,37 @@ struct Case {
   WeightDtype dtype;
 };
 
+constexpr int kSrcLen = 9;
+
+/// A `batch`-row state over distinct sources, each row with a [1, H,
+/// kCapacity, Dh] self-K/V slab per layer, as ContinuousDecoder::Admit
+/// gives it.
+nn::DecodeState SlabState(const nn::Transformer& t, int batch) {
+  std::vector<int> src;
+  std::vector<int> lengths;
+  for (int b = 0; b < batch; ++b) {
+    for (int i = 0; i < kSrcLen; ++i) src.push_back(2 + (b * 5 + i) % 40);
+    lengths.push_back(kSrcLen - b % 3);
+  }
+  const Tensor memory =
+      t.Encode(src, batch, kSrcLen, lengths, /*train=*/false, nullptr);
+  nn::DecodeState state = t.BeginDecode(memory, batch, kSrcLen, lengths);
+  for (nn::DecodeState::LayerCache& layer : state.layers) {
+    layer.self_k = Tensor({1, layer.cross_k.dim(1), kCapacity,
+                           layer.cross_k.dim(3)});
+    layer.self_v = Tensor({1, layer.cross_k.dim(1), kCapacity,
+                           layer.cross_k.dim(3)});
+  }
+  return state;
+}
+
 /// The most allocations any of several warmed DecodeStep calls made.
 int64_t WorstAllocationsPerStep(const Case& c) {
   Rng init(7);
   nn::Transformer t(nn::TransformerConfig::T5Small(kVocab), &init);
   NoGradGuard no_grad;
   WeightDtypeGuard dtype(c.dtype);
-  std::vector<int> src;
-  std::vector<int> lengths;
-  constexpr int kSrcLen = 9;
-  for (int b = 0; b < c.batch; ++b) {
-    for (int i = 0; i < kSrcLen; ++i) src.push_back(2 + (b * 5 + i) % 40);
-    lengths.push_back(kSrcLen - b % 3);
-  }
-  const Tensor memory =
-      t.Encode(src, c.batch, kSrcLen, lengths, /*train=*/false, nullptr);
-  nn::DecodeState state = t.BeginDecode(memory, c.batch, kSrcLen, lengths);
-  for (nn::DecodeState::LayerCache& layer : state.layers) {
-    layer.self_k = Tensor({c.batch, layer.cross_k.dim(1), kCapacity,
-                           layer.cross_k.dim(3)});
-    layer.self_v = Tensor({c.batch, layer.cross_k.dim(1), kCapacity,
-                           layer.cross_k.dim(3)});
-  }
+  nn::DecodeState state = SlabState(t, c.batch);
   std::vector<int> ids(static_cast<size_t>(c.batch) * c.span);
   for (size_t i = 0; i < ids.size(); ++i) ids[i] = 3 + static_cast<int>(i);
   // Warm-up: the first steps grow the scratch buffers and build the int8
@@ -107,6 +121,37 @@ TEST_P(DecodeAlloc, WarmedStepAllocatesOnlyItsResult) {
                    static_cast<int>(worst));
   }
   rt::SetThreads(previous);
+}
+
+TEST(DecodeStateAlloc, MergeAndEvictAllocateLessThanOneSlab) {
+  Rng init(7);
+  nn::Transformer t(nn::TransformerConfig::T5Small(kVocab), &init);
+  NoGradGuard no_grad;
+  const nn::TransformerConfig& cfg = t.config();
+  const int64_t slab_bytes = static_cast<int64_t>(kCapacity) * cfg.d_model *
+                             static_cast<int64_t>(sizeof(float));
+
+  nn::DecodeState seven = SlabState(t, 7);
+  const std::vector<int> ids(7, 3);
+  for (int i = 0; i < 2; ++i) t.DecodeStep(ids, &seven);
+  nn::DecodeState one = SlabState(t, 1);
+  int64_t before = g_bytes.load(std::memory_order_relaxed);
+  seven.MergeFrom(std::move(one));
+  const int64_t merge_bytes = g_bytes.load(std::memory_order_relaxed) - before;
+  EXPECT_EQ(seven.batch, 8);
+  EXPECT_LT(merge_bytes, slab_bytes) << "MergeFrom copied K/V";
+
+  nn::DecodeState eight = SlabState(t, 8);
+  for (int i = 0; i < 2; ++i) t.DecodeStep(std::vector<int>(8, 3), &eight);
+  const std::vector<int> survivors = {0, 1, 2, 4, 5, 6, 7};
+  before = g_bytes.load(std::memory_order_relaxed);
+  eight.Reorder(survivors);
+  const int64_t reorder_bytes =
+      g_bytes.load(std::memory_order_relaxed) - before;
+  EXPECT_EQ(eight.batch, 7);
+  EXPECT_LT(reorder_bytes, slab_bytes) << "Reorder copied K/V";
+  RecordProperty("merge_bytes", static_cast<int>(merge_bytes));
+  RecordProperty("reorder_bytes", static_cast<int>(reorder_bytes));
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, DecodeAlloc, ::testing::Values(1, 2),

@@ -14,7 +14,9 @@
 // (docs/SPECULATIVE.md).
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -586,6 +588,171 @@ TEST_P(DecodeParity, CopiedStateStepsIndependently) {
     const Tensor want = t.DecodeStep({id}, &never_copied);
     const Tensor got = t.DecodeStep({id}, &original);
     ExpectRowsEqual(got, 0, want, preset().name, "original after copy");
+  }
+}
+
+/// The storage of every cache tensor of every row of `state`, in layer
+/// order: self_k, self_v, cross_k, cross_v per row and layer.
+std::vector<const float*> CacheStorage(const nn::DecodeState& state) {
+  std::vector<const float*> out;
+  for (const nn::DecodeState::LayerCache& layer : state.layers) {
+    for (const Tensor* t :
+         {&layer.self_k, &layer.self_v, &layer.cross_k, &layer.cross_v}) {
+      out.push_back(t->defined() ? t->data().data() : nullptr);
+    }
+  }
+  return out;
+}
+
+TEST_P(DecodeParity, MergeAndEvictMoveHandlesOnly) {
+  // Admit and evict move row handles and copy no K/V: after a stepped
+  // state merges two rows spliced from EncodePrefix blocks, every row's
+  // four cache tensors keep the storage they had, so the blocks stay
+  // aliased, also through the next step. Evicting a row then leaves the
+  // survivors' storage as it was.
+  nn::TransformerConfig cfg = preset().make(kVocab);
+  cfg.dropout = 0.0f;
+  const model::TransformerSeq2Seq m(cfg, kPad, kEos, seed());
+  const nn::Transformer& t = m.transformer();
+  Rng data(seed() * 89 + 59);
+  std::vector<std::shared_ptr<const model::EncodedPrefix>> blocks;
+  for (int len : {6, 9, 4}) {
+    blocks.push_back(
+        m.EncodePrefix(RandomSrc(&data, len), WeightDtype::kFloat32));
+  }
+
+  NoGradGuard guard;
+  const size_t per_row = blocks[0]->state.layers.size();
+  nn::DecodeState state = blocks[0]->state;
+  Preallocate(16, &state);
+  for (int id : {kPad, 4, 6}) t.DecodeStep({id}, &state);
+  std::vector<const float*> want = CacheStorage(state);
+  for (size_t i = 1; i < blocks.size(); ++i) {
+    nn::DecodeState row = blocks[i]->state;
+    Preallocate(16, &row);
+    const std::vector<const float*> row_storage = CacheStorage(row);
+    want.insert(want.end(), row_storage.begin(), row_storage.end());
+    state.MergeFrom(std::move(row));
+  }
+  ASSERT_EQ(state.layers.size(), 3 * per_row);
+  EXPECT_EQ(CacheStorage(state), want) << preset().name << " after merge";
+  t.DecodeStep({8, kPad, kPad}, &state);
+  EXPECT_EQ(CacheStorage(state), want) << preset().name << " after a step";
+  for (size_t b = 0; b < blocks.size(); ++b) {
+    for (size_t l = 0; l < per_row; ++l) {
+      EXPECT_EQ(state.layers[b * per_row + l].cross_k.data().data(),
+                blocks[b]->state.layers[l].cross_k.data().data())
+          << preset().name << " row " << b << " no longer aliases its block";
+    }
+  }
+
+  state.Reorder({0, 2});
+  const auto row1 = want.begin() + static_cast<std::ptrdiff_t>(4 * per_row);
+  want.erase(row1, row1 + static_cast<std::ptrdiff_t>(4 * per_row));
+  EXPECT_EQ(CacheStorage(state), want) << preset().name << " after evict";
+}
+
+TEST_P(DecodeParity, MergedRowsKeepTheirOwnCapacity) {
+  // A row preallocated to 4096 positions joins two rows that hold 16: the
+  // rows keep their own extents, and the next steps still equal each
+  // row's own batch-1 decode.
+  nn::TransformerConfig cfg = preset().make(kVocab);
+  cfg.dropout = 0.0f;
+  Rng init(seed());
+  nn::Transformer t(cfg, &init);
+
+  Rng data(seed() * 103 + 67);
+  NoGradGuard guard;
+  nn::DecodeState merged;
+  std::vector<nn::DecodeState> refs;
+  for (const int capacity : {16, 16, 4096}) {
+    const int len = data.UniformRange(4, 9);
+    const std::vector<int> src = RandomSrc(&data, len);
+    const Tensor memory = t.Encode(src, 1, len, {len}, false, nullptr);
+    nn::DecodeState row = t.BeginDecode(memory, 1, len, {len});
+    refs.push_back(t.BeginDecode(memory, 1, len, {len}));
+    Preallocate(capacity, &row);
+    t.DecodeStep({kPad}, &row);
+    t.DecodeStep({kPad}, &refs.back());
+    merged.MergeFrom(std::move(row));
+  }
+  const size_t per_row = refs[0].layers.size();
+  ASSERT_EQ(merged.layers.size(), 3 * per_row);
+  for (int step = 0; step < 2; ++step) {
+    for (size_t l = 0; l < per_row; ++l) {
+      EXPECT_EQ(merged.layers[l].self_k.dim(2), 16) << preset().name;
+      EXPECT_EQ(merged.layers[per_row + l].self_k.dim(2), 16)
+          << preset().name;
+      EXPECT_EQ(merged.layers[2 * per_row + l].self_k.dim(2), 4096)
+          << preset().name;
+    }
+    const std::vector<int> ids = {5 + step, 7 + step, 9 + step};
+    const Tensor got = t.DecodeStep(ids, &merged);
+    for (size_t r = 0; r < refs.size(); ++r) {
+      const Tensor want = t.DecodeStep({ids[r]}, &refs[r]);
+      ExpectRowsEqual(got, static_cast<int>(r), want, preset().name,
+                      "merged row");
+    }
+  }
+}
+
+TEST_P(DecodeParity, ForkedRowsSplitOnWrite) {
+  // Reorder({0, 0}) forks a stepped row: both copies share its caches
+  // until the next step writes them. That step copies the first row's
+  // caches only (the second is then their sole owner and writes in
+  // place), and each copy's steps equal an independent batch-1 decode.
+  nn::TransformerConfig cfg = preset().make(kVocab);
+  cfg.dropout = 0.0f;
+  Rng init(seed());
+  nn::Transformer t(cfg, &init);
+
+  Rng data(seed() * 107 + 71);
+  const int src_len = data.UniformRange(5, 8);
+  const std::vector<int> src = RandomSrc(&data, src_len);
+  const std::vector<int> src_lengths = {src_len};
+
+  NoGradGuard guard;
+  const Tensor memory =
+      t.Encode(src, 1, src_len, src_lengths, /*train=*/false, nullptr);
+  nn::DecodeState forked = t.BeginDecode(memory, 1, src_len, src_lengths);
+  std::vector<nn::DecodeState> refs = {
+      t.BeginDecode(memory, 1, src_len, src_lengths),
+      t.BeginDecode(memory, 1, src_len, src_lengths)};
+  Preallocate(16, &forked);
+  for (int id : {kPad, 4, 6}) {
+    t.DecodeStep({id}, &forked);
+    for (nn::DecodeState& ref : refs) t.DecodeStep({id}, &ref);
+  }
+  forked.Reorder({0, 0});
+  const size_t per_row = refs[0].layers.size();
+  ASSERT_EQ(forked.layers.size(), 2 * per_row);
+  const std::vector<const float*> parent = CacheStorage(forked);
+  for (size_t l = 0; l < per_row; ++l) {
+    EXPECT_EQ(forked.layers[l].self_k.data().data(),
+              forked.layers[per_row + l].self_k.data().data())
+        << preset().name << " a fork shares its parent's storage";
+  }
+
+  const std::vector<std::vector<int>> feeds = {{11, 13}, {3, 9}};
+  for (size_t i = 0; i < feeds[0].size(); ++i) {
+    const Tensor got = t.DecodeStep({feeds[0][i], feeds[1][i]}, &forked);
+    for (size_t r = 0; r < refs.size(); ++r) {
+      const Tensor want = t.DecodeStep({feeds[r][i]}, &refs[r]);
+      ExpectRowsEqual(got, static_cast<int>(r), want, preset().name,
+                      "forked row");
+    }
+    if (i > 0) continue;
+    const std::vector<const float*> split = CacheStorage(forked);
+    for (size_t l = 0; l < per_row; ++l) {
+      const size_t first = 4 * l;
+      const size_t second = 4 * (per_row + l);
+      EXPECT_NE(split[first], parent[first])
+          << preset().name << " the first write copies row 0";
+      EXPECT_EQ(split[second], parent[second])
+          << preset().name << " row 1 writes its parent's storage in place";
+      EXPECT_EQ(split[first + 2], parent[first + 2])
+          << preset().name << " cross K/V are never copied";
+    }
   }
 }
 

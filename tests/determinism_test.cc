@@ -197,10 +197,10 @@ TEST_P(Determinism, GreedyAndBeamDecodeTokensIdentical) {
 }
 
 TEST_P(Determinism, BatchedDecodeTokensIdenticalAcrossThreads) {
-  // The continuous-batching path (GenerateBatch → DecodeStep over a
-  // preallocated batch) adds in-place ScatterTime writes, bounded
-  // attention, and per-row bias at mixed positions on top of the
-  // single-request decode. All of them chunk by shape, never by thread
+  // The continuous-batching path (GenerateBatch → DecodeStep over rows
+  // with preallocated slabs) adds in-place writes into each row's own
+  // caches, bounded attention, and per-row bias at mixed positions on top
+  // of the single-request decode. All of them chunk by shape, never by thread
   // count, so the emitted tokens must not move with SetThreads.
   Rng data(seed() * 19 + 5);
   std::vector<std::vector<int>> srcs;

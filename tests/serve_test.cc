@@ -21,6 +21,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -272,6 +273,45 @@ TEST(BatchScheduler, OutOfVocabularyTokensFailOnlyThatRequest) {
   }
   serve::Request ok;
   ok.tokens = {4, vocab - 1, 5};
+  ok.options.max_len = 4;
+  EXPECT_EQ(scheduler.SubmitAndWait(std::move(ok)).status,
+            serve::ResponseStatus::kOk);
+  scheduler.Shutdown(/*drain=*/true);
+}
+
+// In-process requests get the wire's range checks: a max_len, beam_size or
+// draft_k past its bound in request_queue.h is answered with a per-request
+// error instead of reaching ContinuousDecoder::Admit, whose self-K/V slab
+// holds max_len positions.
+TEST(BatchScheduler, OutOfRangeOptionsFailOnlyThatRequest) {
+  model::TransformerSeq2Seq m = MakeSmallModel();
+  serve::BatchScheduler scheduler(&m, serve::SchedulerOptions{});
+  scheduler.Start();
+  for (const auto& [field, set] :
+       std::vector<std::pair<std::string,
+                             std::function<void(model::GenerationOptions*)>>>{
+           {"max_len",
+            [](model::GenerationOptions* o) {
+              o->max_len = serve::kMaxRequestMaxLen + 1;
+            }},
+           {"max_len", [](model::GenerationOptions* o) { o->max_len = 0; }},
+           {"beam_size",
+            [](model::GenerationOptions* o) {
+              o->beam_size = serve::kMaxRequestBeamSize + 1;
+            }},
+           {"draft_k",
+            [](model::GenerationOptions* o) {
+              o->draft_k = serve::kMaxRequestDraftK + 1;
+            }}}) {
+    serve::Request req;
+    req.tokens = {4, 5, 6};
+    set(&req.options);
+    const serve::Response r = scheduler.SubmitAndWait(std::move(req));
+    EXPECT_EQ(r.status, serve::ResponseStatus::kError) << field;
+    EXPECT_NE(r.error.find(field), std::string::npos) << r.error;
+  }
+  serve::Request ok;
+  ok.tokens = {4, 5, 6};
   ok.options.max_len = 4;
   EXPECT_EQ(scheduler.SubmitAndWait(std::move(ok)).status,
             serve::ResponseStatus::kOk);
