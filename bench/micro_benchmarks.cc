@@ -1,12 +1,12 @@
 // Component micro-benchmarks (google-benchmark): tokenizer, DV-query
 // parser, standardizer, relational executor, schema filtration, GEMM,
-// attention forward, transformer training step, and KV-cached greedy
-// decoding. The GEMM and decode benchmarks sweep threads x isa x dtype
-// (docs/KERNELS.md) so the vectorization and quantization wins are
-// measured, not asserted. After the google-benchmark run, summary rows
-// are printed and, when VIST5_BENCH_JSON is set, appended as JSON lines
-// (scripts/run_all_benches.sh exports them into build/obs/). A run with
-// --benchmark_filter prints only the tables whose names the filter
+// attention forward, transformer training step, one decode step, and
+// KV-cached greedy decoding. The GEMM and decode benchmarks sweep threads
+// x isa x dtype (docs/KERNELS.md) so the vectorization and quantization
+// wins are measured, not asserted. After the google-benchmark run, summary
+// rows are printed and, when VIST5_BENCH_JSON is set, appended as JSON
+// lines (scripts/run_all_benches.sh exports them into build/obs/). A run
+// with --benchmark_filter prints only the tables whose names the filter
 // selects:
 // `gemm_isa_dtype` (single-thread GEMM throughput per backend/dtype),
 // `gemm_decode_shapes` (the kernels at decode's row counts and weight
@@ -307,11 +307,54 @@ BENCHMARK(BM_GreedyDecode)
     ->ArgNames({"threads"})
     ->Unit(benchmark::kMillisecond);
 
+/// One warmed t5_small Transformer::DecodeStep over `rows` rows, each with
+/// a `src`-token source and the self-K/V slab ContinuousDecoder::Admit
+/// gives a max_len 64 request. Every row sits at the same position, and
+/// each iteration rolls the state back with TruncateTo, so every step
+/// attends over the same keys. The grid covers the shapes where the
+/// attention rows split across the pool: 8 rows over sources longer than
+/// 64 tokens (docs/PARALLELISM.md).
+void BM_DecodeStep(benchmark::State& state) {
+  const int rows = static_cast<int>(state.range(0));
+  const int src_len = static_cast<int>(state.range(1));
+  ThreadsGuard threads(static_cast<int>(state.range(2)));
+  constexpr int kVocab = 512;
+  constexpr int kCapacity = 64;  // the slab of a max_len 64 request
+  constexpr int kPosition = 16;  // self keys each step attends over, +1
+  Rng init(7);
+  nn::Transformer t(nn::TransformerConfig::T5Small(kVocab), &init);
+  Rng data(5);
+  std::vector<int> src(static_cast<size_t>(rows) * src_len);
+  for (int& id : src) id = data.UniformRange(2, kVocab - 1);
+  const std::vector<int> lengths(rows, src_len);
+  NoGradGuard guard;
+  const Tensor memory =
+      t.Encode(src, rows, src_len, lengths, /*train=*/false, nullptr);
+  nn::DecodeState decode = t.BeginDecode(memory, rows, src_len, lengths);
+  for (nn::LayerCache& layer : decode.layers) {
+    const int heads = layer.cross_k.dim(1);
+    const int dh = layer.cross_k.dim(3);
+    layer.self_k = Tensor({1, heads, kCapacity, dh});
+    layer.self_v = Tensor({1, heads, kCapacity, dh});
+  }
+  const std::vector<int> ids(rows, 3);
+  for (int i = 0; i < kPosition; ++i) t.DecodeStep(ids, &decode);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(t.DecodeStep(ids, &decode));
+    decode.TruncateTo(kPosition);
+  }
+  state.SetItemsProcessed(state.iterations() * rows);  // tokens
+}
+BENCHMARK(BM_DecodeStep)
+    ->ArgsProduct({{1, 8}, {91, 241}, {1, 2}})
+    ->ArgNames({"rows", "src", "threads"});
+
 /// threads x isa x dtype rows for the KV-cached greedy decode: the
 /// end-to-end view of the BM_GemmIsaDtype sweep, where the weight GEMMs
 /// dominate the per-token cost. One model per run keeps the int8 rows
 /// honest: the quantize-at-load cost is paid once in the first (untimed)
-/// warm-up iteration and the cached QuantizedLinear is reused after.
+/// warm-up iteration, and each Linear's cached int8 snapshot is reused
+/// after.
 void BM_GreedyDecodeIsaDtype(benchmark::State& state) {
   Fixture& f = Shared();
   ThreadsGuard threads(static_cast<int>(state.range(0)));

@@ -10,8 +10,8 @@ turn, one google-benchmark slice of about --slice seconds per matched row
 per side, for --pairs pairs. The side that runs first alternates from pair
 to pair, so drift in the host's speed lands on both sides alike. For each
 row it prints both sides' median time per iteration, the median of the
-per-pair ratios (change / parent; below 1 means the change is faster), and
-how many pairs favour each side.
+per-pair ratios (change / parent; below 1 means the change is faster) with
+their quartiles, and how many pairs favour each side.
 
 Separate processes read a kernel or layer row with a spread far wider than
 the gains they are asked to show; pairing slices a few seconds apart is
@@ -79,18 +79,21 @@ def main():
     names = [n for n in times["parent"] if n in times["change"]]
     if not names:
         sys.exit("no row ran on both sides; check --filter")
-    print("%-40s %12s %12s %8s %12s" % ("row", "parent", "change",
-                                        "ratio", "pairs c/p/="))
+    print("%-40s %12s %12s %8s %13s %12s" % ("row", "parent", "change",
+                                              "ratio", "ratio q1-q3",
+                                              "pairs c/p/="))
     for name in names:
         parent, change = times["parent"][name], times["change"][name]
         n = min(len(parent), len(change))
         ratios = [change[i] / parent[i] for i in range(n)]
         change_wins = sum(1 for r in ratios if r < 1)
         parent_wins = sum(1 for r in ratios if r > 1)
-        print("%-40s %12s %12s %8.3f %6d/%d/%d" % (
+        q1, _, q3 = (statistics.quantiles(ratios, n=4) if n > 1
+                     else ratios * 3)
+        print("%-40s %12s %12s %8.3f %6.3f-%.3f %6d/%d/%d" % (
             name, fmt_ns(statistics.median(parent)),
             fmt_ns(statistics.median(change)), statistics.median(ratios),
-            change_wins, parent_wins, n - change_wins - parent_wins))
+            q1, q3, change_wins, parent_wins, n - change_wins - parent_wins))
 
 
 if __name__ == "__main__":

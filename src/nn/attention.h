@@ -129,7 +129,9 @@ class MultiHeadAttention : public Module {
   /// Writes the [R, d] output to `out`. Runs Forward's kernels, row
   /// functions and rounding points on the keys each query can see, so a
   /// step reproduces Forward's row for that query bit for bit
-  /// (docs/INFERENCE.md, "Parity contract"). Inference-only.
+  /// (docs/INFERENCE.md, "Parity contract"). The projections run on the
+  /// calling thread; the (row, head, query) attention rows are the step's
+  /// one pool region (docs/PARALLELISM.md). Inference-only.
   void ForwardStep(const StepRows& rows, int layer, const float* x, bool self,
                    float* out) const;
 

@@ -1,65 +1,14 @@
 #include "nn/layers.h"
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "obs/metrics.h"
-#include "rt/thread_pool.h"
 #include "tensor/simd.h"
 
 namespace vist5 {
 namespace nn {
-namespace {
-
-/// One Linear::ForwardRows call. Each chunk of rows runs the whole
-/// projection: the weight product, the bias, then the LoRA delta. Every
-/// step is row-local, so the chunking never changes a bit.
-struct ProjectionRows {
-  const tensor::simd::KernelSet* ks = nullptr;
-  const float* x = nullptr;  // [rows, k]
-  float* y = nullptr;        // [rows, n]
-  int k = 0;
-  int n = 0;
-  const float* w = nullptr;                 // float weight [k, n], or
-  const ops::QuantizedMatrix* q = nullptr;  // its int8 view
-  const float* bias = nullptr;              // [n], or null
-  // LoRA: y += scale * (x A) B through the work rows xa [rows, rank] and
-  // delta [rows, n]. rank 0 means no adapter.
-  const float* lora_a = nullptr;
-  const float* lora_b = nullptr;
-  int rank = 0;
-  float scale = 0.0f;
-  float* xa = nullptr;
-  float* delta = nullptr;
-
-  void Run(int64_t lo, int64_t hi) const {
-    const int m = static_cast<int>(hi - lo);
-    const float* xr = x + lo * k;
-    float* yr = y + lo * n;
-    if (q != nullptr) {
-      ks->gemm_nn_zero_i8(xr, q->data.data(), q->scales.data(), yr, m, k, n);
-    } else {
-      ks->gemm_nn_zero(xr, w, yr, m, k, n);
-    }
-    if (bias != nullptr) {
-      for (int r = 0; r < m; ++r) {
-        float* row = yr + static_cast<size_t>(r) * n;
-        for (int j = 0; j < n; ++j) row[j] += bias[j];
-      }
-    }
-    if (rank > 0) {
-      // Forward's rounding points: delta * scale is rounded, then added.
-      float* xar = xa + lo * rank;
-      float* dr = delta + lo * n;
-      ks->gemm_nn_zero(xr, lora_a, xar, m, k, rank);
-      ks->gemm_nn_zero(xar, lora_b, dr, m, rank, n);
-      const int64_t elems = static_cast<int64_t>(m) * n;
-      for (int64_t e = 0; e < elems; ++e) dr[e] *= scale;
-      for (int64_t e = 0; e < elems; ++e) yr[e] += dr[e];
-    }
-  }
-};
-
-}  // namespace
 
 Linear::Linear(int in_features, int out_features, bool bias, Rng* rng)
     : in_features_(in_features),
@@ -75,20 +24,11 @@ Linear::Linear(int in_features, int out_features, bool bias, Rng* rng)
   }
 }
 
-QuantizedLinear::QuantizedLinear(const Tensor& weight, const Tensor& bias)
-    : weight_(ops::QuantizeWeights(weight)), bias_(bias) {}
-
-Tensor QuantizedLinear::Forward(const Tensor& x) const {
-  Tensor y = ops::MatMulInt8(x, weight_);
-  if (bias_.defined()) y = ops::AddBroadcast(y, bias_);
-  return y;
-}
-
-std::shared_ptr<const QuantizedLinear> Linear::Quantized() const {
+std::shared_ptr<const ops::QuantizedMatrix> Linear::Quantized() const {
   std::lock_guard<std::mutex> lock(quant_mutex_);
   if (quantized_ == nullptr || quant_version_ != weight_.data_version()) {
-    quantized_ = std::make_shared<const QuantizedLinear>(
-        weight_, has_bias_ ? bias_ : Tensor());
+    quantized_ = std::make_shared<const ops::QuantizedMatrix>(
+        ops::QuantizeWeights(weight_));
     quant_version_ = weight_.data_version();
   }
   return quantized_;
@@ -100,7 +40,8 @@ Tensor Linear::Forward(const Tensor& x) const {
   // path so the adapter delta composes with the exact base product.
   if (ActiveWeightDtype() == WeightDtype::kInt8 && !GradEnabled() &&
       lora_rank_ == 0) {
-    return Quantized()->Forward(x);
+    Tensor y = ops::MatMulInt8(x, *Quantized());
+    return has_bias_ ? ops::AddBroadcast(y, bias_) : y;
   }
   Tensor y = ops::MatMul(x, weight_);
   if (has_bias_) y = ops::AddBroadcast(y, bias_);
@@ -115,37 +56,38 @@ void Linear::ForwardRows(const float* x, int rows, float* y) const {
   VIST5_CHECK(!GradEnabled()) << "ForwardRows is inference-only";
   static obs::Counter* f32_bytes = obs::GetCounter("gemm/weight_bytes_f32");
   static obs::Counter* i8_bytes = obs::GetCounter("gemm/weight_bytes_i8");
-  ProjectionRows p;
-  p.ks = &tensor::simd::ActiveKernels();
-  p.x = x;
-  p.y = y;
-  p.k = in_features_;
-  p.n = out_features_;
-  if (has_bias_) p.bias = bias_.data().data();
+  const tensor::simd::KernelSet& ks = tensor::simd::ActiveKernels();
+  const int k = in_features_;
+  const int n = out_features_;
   // Forward's rule: int8 only without LoRA (and without gradients).
-  std::shared_ptr<const QuantizedLinear> quantized;
-  std::vector<float> lora_rows;
   if (ActiveWeightDtype() == WeightDtype::kInt8 && lora_rank_ == 0) {
-    quantized = Quantized();
-    p.q = &quantized->matrix();
-    i8_bytes->Add(p.q->WeightBytes());
+    const std::shared_ptr<const ops::QuantizedMatrix> q = Quantized();
+    i8_bytes->Add(q->WeightBytes());
+    ks.gemm_nn_zero_i8(x, q->data.data(), q->scales.data(), y, rows, k, n);
   } else {
-    p.w = weight_.data().data();
-    f32_bytes->Add(static_cast<int64_t>(p.k) * p.n * sizeof(float));
-    if (lora_rank_ > 0) {
-      lora_rows.resize(static_cast<size_t>(rows) * (lora_rank_ + p.n));
-      p.lora_a = lora_a_.data().data();
-      p.lora_b = lora_b_.data().data();
-      p.rank = lora_rank_;
-      p.scale = lora_scale_;
-      p.xa = lora_rows.data();
-      p.delta = p.xa + static_cast<size_t>(rows) * lora_rank_;
-      f32_bytes->Add(static_cast<int64_t>(p.k + p.n) * lora_rank_ *
-                     sizeof(float));
+    f32_bytes->Add(static_cast<int64_t>(k) * n * sizeof(float));
+    ks.gemm_nn_zero(x, weight_.data().data(), y, rows, k, n);
+  }
+  if (has_bias_) {
+    const float* bias = bias_.data().data();
+    for (int r = 0; r < rows; ++r) {
+      float* row = y + static_cast<size_t>(r) * n;
+      for (int j = 0; j < n; ++j) row[j] += bias[j];
     }
   }
-  rt::ParallelFor(ops::GemmRowGrain(p.k, p.n), 0, rows,
-                  [&p](int64_t lo, int64_t hi) { p.Run(lo, hi); });
+  if (lora_rank_ > 0) {
+    // y += scale * (x A) B at Forward's rounding points: delta * scale is
+    // rounded, then added.
+    f32_bytes->Add(static_cast<int64_t>(k + n) * lora_rank_ * sizeof(float));
+    const int64_t elems = static_cast<int64_t>(rows) * n;
+    std::vector<float> work(static_cast<size_t>(rows) * lora_rank_ + elems);
+    float* xa = work.data();                                     // [rows, rank]
+    float* delta = xa + static_cast<size_t>(rows) * lora_rank_;  // [rows, n]
+    ks.gemm_nn_zero(x, lora_a_.data().data(), xa, rows, k, lora_rank_);
+    ks.gemm_nn_zero(xa, lora_b_.data().data(), delta, rows, lora_rank_, n);
+    for (int64_t e = 0; e < elems; ++e) delta[e] *= lora_scale_;
+    for (int64_t e = 0; e < elems; ++e) y[e] += delta[e];
+  }
 }
 
 void Linear::SetTrainable(bool trainable) {
@@ -186,17 +128,11 @@ RmsNormLayer::RmsNormLayer(int dim) {
 }
 
 void RmsNormLayer::ForwardRows(const float* x, int rows, float* out) const {
-  struct Rows {
-    const float* x;
-    const float* w;
-    float* out;
-    int d;
-  } p{x, weight_.data().data(), out, weight_.dim(0)};
-  rt::ParallelFor(ops::RowOpGrain(p.d), 0, rows, [&p](int64_t lo, int64_t hi) {
-    for (int64_t r = lo; r < hi; ++r) {
-      ops::RmsNormRow(p.x + r * p.d, p.w, p.out + r * p.d, p.d, kEps);
-    }
-  });
+  const int d = weight_.dim(0);
+  const float* w = weight_.data().data();
+  for (int64_t r = 0; r < rows; ++r) {
+    ops::RmsNormRow(x + r * d, w, out + r * d, d, kEps);
+  }
 }
 
 LayerNormLayer::LayerNormLayer(int dim) {
@@ -207,21 +143,15 @@ LayerNormLayer::LayerNormLayer(int dim) {
 }
 
 void LayerNormLayer::ForwardRows(const float* x, int rows, float* out) const {
-  struct Rows {
-    const float* x;
-    const float* gain;
-    const float* bias;
-    float* out;
-    int d;
-  } p{x, gain_.data().data(), bias_.data().data(), out, gain_.dim(0)};
-  rt::ParallelFor(ops::RowOpGrain(p.d), 0, rows, [&p](int64_t lo, int64_t hi) {
-    float mean = 0.0f;
-    float inv = 0.0f;
-    for (int64_t r = lo; r < hi; ++r) {
-      ops::LayerNormRow(p.x + r * p.d, p.gain, p.bias, p.out + r * p.d, p.d,
-                        kEps, &mean, &inv);
-    }
-  });
+  const int d = gain_.dim(0);
+  const float* gain = gain_.data().data();
+  const float* bias = bias_.data().data();
+  float mean = 0.0f;
+  float inv = 0.0f;
+  for (int64_t r = 0; r < rows; ++r) {
+    ops::LayerNormRow(x + r * d, gain, bias, out + r * d, d, kEps, &mean,
+                      &inv);
+  }
 }
 
 FeedForward::FeedForward(int dim, int hidden_dim, Activation activation,
@@ -243,25 +173,21 @@ Tensor FeedForward::Forward(const Tensor& x, float dropout_p, Rng* rng) const {
 
 void FeedForward::ForwardRows(const float* x, int rows, float* out,
                               float* work) const {
-  struct Act {
-    float* h;    // [rows, hidden], the first projection
-    float* act;  // its GELU (ReLU runs in place)
-  } p{work, work + static_cast<size_t>(rows) * hidden_dim_};
-  in_.ForwardRows(x, rows, p.h);
-  // The activation ops' kElemGrain chunks: GELU must see the same extents
-  // as ops::Gelu to round the same (ops.h, "Row bodies").
+  float* h = work;  // [rows, hidden], the first projection
+  in_.ForwardRows(x, rows, h);
   const int64_t elems = static_cast<int64_t>(rows) * hidden_dim_;
   if (activation_ == Activation::kRelu) {
-    rt::ParallelFor(ops::kElemGrain, 0, elems, [&p](int64_t lo, int64_t hi) {
-      for (int64_t i = lo; i < hi; ++i) p.h[i] = p.h[i] > 0.0f ? p.h[i] : 0.0f;
-    });
-    out_.ForwardRows(p.h, rows, out);
+    for (int64_t i = 0; i < elems; ++i) h[i] = h[i] > 0.0f ? h[i] : 0.0f;
+    out_.ForwardRows(h, rows, out);
     return;
   }
-  rt::ParallelFor(ops::kElemGrain, 0, elems, [&p](int64_t lo, int64_t hi) {
-    ops::GeluElems(p.h + lo, p.act + lo, hi - lo);
-  });
-  out_.ForwardRows(p.act, rows, out);
+  // GELU over ops::Gelu's kElemGrain chunks: it must see the same extents
+  // to round the same (ops.h, "Row bodies").
+  float* act = h + elems;
+  for (int64_t lo = 0; lo < elems; lo += ops::kElemGrain) {
+    ops::GeluElems(h + lo, act + lo, std::min(ops::kElemGrain, elems - lo));
+  }
+  out_.ForwardRows(act, rows, out);
 }
 
 }  // namespace nn

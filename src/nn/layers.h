@@ -12,29 +12,6 @@
 namespace vist5 {
 namespace nn {
 
-/// Frozen int8 snapshot of one affine projection: per-output-channel
-/// symmetric int8 codes + float scales (ops::QuantizeWeights) plus the
-/// float bias, built once per weight version by Linear::Quantized(). Not
-/// a Module — it owns no trainable parameters and never participates in
-/// checkpoints; it is a derived inference view (docs/KERNELS.md).
-class QuantizedLinear {
- public:
-  /// `bias` may be an undefined Tensor for bias-free projections. The
-  /// bias handle aliases the layer's parameter (no copy).
-  QuantizedLinear(const Tensor& weight, const Tensor& bias);
-
-  /// y = x Wq (+ b) via ops::MatMulInt8. Inference-only.
-  Tensor Forward(const Tensor& x) const;
-
-  const ops::QuantizedMatrix& matrix() const { return weight_; }
-  /// Bytes one full read of the quantized weight streams (codes+scales).
-  int64_t weight_bytes() const { return weight_.WeightBytes(); }
-
- private:
-  ops::QuantizedMatrix weight_;
-  Tensor bias_;
-};
-
 /// Affine projection y = x W (+ b). Weight is stored [in, out] so the
 /// forward pass is a plain MatMul over the trailing dimension.
 ///
@@ -45,9 +22,10 @@ class QuantizedLinear {
 ///
 /// When the calling thread holds a WeightDtypeGuard(kInt8), grads are off,
 /// and no LoRA adapter is attached, Forward reads the weight through a
-/// cached int8 snapshot instead (quantize-at-load; rebuilt whenever the
+/// cached int8 snapshot instead: per-output-channel codes and scales
+/// (ops::QuantizeWeights), built at first use and rebuilt whenever the
 /// weight's data_version moves, so optimizer steps and checkpoint reloads
-/// invalidate it automatically).
+/// invalidate it automatically (docs/KERNELS.md).
 class Linear : public Module {
  public:
   Linear(int in_features, int out_features, bool bias, Rng* rng);
@@ -55,18 +33,15 @@ class Linear : public Module {
   Tensor Forward(const Tensor& x) const;
 
   /// Forward on raw rows, for the decode step: y[rows, out] = x[rows, in] W
-  /// (+ b) (+ LoRA). Calls the active kernels directly with Forward's
-  /// weight choice (int8 under the same rule), row split, rounding points
-  /// and weight-byte counters, so it gives Forward's bits. Inference-only.
+  /// (+ b) (+ LoRA), one kernel call over all rows on the calling thread.
+  /// It keeps Forward's weight choice (int8 under the same rule), rounding
+  /// points and weight-byte counters; each output element is one fma chain
+  /// in any row block, so it gives Forward's bits. Inference-only.
   void ForwardRows(const float* x, int rows, float* y) const;
 
   const Tensor& weight() const { return weight_; }
   Tensor& weight() { return weight_; }
   bool has_bias() const { return has_bias_; }
-
-  /// The int8 inference view of this layer, built lazily and cached per
-  /// weight data_version. Thread-safe.
-  std::shared_ptr<const QuantizedLinear> Quantized() const;
 
   /// Freezes/unfreezes the base weights (used for LoRA fine-tuning).
   void SetTrainable(bool trainable);
@@ -77,6 +52,10 @@ class Linear : public Module {
   bool lora_enabled() const { return lora_rank_ > 0; }
 
  private:
+  /// The int8 snapshot of weight_, built lazily and cached per weight
+  /// data_version. Thread-safe.
+  std::shared_ptr<const ops::QuantizedMatrix> Quantized() const;
+
   int in_features_;
   int out_features_;
   bool has_bias_;
@@ -86,9 +65,8 @@ class Linear : public Module {
   float lora_scale_ = 0.0f;
   Tensor lora_a_;
   Tensor lora_b_;
-  /// Lazy int8 snapshot keyed on weight_.data_version() (see Quantized).
   mutable std::mutex quant_mutex_;
-  mutable std::shared_ptr<const QuantizedLinear> quantized_;
+  mutable std::shared_ptr<const ops::QuantizedMatrix> quantized_;
   mutable uint64_t quant_version_ = 0;
 };
 
@@ -113,8 +91,8 @@ class RmsNormLayer : public Module {
   Tensor Forward(const Tensor& x) const {
     return ops::RmsNorm(x, weight_, kEps);
   }
-  /// Forward on raw rows [rows, dim] (decode step); `out` must not overlap
-  /// `x`.
+  /// Forward on raw rows [rows, dim] (decode step), one row at a time on
+  /// the calling thread; `out` must not overlap `x`.
   void ForwardRows(const float* x, int rows, float* out) const;
 
  private:
@@ -129,8 +107,8 @@ class LayerNormLayer : public Module {
   Tensor Forward(const Tensor& x) const {
     return ops::LayerNorm(x, gain_, bias_, kEps);
   }
-  /// Forward on raw rows [rows, dim] (decode step); `out` must not overlap
-  /// `x`.
+  /// Forward on raw rows [rows, dim] (decode step), one row at a time on
+  /// the calling thread; `out` must not overlap `x`.
   void ForwardRows(const float* x, int rows, float* out) const;
 
  private:
@@ -149,8 +127,9 @@ class FeedForward : public Module {
 
   Tensor Forward(const Tensor& x, float dropout_p, Rng* rng) const;
 
-  /// Inference Forward on raw rows (decode step): out[rows, dim] from
-  /// x[rows, dim]. `work` holds 2 * rows * hidden_dim floats.
+  /// Inference Forward on raw rows (decode step), on the calling thread:
+  /// out[rows, dim] from x[rows, dim]. `work` holds 2 * rows * hidden_dim
+  /// floats.
   void ForwardRows(const float* x, int rows, float* out, float* work) const;
 
   /// Attaches LoRA adapters to both projections.

@@ -4,8 +4,6 @@
 #include <cmath>
 #include <iterator>
 
-#include "rt/thread_pool.h"
-
 namespace vist5 {
 namespace nn {
 
@@ -83,17 +81,9 @@ Tensor BatchRow(const Tensor& x, int b) {
   return Tensor(std::move(shape), std::vector<float>(first, first + n));
 }
 
-/// out[e] = x[e] + y[e] over `n` elements of raw rows, split like ops::Add.
-/// `out` may be `x`.
+/// out[e] = x[e] + y[e] over `n` elements of raw rows. `out` may be `x`.
 void AddRows(const float* x, const float* y, float* out, int64_t n) {
-  struct Args {
-    const float* x;
-    const float* y;
-    float* out;
-  } p{x, y, out};
-  rt::ParallelFor(ops::kElemGrain, 0, n, [&p](int64_t lo, int64_t hi) {
-    for (int64_t e = lo; e < hi; ++e) p.out[e] = p.x[e] + p.y[e];
-  });
+  for (int64_t e = 0; e < n; ++e) out[e] = x[e] + y[e];
 }
 }  // namespace
 

@@ -219,8 +219,10 @@ class Transformer : public Module {
   /// row's result never depends on the other rows' positions (the
   /// continuous-batching contract, docs/SERVING.md). The step runs on raw
   /// rows in `state->scratch`, calling the kernels and the Tensor ops' row
-  /// functions directly; once warmed it allocates only the returned Tensor
-  /// (and whatever a cache's copy-on-write growth needs).
+  /// functions directly on the calling thread; each attention's rows are
+  /// its only pool region, two per decoder layer (docs/PARALLELISM.md).
+  /// Once warmed it allocates only the returned Tensor (and whatever a
+  /// cache's copy-on-write growth needs).
   Tensor DecodeStep(const std::vector<int>& next_ids, DecodeState* state,
                     int span = 1) const;
 

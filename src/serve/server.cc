@@ -298,6 +298,14 @@ Server::Server(BatchScheduler* scheduler, const text::Tokenizer* tokenizer,
 Server::~Server() { Stop(/*drain=*/false); }
 
 Status Server::Start() {
+  // The default applies to every request without a "draft" field, so a
+  // value the wire would reject is refused here, before binding.
+  if (options_.default_draft_k < 0 ||
+      options_.default_draft_k > kMaxRequestDraftK) {
+    return Status::InvalidArgument(
+        "default_draft_k " + std::to_string(options_.default_draft_k) +
+        " is outside [0, " + std::to_string(kMaxRequestDraftK) + "]");
+  }
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC,
                         0);
   if (listen_fd_ < 0) {

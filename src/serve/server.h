@@ -48,7 +48,8 @@ struct ServerOptions {
   int idle_timeout_ms = 0;
   /// Default draft_k for requests that do not carry a "draft" field
   /// (vist5_cli serve --spec-k). Only meaningful when the scheduler was
-  /// given a draft model; an explicit "draft": 0 opts a request out.
+  /// given a draft model; an explicit "draft": 0 opts a request out. Must
+  /// lie in [0, kMaxRequestDraftK] (Start).
   int default_draft_k = 0;
   /// Largest HTTP request body accepted. A Content-Length beyond it (or
   /// one that overflows size_t) answers 413 without reading the body.
@@ -131,7 +132,9 @@ class Server {
          const ServerOptions& options);
   ~Server();
 
-  /// Binds, listens, and spawns the event-loop thread.
+  /// Binds, listens, and spawns the event-loop thread. Returns
+  /// InvalidArgument, before binding, when options.default_draft_k lies
+  /// outside [0, kMaxRequestDraftK].
   Status Start();
 
   /// Port actually bound (resolves ephemeral port 0). 0 before Start.

@@ -1,12 +1,17 @@
-// Heap allocations per decode step. Transformer::DecodeStep runs on row
-// buffers that its DecodeState keeps from step to step, so once warmed a
-// step allocates only the Tensor it returns (docs/INFERENCE.md, "One
-// decode step"). This binary replaces the global operator new with a
-// counting one and checks a warmed t5_small step at batch 1, at batch 4
-// and in a span-5 verify, at float32 and int8, on one and two threads.
-// It also counts the bytes that admitting a row (DecodeState::MergeFrom)
-// and evicting one (Reorder) allocate: both move row handles, so each
-// stays below one row's self-K/V slab.
+// Heap allocations and pool regions per decode step.
+// Transformer::DecodeStep runs on row buffers that its DecodeState keeps
+// from step to step, so once warmed a step allocates only the Tensor it
+// returns (docs/INFERENCE.md, "One decode step"). This binary replaces the
+// global operator new with a counting one and checks a warmed t5_small
+// step at batch 1, at batch 4 and in a span-5 verify, at float32 and int8,
+// on one and two threads. The step also runs everything but its attention
+// rows on the calling thread, so it opens exactly two pool regions per
+// decoder layer, the self- and the cross-attention rows
+// (docs/PARALLELISM.md); that count is pinned at batch 1, at batch 8 (at
+// both dtypes) and in a span-5 verify. It also counts the bytes that
+// admitting a row (DecodeState::MergeFrom) and evicting one (Reorder)
+// allocate: both move row handles, so each stays below one row's self-K/V
+// slab.
 
 #include <algorithm>
 #include <atomic>
@@ -19,6 +24,7 @@
 #include <gtest/gtest.h>
 
 #include "nn/transformer.h"
+#include "obs/metrics.h"
 #include "rt/thread_pool.h"
 
 namespace {
@@ -26,17 +32,26 @@ std::atomic<int64_t> g_allocations{0};
 std::atomic<int64_t> g_bytes{0};
 }  // namespace
 
-void* operator new(std::size_t size) {
+// The replacements stay out of line: once GCC inlines a std::free body
+// into a delete-expression, it pairs that free with the new-expression's
+// operator new and warns (-Wmismatched-new-delete).
+[[gnu::noinline]] void* operator new(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
   g_bytes.fetch_add(static_cast<int64_t>(size), std::memory_order_relaxed);
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc();
 }
-void* operator new[](std::size_t size) { return operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void* operator new[](std::size_t size) {
+  return operator new(size);
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace vist5 {
 namespace {
@@ -76,8 +91,21 @@ nn::DecodeState SlabState(const nn::Transformer& t, int batch) {
   return state;
 }
 
-/// The most allocations any of several warmed DecodeStep calls made.
-int64_t WorstAllocationsPerStep(const Case& c) {
+/// Pool regions opened so far, pooled or run serially.
+int64_t Regions() {
+  static const obs::Counter* pooled = obs::GetCounter("rt/regions");
+  static const obs::Counter* serial = obs::GetCounter("rt/serial_regions");
+  return pooled->value() + serial->value();
+}
+
+/// What one warmed DecodeStep call cost.
+struct StepCost {
+  int64_t allocations = 0;
+  int64_t regions = 0;
+};
+
+/// The costs of several warmed DecodeStep calls, one per call.
+std::vector<StepCost> WarmedStepCosts(const Case& c) {
   Rng init(7);
   nn::Transformer t(nn::TransformerConfig::T5Small(kVocab), &init);
   NoGradGuard no_grad;
@@ -88,15 +116,17 @@ int64_t WorstAllocationsPerStep(const Case& c) {
   // Warm-up: the first steps grow the scratch buffers and build the int8
   // weight snapshots.
   for (int i = 0; i < 2; ++i) t.DecodeStep(ids, &state, c.span);
-  int64_t worst = 0;
+  std::vector<StepCost> costs;
   for (int i = 0; i < 6; ++i) {
-    const int64_t before = g_allocations.load(std::memory_order_relaxed);
+    const int64_t allocations = g_allocations.load(std::memory_order_relaxed);
+    const int64_t regions = Regions();
     const Tensor hidden = t.DecodeStep(ids, &state, c.span);
-    const int64_t made = g_allocations.load(std::memory_order_relaxed) - before;
-    worst = std::max(worst, made);
+    costs.push_back(
+        {g_allocations.load(std::memory_order_relaxed) - allocations,
+         Regions() - regions});
     EXPECT_EQ(hidden.dim(0), c.batch * c.span);
   }
-  return worst;
+  return costs;
 }
 
 class DecodeAlloc : public ::testing::TestWithParam<int> {};
@@ -114,11 +144,40 @@ TEST_P(DecodeAlloc, WarmedStepAllocatesOnlyItsResult) {
       {"span5_i8", 1, 5, WeightDtype::kInt8},
   };
   for (const Case& c : cases) {
-    const int64_t worst = WorstAllocationsPerStep(c);
+    int64_t worst = 0;
+    for (const StepCost& cost : WarmedStepCosts(c)) {
+      worst = std::max(worst, cost.allocations);
+    }
     EXPECT_LE(worst, kMaxAllocations)
         << c.name << " at " << threads << " thread(s)";
     RecordProperty(std::string(c.name) + "_allocations",
                    static_cast<int>(worst));
+  }
+  rt::SetThreads(previous);
+}
+
+// Only the attention rows split at a served shape (at most 8 rows): a
+// projection's grain is at least 8 rows, a norm's at least 8 rows for
+// d <= 128, and a residual add or activation stays under kElemGrain. So
+// every other part of the step runs as a plain call, and a step opens one
+// region per attention, two per decoder layer, at any thread count.
+TEST_P(DecodeAlloc, WarmedStepOpensTwoRegionsPerDecoderLayer) {
+  const int threads = GetParam();
+  const int previous = rt::MaxThreads();
+  rt::SetThreads(threads);
+  const int64_t expected =
+      2 * nn::TransformerConfig::T5Small(kVocab).num_decoder_layers;
+  const Case cases[] = {
+      {"batch1_f32", 1, 1, WeightDtype::kFloat32},
+      {"batch8_f32", 8, 1, WeightDtype::kFloat32},
+      {"span5_f32", 1, 5, WeightDtype::kFloat32},
+      {"batch8_i8", 8, 1, WeightDtype::kInt8},
+  };
+  for (const Case& c : cases) {
+    for (const StepCost& cost : WarmedStepCosts(c)) {
+      EXPECT_EQ(cost.regions, expected)
+          << c.name << " at " << threads << " thread(s)";
+    }
   }
   rt::SetThreads(previous);
 }

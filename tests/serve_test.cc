@@ -1699,6 +1699,32 @@ TEST(Server, WeightDtypeFieldParsedAndValidated) {
   EXPECT_EQ(bad_reply.value().Find("status")->string_value(), "error");
 }
 
+// ServerOptions::default_draft_k stands in for every request's missing
+// "draft" field, so a value outside the wire's range fails Start before
+// the server binds, instead of failing each such request later.
+TEST(Server, OutOfRangeDefaultDraftKFailsStart) {
+  model::TransformerSeq2Seq m = MakeSmallModel();
+  serve::BatchScheduler scheduler(&m, serve::SchedulerOptions{});
+  scheduler.Start();
+  for (const int k : {-1, serve::kMaxRequestDraftK + 1}) {
+    serve::ServerOptions options;
+    options.default_draft_k = k;
+    serve::Server server(&scheduler, nullptr, options);
+    const Status started = server.Start();
+    EXPECT_EQ(started.code(), StatusCode::kInvalidArgument) << k;
+    EXPECT_NE(started.message().find("default_draft_k"), std::string::npos)
+        << started.ToString();
+    EXPECT_EQ(server.port(), 0) << "bound with default_draft_k " << k;
+  }
+  serve::ServerOptions options;
+  options.default_draft_k = serve::kMaxRequestDraftK;
+  serve::Server server(&scheduler, nullptr, options);
+  ASSERT_TRUE(server.Start().ok());
+  EXPECT_GT(server.port(), 0);
+  server.Stop(/*drain=*/true);
+  scheduler.Shutdown(/*drain=*/true);
+}
+
 // --------------------------------------------------- serve bug regressions
 
 // Regression (json.cc): a one-token generation can decode in under the
