@@ -307,47 +307,81 @@ BENCHMARK(BM_GreedyDecode)
     ->ArgNames({"threads"})
     ->Unit(benchmark::kMillisecond);
 
-/// One warmed t5_small Transformer::DecodeStep over `rows` rows, each with
-/// a `src`-token source and the self-K/V slab ContinuousDecoder::Admit
-/// gives a max_len 64 request. Every row sits at the same position, and
-/// each iteration rolls the state back with TruncateTo, so every step
-/// attends over the same keys. The grid covers the shapes where the
-/// attention rows split across the pool: 8 rows over sources longer than
-/// 64 tokens (docs/PARALLELISM.md).
-void BM_DecodeStep(benchmark::State& state) {
-  const int rows = static_cast<int>(state.range(0));
-  const int src_len = static_cast<int>(state.range(1));
-  ThreadsGuard threads(static_cast<int>(state.range(2)));
-  constexpr int kVocab = 512;
+/// Times warmed Transformer::DecodeStep calls of a `cfg` model over
+/// `batch` rows of `span` tokens each, every row with a `src_len`-token
+/// source and the self-K/V slab ContinuousDecoder::Admit gives a max_len 64
+/// request. Every row sits at the same position, and each iteration rolls
+/// the state back with TruncateTo, so every step attends over the same
+/// keys.
+void TimeDecodeStep(benchmark::State& state, const nn::TransformerConfig& cfg,
+                    int batch, int span, int src_len, WeightDtype dtype) {
   constexpr int kCapacity = 64;  // the slab of a max_len 64 request
   constexpr int kPosition = 16;  // self keys each step attends over, +1
   Rng init(7);
-  nn::Transformer t(nn::TransformerConfig::T5Small(kVocab), &init);
+  nn::Transformer t(cfg, &init);
   Rng data(5);
-  std::vector<int> src(static_cast<size_t>(rows) * src_len);
-  for (int& id : src) id = data.UniformRange(2, kVocab - 1);
-  const std::vector<int> lengths(rows, src_len);
+  std::vector<int> src(static_cast<size_t>(batch) * src_len);
+  for (int& id : src) id = data.UniformRange(2, cfg.vocab_size - 1);
+  const std::vector<int> lengths(batch, src_len);
   NoGradGuard guard;
+  WeightDtypeGuard dtype_guard(dtype);
   const Tensor memory =
-      t.Encode(src, rows, src_len, lengths, /*train=*/false, nullptr);
-  nn::DecodeState decode = t.BeginDecode(memory, rows, src_len, lengths);
+      t.Encode(src, batch, src_len, lengths, /*train=*/false, nullptr);
+  nn::DecodeState decode = t.BeginDecode(memory, batch, src_len, lengths);
   for (nn::LayerCache& layer : decode.layers) {
     const int heads = layer.cross_k.dim(1);
     const int dh = layer.cross_k.dim(3);
     layer.self_k = Tensor({1, heads, kCapacity, dh});
     layer.self_v = Tensor({1, heads, kCapacity, dh});
   }
-  const std::vector<int> ids(rows, 3);
-  for (int i = 0; i < kPosition; ++i) t.DecodeStep(ids, &decode);
+  const std::vector<int> ids(static_cast<size_t>(batch) * span, 3);
+  for (int i = 0; i < kPosition; i += span) t.DecodeStep(ids, &decode, span);
+  decode.TruncateTo(kPosition);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(t.DecodeStep(ids, &decode));
+    benchmark::DoNotOptimize(t.DecodeStep(ids, &decode, span));
     decode.TruncateTo(kPosition);
   }
-  state.SetItemsProcessed(state.iterations() * rows);  // tokens
+  state.SetItemsProcessed(state.iterations() * batch * span);  // tokens
+}
+
+/// One warmed t5_small DecodeStep over `rows` rows. The grid covers the
+/// shapes where the attention rows split across the pool: 8 rows over
+/// sources longer than 64 tokens (docs/PARALLELISM.md).
+void BM_DecodeStep(benchmark::State& state) {
+  ThreadsGuard threads(static_cast<int>(state.range(2)));
+  TimeDecodeStep(state, nn::TransformerConfig::T5Small(512),
+                 static_cast<int>(state.range(0)), /*span=*/1,
+                 static_cast<int>(state.range(1)), WeightDtype::kFloat32);
 }
 BENCHMARK(BM_DecodeStep)
     ->ArgsProduct({{1, 8}, {91, 241}, {1, 2}})
     ->ArgNames({"rows", "src", "threads"});
+
+/// One warmed DecodeStep of mixed_wire's base model (d_model 128, 8 heads,
+/// d_ff 512, 3 decoder layers; perfbench/inputs.cc) over 40-token sources,
+/// at float32 and int8 (`int8`). `rows` is the step's query rows as the
+/// server runs them: 1 (a greedy request), 4 (a beam-4 request) or 5 (a
+/// span-5 speculative verify of one request). Its float32 step weights
+/// outgrow a 2 MiB L2, so at 2 and 4 threads they run as column slices
+/// (docs/PARALLELISM.md, "Column slices").
+void BM_DecodeStepBase(benchmark::State& state) {
+  const int rows = static_cast<int>(state.range(0));
+  ThreadsGuard threads(static_cast<int>(state.range(2)));
+  nn::TransformerConfig cfg = nn::TransformerConfig::T5Small(512);
+  cfg.d_model = 128;
+  cfg.num_heads = 8;
+  cfg.d_ff = 512;
+  cfg.num_encoder_layers = 3;
+  cfg.num_decoder_layers = 3;
+  const bool verify = rows == 5;
+  TimeDecodeStep(state, cfg, verify ? 1 : rows, verify ? 5 : 1,
+                 /*src_len=*/40,
+                 state.range(1) != 0 ? WeightDtype::kInt8
+                                     : WeightDtype::kFloat32);
+}
+BENCHMARK(BM_DecodeStepBase)
+    ->ArgsProduct({{1, 4, 5}, {0, 1}, {1, 2, 4}})
+    ->ArgNames({"rows", "int8", "threads"});
 
 /// threads x isa x dtype rows for the KV-cached greedy decode: the
 /// end-to-end view of the BM_GemmIsaDtype sweep, where the weight GEMMs
@@ -483,9 +517,9 @@ class DecodeGemm {
     const simd::KernelSet& ks = simd::ActiveKernels();
     if (int8_) {
       ks.gemm_nn_zero_i8(a_.data(), q_.data.data(), q_.scales.data(),
-                         c_.data(), rows_, k_, n_);
+                         c_.data(), rows_, k_, n_, n_, n_);
     } else {
-      ks.gemm_nn_zero(a_.data(), b_.data(), c_.data(), rows_, k_, n_);
+      ks.gemm_nn_zero(a_.data(), b_.data(), c_.data(), rows_, k_, n_, n_, n_);
     }
     benchmark::DoNotOptimize(c_.data());
     benchmark::ClobberMemory();

@@ -216,7 +216,7 @@ struct AttentionRows {
       }
       ops::SoftmaxRow(srow, prow, n, n);
       ks->gemm_nn_zero(prow, v.data().data() + plane, ctx + qrow, /*rows=*/1,
-                       n, dh);
+                       n, dh, dh, dh);
     }
   }
 };
@@ -257,12 +257,11 @@ void MultiHeadAttention::ForwardStep(const StepRows& rows, int layer,
   a.ctx = q + rd;
   a.scores = a.ctx + rd;
   a.probs = a.scores + attn_rows * t;
-  wq_.ForwardRows(x, r, q);
   if (self) {
     float* k_rows = a.probs + attn_rows * t;
     float* v_rows = k_rows + rd;
-    wk_.ForwardRows(x, r, k_rows);
-    wv_.ForwardRows(x, r, v_rows);
+    Linear::ForwardRowsShared(x, r, {{&wq_, q}, {&wk_, k_rows}, {&wv_, v_rows}},
+                              rows.slices);
     const int64_t row_floats = static_cast<int64_t>(rows.span) * dim_;
     for (int b = 0; b < rows.batch; ++b) {
       LayerCache& cache = rows.cache(b, layer);
@@ -272,6 +271,8 @@ void MultiHeadAttention::ForwardStep(const StepRows& rows, int layer,
                     heads_, dh, &cache.self_v);
     }
     a.bias_table = rows.bias_table;
+  } else {
+    wq_.ForwardRows(x, r, q, rows.slices);
   }
   a.rows = &rows;
   a.layer = layer;
@@ -281,9 +282,13 @@ void MultiHeadAttention::ForwardStep(const StepRows& rows, int layer,
   a.heads = heads_;
   a.t = t;
   a.dh = dh;
-  rt::ParallelFor(ops::GemmRowGrain(dh, t), 0, attn_rows,
+  // A split into 2 chunks costs more hand-off than it saves, so those rows
+  // run as one chunk; 3 or more keep their split (docs/PARALLELISM.md).
+  const int64_t grain = ops::GemmRowGrain(dh, t);
+  rt::ParallelFor(rt::NumChunks(grain, 0, attn_rows) > 2 ? grain : attn_rows,
+                  0, attn_rows,
                   [&a](int64_t lo, int64_t hi) { a.Run(lo, hi); });
-  wo_.ForwardRows(a.ctx, r, out);
+  wo_.ForwardRows(a.ctx, r, out, rows.slices);
 }
 
 }  // namespace nn

@@ -71,6 +71,9 @@ struct StepRows {
   const int* bias_buckets = nullptr;
   /// The attention step's buffers, grown on first use and reused.
   std::vector<float>* attn_work = nullptr;
+  /// Column slices each weight product runs as (Linear::ForwardRows); 1
+  /// runs it whole on the calling thread.
+  int slices = 1;
 
   int rows() const { return batch * span; }
   /// Row b's caches for decoder layer `layer`.
@@ -129,9 +132,10 @@ class MultiHeadAttention : public Module {
   /// Writes the [R, d] output to `out`. Runs Forward's kernels, row
   /// functions and rounding points on the keys each query can see, so a
   /// step reproduces Forward's row for that query bit for bit
-  /// (docs/INFERENCE.md, "Parity contract"). The projections run on the
-  /// calling thread; the (row, head, query) attention rows are the step's
-  /// one pool region (docs/PARALLELISM.md). Inference-only.
+  /// (docs/INFERENCE.md, "Parity contract"). The projections run in
+  /// rows.slices column slices; the (row, head, query) attention rows are
+  /// one pool region, split only into 3 or more chunks
+  /// (docs/PARALLELISM.md). Inference-only.
   void ForwardStep(const StepRows& rows, int layer, const float* x, bool self,
                    float* out) const;
 

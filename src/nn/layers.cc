@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "obs/metrics.h"
+#include "rt/thread_pool.h"
 #include "tensor/simd.h"
 
 namespace vist5 {
@@ -34,6 +35,41 @@ std::shared_ptr<const ops::QuantizedMatrix> Linear::Quantized() const {
   return quantized_;
 }
 
+std::shared_ptr<const Linear::ColumnSlices> Linear::Sliced(int slices) const {
+  std::lock_guard<std::mutex> lock(quant_mutex_);
+  if (sliced_ == nullptr || sliced_count_ != slices ||
+      sliced_version_ != weight_.data_version()) {
+    // 64-column blocks (one 8-strip pass of the AVX2 1-row walk), dealt
+    // out so that the lower slices take the extra block.
+    constexpr int kBlock = 64;
+    const int k = in_features_;
+    const int n = out_features_;
+    const int blocks = (n + kBlock - 1) / kBlock;
+    const int count = std::max(1, std::min(slices, blocks));
+    auto packed = std::make_shared<ColumnSlices>();
+    packed->cols.resize(static_cast<size_t>(count) + 1);
+    for (int s = 0; s <= count; ++s) {
+      packed->cols[s] =
+          std::min(n, (s * blocks + count - 1) / count * kBlock);
+    }
+    packed->data.resize(static_cast<size_t>(k) * n);
+    const float* w = weight_.data().data();
+    for (int s = 0; s < count; ++s) {
+      const int c0 = packed->cols[s];
+      const int width = packed->cols[s + 1] - c0;
+      float* block = packed->data.data() + static_cast<size_t>(k) * c0;
+      for (int p = 0; p < k; ++p) {
+        std::copy_n(w + static_cast<size_t>(p) * n + c0, width,
+                    block + static_cast<size_t>(p) * width);
+      }
+    }
+    sliced_ = std::move(packed);
+    sliced_count_ = slices;
+    sliced_version_ = weight_.data_version();
+  }
+  return sliced_;
+}
+
 Tensor Linear::Forward(const Tensor& x) const {
   // The int8 read path covers plain inference projections only: training
   // needs the float weights for autograd, and LoRA layers keep the float
@@ -52,22 +88,93 @@ Tensor Linear::Forward(const Tensor& x) const {
   return y;
 }
 
-void Linear::ForwardRows(const float* x, int rows, float* y) const {
+namespace {
+/// The column slices of the products of one Linear::ForwardRowsShared call,
+/// run as one region: slice s multiplies the rows by each product's packed
+/// block s and writes that block's columns of the product's y.
+struct SliceRegion {
+  struct Product {
+    const std::vector<int>* cols;
+    const float* packed;
+    float* y;
+    int k;
+    int n;
+  };
+  const tensor::simd::KernelSet* ks = nullptr;
+  const float* x = nullptr;
+  int rows = 0;
+  int count = 0;
+  Product products[Linear::kMaxShared] = {};
+
+  void Run(int s) const {
+    for (int i = 0; i < count; ++i) {
+      const Product& p = products[i];
+      if (s + 1 >= static_cast<int>(p.cols->size())) continue;  // no slice s
+      const int c0 = (*p.cols)[s];
+      const int width = (*p.cols)[s + 1] - c0;
+      ks->gemm_nn_zero(x, p.packed + static_cast<size_t>(p.k) * c0,
+                       p.y + c0, rows, p.k, width, width, p.n);
+    }
+  }
+};
+}  // namespace
+
+void Linear::ForwardRows(const float* x, int rows, float* y,
+                         int slices) const {
+  ForwardRowsShared(x, rows, {{this, y}}, slices);
+}
+
+void Linear::ForwardRowsShared(const float* x, int rows,
+                               std::initializer_list<Projection> projections,
+                               int slices) {
   VIST5_CHECK(!GradEnabled()) << "ForwardRows is inference-only";
+  VIST5_CHECK_LE(projections.size(), static_cast<size_t>(kMaxShared));
   static obs::Counter* f32_bytes = obs::GetCounter("gemm/weight_bytes_f32");
   static obs::Counter* i8_bytes = obs::GetCounter("gemm/weight_bytes_i8");
   const tensor::simd::KernelSet& ks = tensor::simd::ActiveKernels();
+  SliceRegion region;
+  region.ks = &ks;
+  region.x = x;
+  region.rows = rows;
+  std::shared_ptr<const ColumnSlices> packed[kMaxShared];  // live through
+                                                           // the region
+  int region_slices = 1;
+  for (const Projection& p : projections) {
+    const Linear& l = *p.linear;
+    const int k = l.in_features_;
+    const int n = l.out_features_;
+    // Forward's rule: int8 only without LoRA (and without gradients).
+    if (ActiveWeightDtype() == WeightDtype::kInt8 && l.lora_rank_ == 0) {
+      const std::shared_ptr<const ops::QuantizedMatrix> q = l.Quantized();
+      i8_bytes->Add(q->WeightBytes());
+      ks.gemm_nn_zero_i8(x, q->data.data(), q->scales.data(), p.y, rows, k,
+                         n, n, n);
+      continue;
+    }
+    f32_bytes->Add(static_cast<int64_t>(k) * n * sizeof(float));
+    if (slices > 1) {
+      const int i = region.count++;
+      packed[i] = l.Sliced(slices);
+      region.products[i] = {&packed[i]->cols, packed[i]->data.data(), p.y, k,
+                            n};
+      region_slices = std::max(region_slices, packed[i]->slices());
+    } else {
+      ks.gemm_nn_zero(x, l.weight_.data().data(), p.y, rows, k, n, n, n);
+    }
+  }
+  if (region.count > 0) {
+    rt::RunSlices(region_slices, [&region](int s) { region.Run(s); });
+  }
+  for (const Projection& p : projections) {
+    p.linear->AddBiasAndLora(x, rows, p.y);
+  }
+}
+
+void Linear::AddBiasAndLora(const float* x, int rows, float* y) const {
+  static obs::Counter* f32_bytes = obs::GetCounter("gemm/weight_bytes_f32");
+  const tensor::simd::KernelSet& ks = tensor::simd::ActiveKernels();
   const int k = in_features_;
   const int n = out_features_;
-  // Forward's rule: int8 only without LoRA (and without gradients).
-  if (ActiveWeightDtype() == WeightDtype::kInt8 && lora_rank_ == 0) {
-    const std::shared_ptr<const ops::QuantizedMatrix> q = Quantized();
-    i8_bytes->Add(q->WeightBytes());
-    ks.gemm_nn_zero_i8(x, q->data.data(), q->scales.data(), y, rows, k, n);
-  } else {
-    f32_bytes->Add(static_cast<int64_t>(k) * n * sizeof(float));
-    ks.gemm_nn_zero(x, weight_.data().data(), y, rows, k, n);
-  }
   if (has_bias_) {
     const float* bias = bias_.data().data();
     for (int r = 0; r < rows; ++r) {
@@ -83,8 +190,10 @@ void Linear::ForwardRows(const float* x, int rows, float* y) const {
     std::vector<float> work(static_cast<size_t>(rows) * lora_rank_ + elems);
     float* xa = work.data();                                     // [rows, rank]
     float* delta = xa + static_cast<size_t>(rows) * lora_rank_;  // [rows, n]
-    ks.gemm_nn_zero(x, lora_a_.data().data(), xa, rows, k, lora_rank_);
-    ks.gemm_nn_zero(xa, lora_b_.data().data(), delta, rows, lora_rank_, n);
+    ks.gemm_nn_zero(x, lora_a_.data().data(), xa, rows, k, lora_rank_,
+                    lora_rank_, lora_rank_);
+    ks.gemm_nn_zero(xa, lora_b_.data().data(), delta, rows, lora_rank_, n, n,
+                    n);
     for (int64_t e = 0; e < elems; ++e) delta[e] *= lora_scale_;
     for (int64_t e = 0; e < elems; ++e) y[e] += delta[e];
   }
@@ -172,13 +281,13 @@ Tensor FeedForward::Forward(const Tensor& x, float dropout_p, Rng* rng) const {
 }
 
 void FeedForward::ForwardRows(const float* x, int rows, float* out,
-                              float* work) const {
+                              float* work, int slices) const {
   float* h = work;  // [rows, hidden], the first projection
-  in_.ForwardRows(x, rows, h);
+  in_.ForwardRows(x, rows, h, slices);
   const int64_t elems = static_cast<int64_t>(rows) * hidden_dim_;
   if (activation_ == Activation::kRelu) {
     for (int64_t i = 0; i < elems; ++i) h[i] = h[i] > 0.0f ? h[i] : 0.0f;
-    out_.ForwardRows(h, rows, out);
+    out_.ForwardRows(h, rows, out, slices);
     return;
   }
   // GELU over ops::Gelu's kElemGrain chunks: it must see the same extents
@@ -187,7 +296,7 @@ void FeedForward::ForwardRows(const float* x, int rows, float* out,
   for (int64_t lo = 0; lo < elems; lo += ops::kElemGrain) {
     ops::GeluElems(h + lo, act + lo, std::min(ops::kElemGrain, elems - lo));
   }
-  out_.ForwardRows(act, rows, out);
+  out_.ForwardRows(act, rows, out, slices);
 }
 
 }  // namespace nn

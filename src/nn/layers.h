@@ -2,9 +2,11 @@
 #define VIST5_NN_LAYERS_H_
 
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <vector>
 
 #include "nn/module.h"
 #include "tensor/ops.h"
@@ -34,10 +36,31 @@ class Linear : public Module {
 
   /// Forward on raw rows, for the decode step: y[rows, out] = x[rows, in] W
   /// (+ b) (+ LoRA), one kernel call over all rows on the calling thread.
-  /// It keeps Forward's weight choice (int8 under the same rule), rounding
-  /// points and weight-byte counters; each output element is one fma chain
-  /// in any row block, so it gives Forward's bits. Inference-only.
-  void ForwardRows(const float* x, int rows, float* y) const;
+  /// With `slices` > 1 a float32 product runs instead as that many column
+  /// slices of a packed copy of W, slice s on pool thread s
+  /// (rt::RunSlices; docs/PARALLELISM.md, "Column slices"), each writing
+  /// its own columns of y; the bias and LoRA delta follow on the calling
+  /// thread. It keeps Forward's weight choice (int8 under the same rule,
+  /// never sliced), rounding points and weight-byte counters; each output
+  /// element is one fma chain in any row block and any column slice, so it
+  /// gives Forward's bits. Inference-only.
+  void ForwardRows(const float* x, int rows, float* y, int slices = 1) const;
+
+  /// One projection of ForwardRowsShared: `linear` writes y[rows, out].
+  struct Projection {
+    const Linear* linear;
+    float* y;
+  };
+  static constexpr int kMaxShared = 3;
+
+  /// ForwardRows of up to kMaxShared projections of the same rows `x`
+  /// (self-attention's q, k and v). With `slices` > 1 the column slices of
+  /// all of them run in one rt::RunSlices region, slice s of each on pool
+  /// thread s, so the set costs one hand-off. Each projection gets the
+  /// bits its own ForwardRows gives.
+  static void ForwardRowsShared(const float* x, int rows,
+                                std::initializer_list<Projection> projections,
+                                int slices);
 
   const Tensor& weight() const { return weight_; }
   Tensor& weight() { return weight_; }
@@ -52,9 +75,28 @@ class Linear : public Module {
   bool lora_enabled() const { return lora_rank_ > 0; }
 
  private:
+  /// weight_ [in, out] packed for column slices: slice s holds columns
+  /// [cols[s], cols[s + 1]) as its own row-major [in, cols[s + 1] -
+  /// cols[s]] block at data + in * cols[s]. Every boundary but the last
+  /// falls on a 64-column block.
+  struct ColumnSlices {
+    std::vector<int> cols;
+    std::vector<float> data;
+    int slices() const { return static_cast<int>(cols.size()) - 1; }
+  };
+
   /// The int8 snapshot of weight_, built lazily and cached per weight
   /// data_version. Thread-safe.
   std::shared_ptr<const ops::QuantizedMatrix> Quantized() const;
+
+  /// weight_ packed as min(slices, its 64-column blocks) column slices,
+  /// built lazily and cached per weight data_version and slice count
+  /// under the int8 snapshot's mutex. Thread-safe.
+  std::shared_ptr<const ColumnSlices> Sliced(int slices) const;
+
+  /// ForwardRows after the product y = x W: adds the bias, then the LoRA
+  /// delta, at Forward's rounding points.
+  void AddBiasAndLora(const float* x, int rows, float* y) const;
 
   int in_features_;
   int out_features_;
@@ -68,6 +110,9 @@ class Linear : public Module {
   mutable std::mutex quant_mutex_;
   mutable std::shared_ptr<const ops::QuantizedMatrix> quantized_;
   mutable uint64_t quant_version_ = 0;
+  mutable std::shared_ptr<const ColumnSlices> sliced_;
+  mutable int sliced_count_ = 0;  ///< the slice count sliced_ was packed for
+  mutable uint64_t sliced_version_ = 0;
 };
 
 /// Token-embedding table with gather forward.
@@ -128,9 +173,11 @@ class FeedForward : public Module {
   Tensor Forward(const Tensor& x, float dropout_p, Rng* rng) const;
 
   /// Inference Forward on raw rows (decode step), on the calling thread:
-  /// out[rows, dim] from x[rows, dim]. `work` holds 2 * rows * hidden_dim
+  /// out[rows, dim] from x[rows, dim], each projection in `slices` column
+  /// slices (Linear::ForwardRows). `work` holds 2 * rows * hidden_dim
   /// floats.
-  void ForwardRows(const float* x, int rows, float* out, float* work) const;
+  void ForwardRows(const float* x, int rows, float* out, float* work,
+                   int slices = 1) const;
 
   /// Attaches LoRA adapters to both projections.
   void EnableLora(int rank, float alpha, Rng* rng) {

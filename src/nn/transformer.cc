@@ -4,6 +4,8 @@
 #include <cmath>
 #include <iterator>
 
+#include "rt/thread_pool.h"
+
 namespace vist5 {
 namespace nn {
 
@@ -292,7 +294,7 @@ void DecoderLayer::ForwardStep(const StepRows& rows, int layer, float* h,
     cross_attn_.ForwardStep(rows, layer, normed, /*self=*/false, attn);
     AddRows(h, attn, h, rd);
     rms3_->ForwardRows(h, r, normed);
-    ff_.ForwardRows(normed, r, attn, ff_work);
+    ff_.ForwardRows(normed, r, attn, ff_work, rows.slices);
     AddRows(h, attn, h, rd);
     return;
   }
@@ -302,7 +304,7 @@ void DecoderLayer::ForwardStep(const StepRows& rows, int layer, float* h,
   cross_attn_.ForwardStep(rows, layer, h, /*self=*/false, attn);
   AddRows(h, attn, sum, rd);
   ln2_->ForwardRows(sum, r, h);
-  ff_.ForwardRows(h, r, attn, ff_work);
+  ff_.ForwardRows(h, r, attn, ff_work, rows.slices);
   AddRows(h, attn, sum, rd);
   ln3_->ForwardRows(sum, r, h);
 }
@@ -536,6 +538,7 @@ Tensor Transformer::DecodeStep(const std::vector<int>& next_ids,
   step.caches = state->layers.data();
   step.layers = num_layers;
   step.attn_work = &scratch.attn;
+  step.slices = StepSlices();
   if (decoder_bias_) {
     // One bucket per key distance, kept across steps. Reserving the
     // largest row's self-cache capacity lets a decode that fills a
@@ -571,6 +574,18 @@ Tensor Transformer::DecodeStep(const std::vector<int>& next_ids,
   for (int& s : state->steps) s += span;
   state->step = needed;
   return out;
+}
+
+int Transformer::StepSlices() const {
+  // int8 products are never sliced: their step weights are a quarter of
+  // float32's, and the shapes served fit in L2 at int8.
+  if (ActiveWeightDtype() != WeightDtype::kFloat32) return 1;
+  const TransformerConfig& c = config_;
+  const int64_t floats =
+      static_cast<int64_t>(c.num_decoder_layers) *
+      (6 * static_cast<int64_t>(c.d_model) * c.d_model +
+       2 * static_cast<int64_t>(c.d_model) * c.d_ff);
+  return rt::SlicesFor(floats * static_cast<int64_t>(sizeof(float)));
 }
 
 Tensor Transformer::Logits(const Tensor& decoder_hidden) const {

@@ -219,10 +219,11 @@ class Transformer : public Module {
   /// row's result never depends on the other rows' positions (the
   /// continuous-batching contract, docs/SERVING.md). The step runs on raw
   /// rows in `state->scratch`, calling the kernels and the Tensor ops' row
-  /// functions directly on the calling thread; each attention's rows are
-  /// its only pool region, two per decoder layer (docs/PARALLELISM.md).
-  /// Once warmed it allocates only the returned Tensor (and whatever a
-  /// cache's copy-on-write growth needs).
+  /// functions directly on the calling thread. Each attention's rows are
+  /// one pool region, two per decoder layer, and each weight product runs
+  /// as StepSlices() column slices (docs/PARALLELISM.md). Once warmed it
+  /// allocates only the returned Tensor (and whatever a cache's
+  /// copy-on-write growth needs).
   Tensor DecodeStep(const std::vector<int>& next_ids, DecodeState* state,
                     int span = 1) const;
 
@@ -232,6 +233,14 @@ class Transformer : public Module {
                           DecodeState* state) const {
     return DecodeStep(next_ids, state);
   }
+
+  /// Column slices each of DecodeStep's weight products runs as
+  /// (docs/PARALLELISM.md, "Column slices"): at float32, the fewest whose
+  /// share of the step's weights (self q/k/v/o, cross q/o, FFN in/out of
+  /// every decoder layer) fits in the per-core L2, capped at the pool
+  /// width (rt::SlicesFor); 1 at int8. A function of the shapes, the
+  /// active weight dtype, the pool width and the host's reported L2.
+  int StepSlices() const;
 
   /// Projects decoder hidden states to vocabulary logits [rows, V].
   Tensor Logits(const Tensor& decoder_hidden) const;

@@ -47,6 +47,30 @@ void ParallelForChunked(
 void ParallelFor(int64_t grain, int64_t begin, int64_t end,
                  const std::function<void(int64_t lo, int64_t hi)>& fn);
 
+/// Runs fn(s) for every slice s in [0, slices), slice s on pool thread s:
+/// the caller runs slice 0 and worker s runs slice s, the same thread for
+/// the same index in every region, so each thread keeps what its slice
+/// reads in its own core's cache (docs/PARALLELISM.md, "Column slices").
+/// Blocks until every slice has finished. The hand-off is a spin, not a
+/// condvar wake: the caller spins until its slices finish, and after a
+/// slice region the workers poll for the next one for a bounded time
+/// before they park. Every slice runs inline on the caller, in index
+/// order, when `slices` is 1 or exceeds MaxThreads(), inside a parallel
+/// region, or while another thread's slice region holds the workers; the
+/// slices must not depend on which thread runs them. If any slice throws,
+/// the exception of the lowest failing slice reaches the caller once every
+/// slice has finished, and the pool stays usable.
+void RunSlices(int slices, const std::function<void(int slice)>& fn);
+
+/// The per-core L2 cache size the host reports, in bytes; 0 when it
+/// reports none.
+int64_t L2CacheBytes();
+
+/// The fewest slices whose share of `bytes` fits in L2CacheBytes(), capped
+/// at MaxThreads(): 1 when `bytes` fits, or when the host reports no L2.
+/// A function of its argument, the pool width and the host only.
+int SlicesFor(int64_t bytes);
+
 }  // namespace rt
 }  // namespace vist5
 

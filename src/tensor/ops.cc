@@ -298,7 +298,6 @@ Tensor MatMulImpl(const Tensor& a, const Tensor& b, bool transpose_b) {
     const float* bdata = b.data().data();
     float* cdata = out.data();
     const tensor::simd::KernelSet& ks = tensor::simd::ActiveKernels();
-    const auto gemm = transpose_b ? ks.gemm_nt : ks.gemm_nn_zero;
     rt::ParallelFor(
         GemmRowGrain(k, n), 0, batch * m, [&](int64_t lo, int64_t hi) {
           for (int64_t r = lo; r < hi;) {
@@ -306,8 +305,14 @@ Tensor MatMulImpl(const Tensor& a, const Tensor& b, bool transpose_b) {
             const int64_t i = r % m;
             const int rows =
                 static_cast<int>(std::min(hi - r, static_cast<int64_t>(m - i)));
-            gemm(adata + bi * a_stride + i * k, bdata + bi * b_stride,
-                 cdata + bi * c_stride + i * n, rows, k, n);
+            const float* arow = adata + bi * a_stride + i * k;
+            const float* bp = bdata + bi * b_stride;
+            float* crow = cdata + bi * c_stride + i * n;
+            if (transpose_b) {
+              ks.gemm_nt(arow, bp, crow, rows, k, n);
+            } else {
+              ks.gemm_nn_zero(arow, bp, crow, rows, k, n, n, n);
+            }
             r += rows;
           }
         });
@@ -458,7 +463,7 @@ Tensor MatMulInt8(const Tensor& a, const QuantizedMatrix& b) {
   // so each chunk is one kernel call.
   rt::ParallelFor(GemmRowGrain(k, n), 0, m, [&](int64_t lo, int64_t hi) {
     ks.gemm_nn_zero_i8(adata + lo * k, bdata, sdata, cdata + lo * n,
-                       static_cast<int>(hi - lo), k, n);
+                       static_cast<int>(hi - lo), k, n, n, n);
   });
   return Tensor(std::move(out_shape), std::move(out));
 }

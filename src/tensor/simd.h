@@ -37,21 +37,28 @@ inline constexpr int kTileRows = 8;
 ///   gemm_nt:       c[rows,N] += a[rows,K] · B[N,K]^T   (accumulating)
 ///   gemm_nn_zero:  c[rows,N]  = a[rows,K] · B[K,N]     (overwrites c)
 ///
+/// The NN entries take the row strides of B and C: B's row p starts at
+/// b + p·ldb and C's row r at c + r·ldc (ldb, ldc >= N; N for a dense
+/// product). A column slice of a wider product passes its packed [K, N]
+/// block with ldb = N and the first of its columns of C with ldc = the
+/// full width (docs/KERNELS.md, "Column slices").
+///
 /// gemm_nn_zero_i8 reads an int8 weight matrix B[K,N] with per-column
 /// scales[N] (symmetric, zero-point 0) and computes
 ///   c[r, j] = scales[j] * sum_p fma(a[r, p], float(B[p, j]))
 /// i.e. the accumulation runs in float over the raw int8 values and the
 /// scale multiplies once at store. Because that per-element chain is the
-/// same fma sequence in both backends and for every row walk, int8 and NN
-/// results are bit-identical across scalar and AVX2 (docs/KERNELS.md).
+/// same fma sequence in both backends, for every row walk and for every
+/// column range, int8 and NN results are bit-identical across scalar and
+/// AVX2 and across column slices (docs/KERNELS.md).
 struct KernelSet {
   void (*gemm_nt)(const float* a, const float* b, float* c, int rows, int k,
                   int n);
   void (*gemm_nn_zero)(const float* a, const float* b, float* c, int rows,
-                       int k, int n);
+                       int k, int n, int ldb, int ldc);
   void (*gemm_nn_zero_i8)(const float* a, const int8_t* b,
                           const float* scales, float* c, int rows, int k,
-                          int n);
+                          int n, int ldb, int ldc);
 };
 
 /// True when the running CPU can execute the AVX2+FMA backend.

@@ -159,13 +159,13 @@ VIST5_AVX2 inline __m256 LoadB8(const int8_t* p) { return LoadI8AsFloat(p); }
 // their column scales multiply once at store, as in the scalar kernels.
 template <int R, int S, typename W>
 VIST5_AVX2 inline void NNBlock(const float* a, const W* b, const float* scales,
-                               float* c, int k, int n, int j0) {
+                               float* c, int k, int ldb, int ldc, int j0) {
   __m256 acc[R][S];
   for (int r = 0; r < R; ++r) {
     for (int s = 0; s < S; ++s) acc[r][s] = _mm256_setzero_ps();
   }
   for (int p = 0; p < k; ++p) {
-    const W* bp = b + static_cast<size_t>(p) * n + j0;
+    const W* bp = b + static_cast<size_t>(p) * ldb + j0;
     __m256 bv[S];
     for (int s = 0; s < S; ++s) bv[s] = LoadB8(bp + 8 * s);
     for (int r = 0; r < R; ++r) {
@@ -176,7 +176,7 @@ VIST5_AVX2 inline void NNBlock(const float* a, const W* b, const float* scales,
     }
   }
   for (int r = 0; r < R; ++r) {
-    float* crow = c + static_cast<size_t>(r) * n + j0;
+    float* crow = c + static_cast<size_t>(r) * ldc + j0;
     for (int s = 0; s < S; ++s) {
       __m256 v = acc[r][s];
       if constexpr (std::is_same_v<W, int8_t>) {
@@ -190,15 +190,16 @@ VIST5_AVX2 inline void NNBlock(const float* a, const W* b, const float* scales,
 // Columns [j0, N) of `rows` output rows, one scalar fma chain each.
 template <typename W>
 VIST5_AVX2 inline void NNTail(const float* a, const W* b, const float* scales,
-                              float* c, int rows, int k, int n, int j0) {
+                              float* c, int rows, int k, int n, int ldb,
+                              int ldc, int j0) {
   for (int r = 0; r < rows; ++r) {
     const float* arow = a + static_cast<size_t>(r) * k;
-    float* crow = c + static_cast<size_t>(r) * n;
+    float* crow = c + static_cast<size_t>(r) * ldc;
     for (int j = j0; j < n; ++j) {
       float acc = 0.0f;
       for (int p = 0; p < k; ++p) {
         acc = std::fma(
-            arow[p], static_cast<float>(b[static_cast<size_t>(p) * n + j]),
+            arow[p], static_cast<float>(b[static_cast<size_t>(p) * ldb + j]),
             acc);
       }
       if constexpr (std::is_same_v<W, int8_t>) acc *= scales[j];
@@ -213,41 +214,44 @@ VIST5_AVX2 inline void NNTail(const float* a, const W* b, const float* scales,
 template <int R, int S, typename W>
 VIST5_AVX2 inline void NNStrips(const float* a, const W* b,
                                 const float* scales, float* c, int k, int n,
-                                int j0) {
+                                int ldb, int ldc, int j0) {
   for (; j0 + 8 * S <= n; j0 += 8 * S) {
-    NNBlock<R, S>(a, b, scales, c, k, n, j0);
+    NNBlock<R, S>(a, b, scales, c, k, ldb, ldc, j0);
   }
   if constexpr (S > 1) {
-    NNStrips<R, S / 2>(a, b, scales, c, k, n, j0);
+    NNStrips<R, S / 2>(a, b, scales, c, k, n, ldb, ldc, j0);
   } else {
-    NNTail(a, b, scales, c, R, k, n, j0);
+    NNTail(a, b, scales, c, R, k, n, ldb, ldc, j0);
   }
 }
 
 // c[rows,N] = a[rows,K] · B[K,N]: blocks of 8 rows, then 4, then 1, each
 // block sharing one B load across its rows (docs/KERNELS.md, "Small-M
-// products"). Which block a row lands in never changes its bits.
+// products"). B and C rows sit `ldb` and `ldc` elements apart, so a
+// column slice reads its packed block and writes its columns of a wider C.
+// Which block a row or column lands in never changes its bits.
 template <typename W>
 VIST5_AVX2 void NNRows(const float* a, const W* b, const float* scales,
-                       float* c, int rows, int k, int n) {
+                       float* c, int rows, int k, int n, int ldb, int ldc) {
   int r = 0;
   for (; r + kTileRows <= rows; r += kTileRows) {
     NNStrips<kTileRows, 1>(a + static_cast<size_t>(r) * k, b, scales,
-                           c + static_cast<size_t>(r) * n, k, n, 0);
+                           c + static_cast<size_t>(r) * ldc, k, n, ldb, ldc,
+                           0);
   }
   for (; r + 4 <= rows; r += 4) {
     NNStrips<4, 2>(a + static_cast<size_t>(r) * k, b, scales,
-                   c + static_cast<size_t>(r) * n, k, n, 0);
+                   c + static_cast<size_t>(r) * ldc, k, n, ldb, ldc, 0);
   }
   for (; r < rows; ++r) {
     NNStrips<1, 8>(a + static_cast<size_t>(r) * k, b, scales,
-                   c + static_cast<size_t>(r) * n, k, n, 0);
+                   c + static_cast<size_t>(r) * ldc, k, n, ldb, ldc, 0);
   }
 }
 
 VIST5_AVX2 void GemmNNZero(const float* a, const float* b, float* c, int rows,
-                           int k, int n) {
-  NNRows(a, b, nullptr, c, rows, k, n);
+                           int k, int n, int ldb, int ldc) {
+  NNRows(a, b, nullptr, c, rows, k, n, ldb, ldc);
 }
 
 const KernelSet kAvx2Kernels = {

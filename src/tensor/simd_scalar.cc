@@ -38,12 +38,12 @@ namespace {
 // eight rows at a time, matches it as well.
 template <int NB, typename W>
 inline int RowNNBlock(const float* arow, const W* b, const float* scales,
-                      float* crow, int k, int n, int j0) {
+                      float* crow, int k, int n, int ldb, int j0) {
   for (; j0 + NB <= n; j0 += NB) {
     float acc[NB] = {};
     for (int p = 0; p < k; ++p) {
       const float av = arow[p];
-      const W* brow = b + static_cast<size_t>(p) * n + j0;
+      const W* brow = b + static_cast<size_t>(p) * ldb + j0;
       for (int j = 0; j < NB; ++j) {
         acc[j] = std::fma(av, static_cast<float>(brow[j]), acc[j]);
       }
@@ -57,24 +57,25 @@ inline int RowNNBlock(const float* arow, const W* b, const float* scales,
 }
 
 // c[rows,N] = a[rows,K] * B[K,N], one row at a time, each row
-// register-blocked by columns. With auto-vectorization off, a multi-row
-// register tile runs no faster than this loop (docs/KERNELS.md,
-// "Measured").
+// register-blocked by columns. B and C rows sit `ldb` and `ldc` floats
+// apart, so a column slice reads its packed block and writes its columns
+// of a wider C. With auto-vectorization off, a multi-row register tile
+// runs no faster than this loop (docs/KERNELS.md, "Measured").
 template <typename W>
 void GemmNNZeroRows(const float* a, const W* b, const float* scales,
-                    float* c, int rows, int k, int n) {
+                    float* c, int rows, int k, int n, int ldb, int ldc) {
   for (int r = 0; r < rows; ++r) {
     const float* arow = a + static_cast<size_t>(r) * k;
-    float* crow = c + static_cast<size_t>(r) * n;
-    int j0 = RowNNBlock<16>(arow, b, scales, crow, k, n, 0);
-    j0 = RowNNBlock<8>(arow, b, scales, crow, k, n, j0);
-    RowNNBlock<1>(arow, b, scales, crow, k, n, j0);
+    float* crow = c + static_cast<size_t>(r) * ldc;
+    int j0 = RowNNBlock<16>(arow, b, scales, crow, k, n, ldb, 0);
+    j0 = RowNNBlock<8>(arow, b, scales, crow, k, n, ldb, j0);
+    RowNNBlock<1>(arow, b, scales, crow, k, n, ldb, j0);
   }
 }
 
 void GemmNNZero(const float* a, const float* b, float* c, int rows, int k,
-                int n) {
-  GemmNNZeroRows(a, b, nullptr, c, rows, k, n);
+                int n, int ldb, int ldc) {
+  GemmNNZeroRows(a, b, nullptr, c, rows, k, n, ldb, ldc);
 }
 
 // c[rows,N] += a[rows,K] * B[N,K]^T  (rows of B are the columns of the

@@ -4,14 +4,17 @@
 // returns (docs/INFERENCE.md, "One decode step"). This binary replaces the
 // global operator new with a counting one and checks a warmed t5_small
 // step at batch 1, at batch 4 and in a span-5 verify, at float32 and int8,
-// on one and two threads. The step also runs everything but its attention
-// rows on the calling thread, so it opens exactly two pool regions per
-// decoder layer, the self- and the cross-attention rows
-// (docs/PARALLELISM.md); that count is pinned at batch 1, at batch 8 (at
-// both dtypes) and in a span-5 verify. It also counts the bytes that
-// admitting a row (DecodeState::MergeFrom) and evicting one (Reorder)
-// allocate: both move row handles, so each stays below one row's self-K/V
-// slab.
+// on one and two threads. The step's only row-chunk regions are its
+// attention rows, so it opens exactly two pool regions per decoder layer,
+// the self- and the cross-attention rows (docs/PARALLELISM.md); that count
+// is pinned at batch 1, at batch 8 (at both dtypes) and in a span-5
+// verify. The base shape (mixed_wire's d128
+// x 3 model), whose float32 step weights outgrow a 2 MiB L2, runs its
+// weight products as column slices at 2 threads: its warmed step is held
+// to the same allocation bound, and its slice hand-offs per step are
+// pinned. It also counts the bytes that admitting a row
+// (DecodeState::MergeFrom) and evicting one (Reorder) allocate: both move
+// row handles, so each stays below one row's self-K/V slab.
 
 #include <algorithm>
 #include <atomic>
@@ -98,32 +101,54 @@ int64_t Regions() {
   return pooled->value() + serial->value();
 }
 
+/// Slice regions handed to the pool's threads so far.
+int64_t Handoffs() {
+  static const obs::Counter* handed = obs::GetCounter("rt/slice_regions");
+  return handed->value();
+}
+
 /// What one warmed DecodeStep call cost.
 struct StepCost {
   int64_t allocations = 0;
   int64_t regions = 0;
+  int64_t handoffs = 0;
 };
 
+/// mixed_wire's base model (perfbench/inputs.cc).
+nn::TransformerConfig BaseConfig() {
+  nn::TransformerConfig c = nn::TransformerConfig::T5Small(kVocab);
+  c.d_model = 128;
+  c.num_heads = 8;
+  c.d_ff = 512;
+  c.num_encoder_layers = 3;
+  c.num_decoder_layers = 3;
+  return c;
+}
+
 /// The costs of several warmed DecodeStep calls, one per call.
-std::vector<StepCost> WarmedStepCosts(const Case& c) {
+std::vector<StepCost> WarmedStepCosts(
+    const Case& c,
+    const nn::TransformerConfig& config =
+        nn::TransformerConfig::T5Small(kVocab)) {
   Rng init(7);
-  nn::Transformer t(nn::TransformerConfig::T5Small(kVocab), &init);
+  nn::Transformer t(config, &init);
   NoGradGuard no_grad;
   WeightDtypeGuard dtype(c.dtype);
   nn::DecodeState state = SlabState(t, c.batch);
   std::vector<int> ids(static_cast<size_t>(c.batch) * c.span);
   for (size_t i = 0; i < ids.size(); ++i) ids[i] = 3 + static_cast<int>(i);
   // Warm-up: the first steps grow the scratch buffers and build the int8
-  // weight snapshots.
+  // weight snapshots and the packed column slices.
   for (int i = 0; i < 2; ++i) t.DecodeStep(ids, &state, c.span);
   std::vector<StepCost> costs;
   for (int i = 0; i < 6; ++i) {
     const int64_t allocations = g_allocations.load(std::memory_order_relaxed);
     const int64_t regions = Regions();
+    const int64_t handoffs = Handoffs();
     const Tensor hidden = t.DecodeStep(ids, &state, c.span);
     costs.push_back(
         {g_allocations.load(std::memory_order_relaxed) - allocations,
-         Regions() - regions});
+         Regions() - regions, Handoffs() - handoffs});
     EXPECT_EQ(hidden.dim(0), c.batch * c.span);
   }
   return costs;
@@ -178,6 +203,48 @@ TEST_P(DecodeAlloc, WarmedStepOpensTwoRegionsPerDecoderLayer) {
       EXPECT_EQ(cost.regions, expected)
           << c.name << " at " << threads << " thread(s)";
     }
+  }
+  rt::SetThreads(previous);
+}
+
+// At 2 threads the base shape's weight products run as two column slices
+// each (docs/PARALLELISM.md, "Column slices"). The slices are packed on the
+// first step, so a warmed step still allocates only its result. It hands
+// off one slice region per product set: self q/k/v together, self out,
+// cross q, cross out, FFN in and FFN out, 6 per decoder layer. int8 steps
+// and 1-thread steps hand off none.
+TEST(DecodeAllocSliced, WarmedBaseStepAllocatesOnlyItsResultAndHandsOffSix) {
+  const int previous = rt::MaxThreads();
+  const nn::TransformerConfig base = BaseConfig();
+  const int64_t step_bytes =
+      static_cast<int64_t>(base.num_decoder_layers) *
+      (6 * base.d_model * base.d_model + 2 * base.d_model * base.d_ff) *
+      static_cast<int64_t>(sizeof(float));
+  rt::SetThreads(2);
+  if (rt::SlicesFor(step_bytes) < 2) {
+    rt::SetThreads(previous);
+    GTEST_SKIP() << "this host's L2 (" << rt::L2CacheBytes()
+                 << " bytes) holds the base step's " << step_bytes
+                 << " bytes of weights, so nothing slices";
+  }
+  const int64_t per_step = 6 * base.num_decoder_layers;
+  const Case cases[] = {
+      {"batch1_f32", 1, 1, WeightDtype::kFloat32},
+      {"batch4_f32", 4, 1, WeightDtype::kFloat32},
+      {"span5_f32", 1, 5, WeightDtype::kFloat32},
+      {"batch1_i8", 1, 1, WeightDtype::kInt8},
+  };
+  for (const Case& c : cases) {
+    const bool sliced = c.dtype == WeightDtype::kFloat32;
+    for (const StepCost& cost : WarmedStepCosts(c, base)) {
+      EXPECT_LE(cost.allocations, kMaxAllocations) << c.name;
+      EXPECT_EQ(cost.handoffs, sliced ? per_step : 0) << c.name;
+      EXPECT_EQ(cost.regions, 2 * base.num_decoder_layers) << c.name;
+    }
+  }
+  rt::SetThreads(1);
+  for (const StepCost& cost : WarmedStepCosts(cases[0], base)) {
+    EXPECT_EQ(cost.handoffs, 0) << "at 1 thread";
   }
   rt::SetThreads(previous);
 }

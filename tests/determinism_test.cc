@@ -7,6 +7,7 @@
 // count only changes which thread runs a chunk, never the arithmetic or
 // accumulation order inside any output element.
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstdint>
@@ -20,6 +21,7 @@
 #include "model/trainer.h"
 #include "model/transformer_model.h"
 #include "nn/transformer.h"
+#include "obs/metrics.h"
 #include "rt/thread_pool.h"
 #include "serve/prefix_cache.h"
 #include "spec/engine.h"
@@ -419,6 +421,117 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // ---------------------------------------------------------------------------
+// Column-sliced decode steps (docs/PARALLELISM.md, "Column slices"). The
+// base shape (mixed_wire's d_model 128, 8 heads, d_ff 512, 3 decoder
+// layers) streams 2.75 MB of float32 step weights, more than a 2 MiB L2, so
+// at 2 and 4 threads every step product runs as column slices on two
+// threads, and at 1 thread whole. Tokens and logits must not move.
+// ---------------------------------------------------------------------------
+
+nn::TransformerConfig SlicedBaseConfig() {
+  nn::TransformerConfig c = nn::TransformerConfig::T5Small(kVocab);
+  c.d_model = 128;
+  c.num_heads = 8;
+  c.d_ff = 512;
+  c.num_encoder_layers = 3;
+  c.num_decoder_layers = 3;
+  c.dropout = 0.0f;
+  return c;
+}
+
+/// The float32 weight bytes one base-shape decode step streams.
+int64_t SlicedBaseStepBytes() {
+  const nn::TransformerConfig c = SlicedBaseConfig();
+  return static_cast<int64_t>(c.num_decoder_layers) *
+         (6 * c.d_model * c.d_model + 2 * c.d_model * c.d_ff) *
+         static_cast<int64_t>(sizeof(float));
+}
+
+/// Everything one width decodes, and the slices its steps ran with.
+struct SlicedRun {
+  int slices = 0;
+  int64_t handed = 0;  ///< slice regions run on the pool's threads
+  std::vector<int> greedy;
+  std::vector<int> beam;
+  std::vector<std::vector<int>> batched;
+  std::vector<int> speculative;
+  std::vector<float> logits;  ///< of 8 DecodeStep calls, span 3 then 1
+};
+
+SlicedRun RunSlicedBase(int threads) {
+  rt::SetThreads(threads);
+  static obs::Counter* handed = obs::GetCounter("rt/slice_regions");
+  const int64_t handed_before = handed->value();
+  Rng data(77);
+  const std::vector<int> src = RandomSeq(&data, 9);
+  std::vector<std::vector<int>> srcs;
+  for (int len : {5, 8, 4, 7}) srcs.push_back(RandomSeq(&data, len));
+  model::TransformerSeq2Seq m(SlicedBaseConfig(), kPad, kEos, 23);
+  model::TransformerSeq2Seq draft(nn::TransformerConfig::T5Small(kVocab),
+                                  kPad, kEos, 24);
+  SlicedRun run;
+  run.slices = m.transformer().StepSlices();
+  model::GenerationOptions greedy;
+  greedy.max_len = 16;
+  run.greedy = m.Generate(src, greedy);
+  model::GenerationOptions beam;
+  beam.max_len = 14;
+  beam.beam_size = 3;
+  run.beam = m.Generate(src, beam);
+  run.batched = m.GenerateBatch(srcs, greedy);
+  model::GenerationOptions spec = greedy;
+  spec.draft_k = 3;
+  spec::DraftVerifyEngine engine(&m, &draft);
+  run.speculative = engine.Generate(src, spec);
+  {
+    NoGradGuard no_grad;
+    const nn::Transformer& t = m.transformer();
+    const int len = static_cast<int>(src.size());
+    const Tensor memory = t.Encode(src, 1, len, {len}, /*train=*/false,
+                                   nullptr);
+    nn::DecodeState state = t.BeginDecode(memory, 1, len, {len});
+    for (int step = 0; step < 8; ++step) {
+      const int span = step == 0 ? 3 : 1;
+      const std::vector<int> ids(static_cast<size_t>(span), 2 + step);
+      const Tensor logits = t.Logits(t.DecodeStep(ids, &state, span));
+      run.logits.insert(run.logits.end(), logits.data().begin(),
+                        logits.data().end());
+    }
+  }
+  run.handed = handed->value() - handed_before;
+  return run;
+}
+
+TEST(SlicedStepDeterminism, TokensAndLogitsBitIdenticalAt1And2And4Threads) {
+  const int64_t l2 = rt::L2CacheBytes();
+  if (l2 == 0) {
+    GTEST_SKIP() << "the host reports no L2 size, so no step product slices";
+  }
+  const int64_t bytes = SlicedBaseStepBytes();
+  const SlicedRun one = RunSlicedBase(1);
+  EXPECT_EQ(one.slices, 1);
+  EXPECT_EQ(one.handed, 0);
+  for (int threads : {2, 4}) {
+    const SlicedRun many = RunSlicedBase(threads);
+    // The slice count the steps ran with. The base shape must outgrow this
+    // host's L2, or the comparison below would pass without a slice.
+    const int want =
+        static_cast<int>(std::min<int64_t>((bytes + l2 - 1) / l2, threads));
+    ASSERT_GE(want, 2) << "this host's " << l2 << "-byte L2 holds the base "
+                       << "step's " << bytes << " bytes of weights";
+    EXPECT_EQ(many.slices, want) << threads << " threads";
+    EXPECT_GT(many.handed, 0) << "no slice region ran on the pool";
+    const std::string at = " at " + std::to_string(threads) + " threads";
+    EXPECT_EQ(many.greedy, one.greedy) << "greedy" << at;
+    EXPECT_EQ(many.beam, one.beam) << "beam" << at;
+    EXPECT_EQ(many.batched, one.batched) << "batched" << at;
+    EXPECT_EQ(many.speculative, one.speculative) << "speculative" << at;
+    ExpectBitIdentical(one.logits, many.logits, "sliced-step logits");
+  }
+  rt::SetThreads(1);
+}
+
+// ---------------------------------------------------------------------------
 // ISA / weight-dtype parity (docs/KERNELS.md). The contract has three tiers:
 //  1. NN-family kernels (plain MatMul, attention context, all int8 kernels)
 //    are BIT-IDENTICAL between the scalar reference and AVX2: both run the
@@ -567,6 +680,86 @@ TEST_F(SimdParity, BoundaryShapesAroundTileWidth) {
     auto [nt_s, nt_v] =
         RunAtBothIsas([&] { return ops::MatMulTransposeB(a, b_nt).data(); });
     ExpectWithinNtBound(nt_s, nt_v, "NT boundary");
+  }
+}
+
+// The NN entries with row strides: a column slice [c0, c0 + w) of a
+// wider [k, n] product, read from a packed [k, w] block (ldb = w) and
+// written into C rows n floats apart (ldc = n), and the same slice read in
+// place from the row-major weight (ldb = n). Each must give the dense
+// product's columns bit for bit, under both backends, and write nothing
+// outside its columns.
+TEST_F(SimdParity, StridedNNEntriesBitIdenticalAcrossIsas) {
+  const simd::KernelSet* backends[] = {simd::detail::ScalarKernelSet(),
+                                       simd::detail::Avx2KernelSet()};
+  Rng rng(107);
+  const int row_counts[] = {1, 3, 4, 5, 8, 13};
+  const int widths[][2] = {{128, 64}, {512, 256}, {200, 72}, {77, 9}};
+  for (int rows : row_counts) {
+    for (const auto& wn : widths) {
+      const int n = wn[0];
+      const int k = 37;
+      const std::vector<float> a = RandomTensor({rows, k}, &rng).data();
+      const std::vector<float> b = RandomTensor({k, n}, &rng).data();
+      const ops::QuantizedMatrix q =
+          ops::QuantizeWeights(Tensor({k, n}, b));
+      for (int c0 = 0; c0 < n; c0 += wn[1]) {
+        const int w = std::min(wn[1], n - c0);
+        std::vector<float> packed(static_cast<size_t>(k) * w);
+        std::vector<int8_t> packed_i8(static_cast<size_t>(k) * w);
+        for (int p = 0; p < k; ++p) {
+          for (int j = 0; j < w; ++j) {
+            packed[static_cast<size_t>(p) * w + j] =
+                b[static_cast<size_t>(p) * n + c0 + j];
+            packed_i8[static_cast<size_t>(p) * w + j] =
+                q.data[static_cast<size_t>(p) * n + c0 + j];
+          }
+        }
+        std::vector<std::vector<float>> outs;
+        for (const simd::KernelSet* ks : backends) {
+          std::vector<float> dense(static_cast<size_t>(rows) * n);
+          ks->gemm_nn_zero(a.data(), b.data(), dense.data(), rows, k, n, n, n);
+          std::vector<float> dense_i8(static_cast<size_t>(rows) * n);
+          ks->gemm_nn_zero_i8(a.data(), q.data.data(), q.scales.data(),
+                              dense_i8.data(), rows, k, n, n, n);
+          const float kSentinel = -7.5f;
+          std::vector<float> out(static_cast<size_t>(rows) * n, kSentinel);
+          std::vector<float> in_place(out);
+          std::vector<float> out_i8(out);
+          std::vector<float> in_place_i8(out);
+          ks->gemm_nn_zero(a.data(), packed.data(), out.data() + c0, rows, k,
+                           w, w, n);
+          ks->gemm_nn_zero(a.data(), b.data() + c0, in_place.data() + c0,
+                           rows, k, w, n, n);
+          ks->gemm_nn_zero_i8(a.data(), packed_i8.data(), q.scales.data() + c0,
+                              out_i8.data() + c0, rows, k, w, w, n);
+          ks->gemm_nn_zero_i8(a.data(), q.data.data() + c0,
+                              q.scales.data() + c0, in_place_i8.data() + c0,
+                              rows, k, w, n, n);
+          for (int r = 0; r < rows; ++r) {
+            for (int j = 0; j < n; ++j) {
+              const size_t e = static_cast<size_t>(r) * n + j;
+              const bool mine = j >= c0 && j < c0 + w;
+              const std::string at = "rows " + std::to_string(rows) + " n " +
+                                     std::to_string(n) + " slice at " +
+                                     std::to_string(c0) + " elem " +
+                                     std::to_string(e);
+              ASSERT_EQ(out[e], mine ? dense[e] : kSentinel) << "packed " << at;
+              ASSERT_EQ(in_place[e], mine ? dense[e] : kSentinel)
+                  << "in place " << at;
+              ASSERT_EQ(out_i8[e], mine ? dense_i8[e] : kSentinel)
+                  << "packed int8 " << at;
+              ASSERT_EQ(in_place_i8[e], mine ? dense_i8[e] : kSentinel)
+                  << "in place int8 " << at;
+            }
+          }
+          outs.push_back(out);
+          outs.push_back(out_i8);
+        }
+        ExpectBitIdentical(outs[0], outs[2], "strided NN across ISAs");
+        ExpectBitIdentical(outs[1], outs[3], "strided int8 across ISAs");
+      }
+    }
   }
 }
 

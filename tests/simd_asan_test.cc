@@ -12,7 +12,13 @@
 // on the ASan build: NN and int8 kernels bit-identical, NT within the
 // pinned bound. A seam check runs each backend's NT kernel over every
 // column-count prefix of one product: a column must keep its bits whether
-// the walk puts it in an 8-column block or among the leftover columns.
+// the walk puts it in an 8-column block or among the leftover columns. A
+// slice check drives the NN entries' row strides as column slices do
+// (docs/PARALLELISM.md, "Column slices"): each 64-column slice of a wider
+// product, and its odd tail, read from an exactly-sized packed [k, w]
+// block and from the row-major weight in place, written into its columns
+// of an exactly-sized C, must give the dense product's bits and leave the
+// other columns alone.
 //
 // Plain main (no gtest): the binary must stay free of uninstrumented
 // library code on the hot path so ASan interposes every allocation the
@@ -101,10 +107,10 @@ KernelOutputs Run(const simd::KernelSet& ks, const Operands& op) {
   ks.gemm_nt(op.a.get(), op.b_nt.get(), out.nt.get(), op.rows, op.k, op.n);
   out.nn = std::make_unique<float[]>(static_cast<size_t>(size));
   ks.gemm_nn_zero(op.a.get(), op.b_nn.get(), out.nn.get(), op.rows, op.k,
-                  op.n);
+                  op.n, op.n, op.n);
   out.i8 = std::make_unique<float[]>(static_cast<size_t>(size));
   ks.gemm_nn_zero_i8(op.a.get(), op.b_i8.get(), op.scales.get(),
-                     out.i8.get(), op.rows, op.k, op.n);
+                     out.i8.get(), op.rows, op.k, op.n, op.n, op.n);
   return out;
 }
 
@@ -188,6 +194,85 @@ void CheckNtSeams(const char* backend, const simd::KernelSet& ks, Lcg* rng) {
   }
 }
 
+/// Column slices through the strided NN entries: for every 64-column
+/// slice [c0, c0 + w) of a [k, n] weight (the last one an odd tail when n
+/// is not a multiple of 64), the float and int8 entries run once on a
+/// packed [k, w] copy (ldb = w) and once in place (b + c0, ldb = n), each
+/// writing c + c0 with ldc = n. Every run must equal the dense product on
+/// its columns and leave a sentinel everywhere else.
+void CheckColumnSlices(const char* backend, const simd::KernelSet& ks,
+                       Lcg* rng) {
+  constexpr float kSentinel = -3.25f;
+  const int rows_list[] = {1, 4, 5, 9};
+  const int ns[] = {64, 65, 127, 128, 129, 200, 512};
+  for (int rows : rows_list) {
+    for (int n : ns) {
+      const int k = 33;
+      const Operands op(rows, k, n, rng);
+      const int64_t size = static_cast<int64_t>(rows) * n;
+      auto dense = std::make_unique<float[]>(static_cast<size_t>(size));
+      auto dense_i8 = std::make_unique<float[]>(static_cast<size_t>(size));
+      ks.gemm_nn_zero(op.a.get(), op.b_nn.get(), dense.get(), rows, k, n, n,
+                      n);
+      ks.gemm_nn_zero_i8(op.a.get(), op.b_i8.get(), op.scales.get(),
+                         dense_i8.get(), rows, k, n, n, n);
+      for (int c0 = 0; c0 < n; c0 += 64) {
+        const int w = n - c0 < 64 ? n - c0 : 64;
+        auto packed = std::make_unique<float[]>(static_cast<size_t>(k) * w);
+        auto packed_i8 =
+            std::make_unique<int8_t[]>(static_cast<size_t>(k) * w);
+        for (int p = 0; p < k; ++p) {
+          for (int j = 0; j < w; ++j) {
+            packed[static_cast<size_t>(p) * w + j] =
+                op.b_nn[static_cast<size_t>(p) * n + c0 + j];
+            packed_i8[static_cast<size_t>(p) * w + j] =
+                op.b_i8[static_cast<size_t>(p) * n + c0 + j];
+          }
+        }
+        struct Run {
+          const char* what;
+          const float* want;
+          std::unique_ptr<float[]> c;
+        };
+        Run runs[4] = {{"packed", dense.get(), nullptr},
+                       {"in place", dense.get(), nullptr},
+                       {"packed i8", dense_i8.get(), nullptr},
+                       {"in place i8", dense_i8.get(), nullptr}};
+        for (Run& run : runs) {
+          run.c = std::make_unique<float[]>(static_cast<size_t>(size));
+          for (int64_t i = 0; i < size; ++i) run.c[i] = kSentinel;
+        }
+        ks.gemm_nn_zero(op.a.get(), packed.get(), runs[0].c.get() + c0, rows,
+                        k, w, w, n);
+        ks.gemm_nn_zero(op.a.get(), op.b_nn.get() + c0, runs[1].c.get() + c0,
+                        rows, k, w, n, n);
+        ks.gemm_nn_zero_i8(op.a.get(), packed_i8.get(), op.scales.get() + c0,
+                           runs[2].c.get() + c0, rows, k, w, w, n);
+        ks.gemm_nn_zero_i8(op.a.get(), op.b_i8.get() + c0,
+                           op.scales.get() + c0, runs[3].c.get() + c0, rows, k,
+                           w, n, n);
+        for (const Run& run : runs) {
+          for (int64_t i = 0; i < size; ++i) {
+            const int j = static_cast<int>(i % n);
+            const float want = j >= c0 && j < c0 + w ? run.want[i] : kSentinel;
+            if (std::memcmp(&run.c[i], &want, sizeof(float)) != 0) {
+              std::fprintf(stderr,
+                           "FAIL %s slice %s rows=%d n=%d c0=%d w=%d elem "
+                           "%lld: %.9g, want %.9g\n",
+                           backend, run.what, rows, n, c0, w,
+                           static_cast<long long>(i),
+                           static_cast<double>(run.c[i]),
+                           static_cast<double>(want));
+              ++g_failures;
+              return;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 
 int main() {
@@ -223,6 +308,8 @@ int main() {
 
   CheckNtSeams("scalar", *scalar, &rng);
   if (avx2 != nullptr) CheckNtSeams("avx2", *avx2, &rng);
+  CheckColumnSlices("scalar", *scalar, &rng);
+  if (avx2 != nullptr) CheckColumnSlices("avx2", *avx2, &rng);
 
   if (g_failures != 0) {
     std::fprintf(stderr, "simd_asan_test: %d parity failure(s)\n", g_failures);
