@@ -1,7 +1,8 @@
 // Component micro-benchmarks (google-benchmark): tokenizer, DV-query
 // parser, standardizer, relational executor, schema filtration, GEMM,
-// attention forward, transformer training step, one decode step, and
-// KV-cached greedy decoding. The GEMM and decode benchmarks sweep threads
+// attention forward, the encoder (batched, and one admit's prefill),
+// transformer training step, one decode step, and KV-cached greedy
+// decoding. The GEMM and decode benchmarks sweep threads
 // x isa x dtype (docs/KERNELS.md) so the vectorization and quantization
 // wins are measured, not asserted. After the google-benchmark run, summary
 // rows are printed and, when VIST5_BENCH_JSON is set, appended as JSON
@@ -222,6 +223,29 @@ void BM_AttentionForward(benchmark::State& state) {
 BENCHMARK(BM_AttentionForward)->Arg(1)->Arg(2)->Arg(4)
     ->ArgNames({"threads"});
 
+/// The single-source prefill a cache-miss admit runs (dv_mix's
+/// ContinuousDecoder::Admit): TransformerSeq2Seq::EncodePrefix of one
+/// t5_small source, the encoder plus the cross-attention K/V. Its Tensor
+/// ops split into row chunks on the pool (docs/PARALLELISM.md).
+void BM_EncodePrefix(benchmark::State& state) {
+  const int src_len = static_cast<int>(state.range(0));
+  ThreadsGuard threads(static_cast<int>(state.range(1)));
+  const model::TransformerSeq2Seq m(nn::TransformerConfig::T5Small(512),
+                                    /*pad_id=*/0, /*eos_id=*/1, 7);
+  Rng data(5);
+  std::vector<int> src(static_cast<size_t>(src_len));
+  for (int& id : src) id = data.UniformRange(2, 511);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(m.EncodePrefix(src, WeightDtype::kFloat32));
+  }
+  state.SetItemsProcessed(state.iterations() * src_len);  // source tokens
+}
+BENCHMARK(BM_EncodePrefix)
+    ->ArgsProduct({{91, 241}, {1, 2}})
+    ->ArgNames({"src", "threads"});
+
+/// The encoder over batches of 8 x 64-token sources; BM_EncodePrefix times
+/// the one-source prefill of an admit.
 void BM_EncoderForward(benchmark::State& state) {
   Fixture& f = Shared();
   ThreadsGuard threads(static_cast<int>(state.range(0)));

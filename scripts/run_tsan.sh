@@ -8,10 +8,11 @@
 # serve_test's PrefixCacheConcurrency suite — docs/SERVING.md). Any data
 # race fails the run.
 #
-# The determinism, serve, serve-stream (event-loop streaming parity and
+# The rt pool (its concurrent-caller and parked-worker cases among them),
+# determinism, serve, serve-stream (event-loop streaming parity and
 # slow-reader drop — docs/SERVING.md), prefix-cache, and decode-parity
 # binaries (the last carries the speculative draft-verify parity suite —
-# docs/SPECULATIVE.md) additionally run once per SIMD backend
+# docs/SPECULATIVE.md) run once per SIMD backend
 # (VIST5_ISA=scalar, then =avx2 on hosts that support it — see
 # docs/KERNELS.md), so races in the dispatch layer, the quantized-weight
 # caches, and each backend's kernels are all covered. Hosts without AVX2
@@ -29,7 +30,7 @@ cmake --build "$BUILD_DIR" -j"$(nproc)" \
 
 export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1 ${TSAN_OPTIONS:-}"
 status=0
-for t in rt_test obs_test text_test; do
+for t in obs_test text_test; do
   echo "===== tsan: $t ====="
   "$BUILD_DIR/tests/$t" || status=$?
 done
@@ -44,8 +45,8 @@ else
   echo "===== tsan: host lacks AVX2, skipping the avx2 ISA leg ====="
 fi
 for isa in $ISAS; do
-  for t in determinism_test serve_test serve_stream_test prefix_cache_test \
-           decode_parity_test; do
+  for t in rt_test determinism_test serve_test serve_stream_test \
+           prefix_cache_test decode_parity_test; do
     echo "===== tsan: $t (VIST5_ISA=$isa) ====="
     VIST5_ISA=$isa "$BUILD_DIR/tests/$t" || status=$?
   done

@@ -11,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include <sched.h>
 #include <unistd.h>
 
 #include "obs/metrics.h"
@@ -24,20 +25,20 @@ thread_local bool g_in_region = false;
 
 using Clock = std::chrono::steady_clock;
 
-/// How long a worker polls for the next slice region after running a
-/// slice, before it parks on the condvar. It outlasts the gap between two
-/// decode steps, so a decoding server hands every slice off with a spin,
+/// How long a worker polls its slot for the next posting after it ran
+/// one, before it parks on the condvar. It outlasts the gap between two
+/// decode steps, so a decoding server hands every region off with a spin,
 /// and it is short enough that an idle server's workers park within a
-/// fraction of a millisecond of its last step (docs/PARALLELISM.md,
-/// "Column slices"). For the first kSlicePause of it the worker polls
+/// fraction of a millisecond of its last region (docs/PARALLELISM.md,
+/// "The hand-off"). For the first kWorkerPause of it the worker polls
 /// with a pause instruction; after that it yields its core between polls,
 /// so a caller that shares the core (more threads than cores) can run.
-constexpr auto kSliceSpin = std::chrono::microseconds(500);
-constexpr auto kSlicePause = std::chrono::microseconds(50);
+constexpr auto kWorkerSpin = std::chrono::microseconds(500);
+constexpr auto kWorkerPause = std::chrono::microseconds(50);
 
-/// Pause iterations (about 30 µs) a slice region's caller spins on its
-/// slices before it yields its core between polls: long past a slice's
-/// few µs, so it yields only to a worker the host has not run.
+/// Pause iterations (about 30 µs) a region's caller spins on its workers
+/// before it yields its core between polls: long past a slice's few µs,
+/// so it yields only to a worker the host has not run.
 constexpr int kCallerSpins = 1 << 11;
 
 inline void CpuRelax() {
@@ -65,43 +66,73 @@ int DefaultThreads() {
       VIST5_LOG(Warning) << "ignoring invalid VIST5_THREADS=\"" << env << "\"";
     }
   }
+  // The CPUs this process may run on: under taskset or a cpuset cgroup,
+  // fewer than the host has.
+  cpu_set_t allowed;
+  if (sched_getaffinity(0, sizeof(allowed), &allowed) == 0) {
+    return CPU_COUNT(&allowed);
+  }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? static_cast<int>(hw) : 1;
 }
 
-/// One parallel region in flight. Heap-allocated and shared with the
-/// workers so a late-waking worker can only ever touch an exhausted chunk
-/// counter, never the fields of a newer region.
-struct Job {
-  int64_t grain = 1;
-  int64_t begin = 0;
-  int64_t end = 0;
-  int64_t nchunks = 0;
-  const std::function<void(int64_t, int64_t, int64_t)>* fn = nullptr;
-
-  std::atomic<int64_t> next{0};      ///< next chunk index to claim
-  std::atomic<bool> failed{false};   ///< set on first exception; later
-                                     ///< chunks are skipped (still counted)
-  std::atomic<int64_t> busy_us{0};   ///< summed per-thread execution time
-                                     ///< (latency sampling only)
-  std::mutex mu;                     ///< guards done/error
-  std::condition_variable done_cv;
-  int64_t done = 0;
-  std::exception_ptr error;
+/// Worker w's slot: a region's caller posts work here and worker w
+/// answers in it. The caller's half and the worker's half are separate
+/// cache lines, so a hand-off moves each line once each way, and posting
+/// to one worker never touches another's lines.
+///
+/// Posting t lives in `done`: 2t - 2 until worker w claims it, 2t - 1
+/// while it runs, 2t once it finished or its caller withdrew it. The
+/// worker claims it and the caller withdraws it with a compare-exchange
+/// from 2t - 2, so exactly one of them does.
+struct Slot {
+  // Written by the region's caller.
+  alignas(64) std::atomic<uint64_t> ticket{0};  ///< postings so far
+  const std::function<void(int)>* fn = nullptr;
+  // Written by worker w, and by a caller's withdraw.
+  alignas(64) std::atomic<uint64_t> done{0};
+  std::atomic<bool> parked{false};  ///< waiting on the condvar
+  std::exception_ptr error;         ///< what its last posting threw
 };
 
-/// Worker w's slot for slice regions: the region's caller posts slice w
-/// here and worker w answers in it. The caller's half and the worker's
-/// half are separate cache lines, so a hand-off moves each line once each
-/// way, and posting to one worker never touches another's lines.
-struct SliceSlot {
-  // Written by the region's caller.
-  alignas(64) std::atomic<uint64_t> ticket{0};  ///< bumped once per region
-  const std::function<void(int)>* fn = nullptr;
-  // Written by worker w.
-  alignas(64) std::atomic<uint64_t> done{0};  ///< the last ticket it ran
-  std::atomic<bool> parked{false};  ///< waiting on the condvar
-  std::exception_ptr error;         ///< what its last slice threw
+/// One pooled ParallelFor region, on its caller's stack. Its workers reach
+/// it only through a posting they claimed, and the caller returns only
+/// once every posting finished or was withdrawn.
+struct Chunks {
+  int64_t grain;
+  int64_t begin;
+  int64_t end;
+  int64_t nchunks;
+  const std::function<void(int64_t, int64_t, int64_t)>* fn;
+
+  std::atomic<int64_t> next{0};        ///< next chunk index to claim
+  std::atomic<bool> failed{false};     ///< set by the first exception;
+                                       ///< later chunks are skipped
+  std::exception_ptr error = nullptr;  ///< written by whoever set `failed`
+  std::atomic<int64_t> busy_us{0};     ///< summed per-thread execution time
+                                       ///< (latency sampling only)
+
+  /// Claims and runs chunks until none is left.
+  void Run() {
+    const bool sampled = obs::LatencySamplingEnabled();
+    const int64_t t0 = sampled ? NowMicros() : 0;
+    for (;;) {
+      const int64_t c = next.fetch_add(1, std::memory_order_relaxed);
+      if (c >= nchunks) break;
+      if (failed.load(std::memory_order_relaxed)) continue;
+      try {
+        const int64_t lo = begin + c * grain;
+        (*fn)(c, lo, std::min(end, lo + grain));
+      } catch (...) {
+        if (!failed.exchange(true, std::memory_order_relaxed)) {
+          error = std::current_exception();
+        }
+      }
+    }
+    if (sampled) {
+      busy_us.fetch_add(NowMicros() - t0, std::memory_order_relaxed);
+    }
+  }
 };
 
 class Pool {
@@ -119,15 +150,15 @@ class Pool {
     n = std::max(1, n);
     VIST5_CHECK(!g_in_region)
         << "rt::SetThreads must not be called from a parallel region";
-    // Holding the team keeps a slice region from posting to a worker
-    // that is about to stop.
+    // Holding the team keeps a region from posting to a worker that is
+    // about to stop.
     while (!TryClaimTeam()) std::this_thread::yield();
     {
       std::unique_lock<std::mutex> lock(mu_);
       if (n != threads_.load(std::memory_order_relaxed)) {
         StopWorkersLocked(&lock);
         threads_.store(n, std::memory_order_relaxed);
-        slots_ = std::make_unique<SliceSlot[]>(static_cast<size_t>(n));
+        slots_ = std::make_unique<Slot[]>(static_cast<size_t>(n));
         obs::GetGauge("rt/threads")->Set(n);
       }
     }
@@ -138,19 +169,13 @@ class Pool {
     static obs::Counter* handed = obs::GetCounter("rt/slice_regions");
     static obs::Counter* inline_regions =
         obs::GetCounter("rt/serial_slice_regions");
-    if (slices > 1 && !g_in_region && TryClaimTeam()) {
-      if (slices <= threads()) {
-        handed->Add();
-        RunSlicesOnTeam(slices, fn);  // releases the team
-        return;
-      }
-      ReleaseTeam();
+    if (!ClaimTeam(slices)) {
+      inline_regions->Add();
+      for (int s = 0; s < slices; ++s) fn(s);  // same slices, in index order
+      return;
     }
-    // Same slices, in index order, on this thread: nested in a region, one
-    // slice, more slices than threads, or the workers busy with another
-    // thread's slices.
-    inline_regions->Add();
-    for (int s = 0; s < slices; ++s) fn(s);
+    handed->Add();
+    RunOnTeam(slices, fn, /*withdraw=*/false);
   }
 
   void Run(int64_t grain, int64_t begin, int64_t end,
@@ -161,47 +186,31 @@ class Pool {
     static obs::Counter* regions = obs::GetCounter("rt/regions");
     static obs::Counter* serial_regions = obs::GetCounter("rt/serial_regions");
     static obs::Counter* tasks = obs::GetCounter("rt/tasks");
+    tasks->Add(nchunks);
 
     const int nthreads = threads();
-    if (nthreads <= 1 || nchunks <= 1 || g_in_region) {
+    const int width = static_cast<int>(std::min<int64_t>(nchunks, nthreads));
+    if (!ClaimTeam(width)) {
       // Serial path: same chunk partition, same execution order as one
       // pool thread — and zero pool traffic. Nested regions land here so
-      // an inner ParallelFor never deadlocks on the outer one's workers.
+      // an inner ParallelFor never waits on the outer one's workers.
       serial_regions->Add();
-      tasks->Add(nchunks);
       for (int64_t c = 0; c < nchunks; ++c) {
         const int64_t lo = begin + c * grain;
         fn(c, lo, std::min(end, lo + grain));
       }
       return;
     }
-
-    auto job = std::make_shared<Job>();
-    job->grain = grain;
-    job->begin = begin;
-    job->end = end;
-    job->nchunks = nchunks;
-    job->fn = &fn;
-
+    regions->Add();
+    Chunks chunks{grain, begin, end, nchunks, &fn};
     const bool sampled = obs::LatencySamplingEnabled();
     const int64_t t0 = sampled ? NowMicros() : 0;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      EnsureWorkersLocked();
-      current_ = job;
-      epoch_.fetch_add(1, std::memory_order_release);
-    }
-    work_cv_.notify_all();
-    RunChunks(*job);  // the caller is worker 0
-    {
-      std::unique_lock<std::mutex> lock(job->mu);
-      job->done_cv.wait(lock, [&] { return job->done == job->nchunks; });
-    }
-    regions->Add();
-    tasks->Add(nchunks);
+    // Captures one pointer, so it fits std::function's own buffer and the
+    // region allocates nothing.
+    RunOnTeam(width, [&chunks](int) { chunks.Run(); }, /*withdraw=*/true);
     if (sampled) {
       const int64_t wall = NowMicros() - t0;
-      const int64_t busy = job->busy_us.load(std::memory_order_relaxed);
+      const int64_t busy = chunks.busy_us.load(std::memory_order_relaxed);
       obs::GetCounter("rt/wall_us")->Add(wall);
       obs::GetCounter("rt/busy_us")->Add(busy);
       if (wall > 0) {
@@ -210,12 +219,12 @@ class Pool {
                   (static_cast<double>(wall) * nthreads));
       }
     }
-    if (job->error) std::rethrow_exception(job->error);
+    if (chunks.error) std::rethrow_exception(chunks.error);
   }
 
  private:
   Pool() : threads_(DefaultThreads()) {
-    slots_ = std::make_unique<SliceSlot[]>(static_cast<size_t>(threads()));
+    slots_ = std::make_unique<Slot[]>(static_cast<size_t>(threads()));
     obs::GetGauge("rt/threads")->Set(threads());
   }
 
@@ -228,16 +237,32 @@ class Pool {
 
   void ReleaseTeam() { team_busy_.store(false, std::memory_order_release); }
 
-  /// A slice region on the workers; the caller holds the team, which this
-  /// releases before it returns or rethrows.
-  void RunSlicesOnTeam(int slices, const std::function<void(int)>& fn) {
+  /// Claims the team for a region on `width` threads, the caller included.
+  /// False, with the team untouched, when the region runs inline instead:
+  /// a width of 1, nested in a region, the team held by another thread's
+  /// region, or a pool narrower than `width`.
+  bool ClaimTeam(int width) {
+    if (width <= 1 || g_in_region || !TryClaimTeam()) return false;
+    if (width <= threads()) return true;
+    ReleaseTeam();
+    return false;
+  }
+
+  /// Runs fn(0) on the caller and fn(w), posted in worker w's slot, on
+  /// workers 1 .. width - 1, then releases the team the caller holds, and
+  /// rethrows the exception of the lowest index that threw. With
+  /// `withdraw`, a posting whose worker has not started when fn(0) returns
+  /// is taken back rather than waited for: ParallelFor's fn(0) returns only
+  /// once every chunk is claimed, so that worker would find nothing to do.
+  void RunOnTeam(int width, const std::function<void(int)>& fn,
+                 bool withdraw) {
     if (!workers_ready_.load(std::memory_order_acquire)) {
       std::lock_guard<std::mutex> lock(mu_);
       EnsureWorkersLocked();
     }
     bool wake = false;
-    for (int w = 1; w < slices; ++w) {
-      SliceSlot& slot = slots_[static_cast<size_t>(w)];
+    for (int w = 1; w < width; ++w) {
+      Slot& slot = slots_[static_cast<size_t>(w)];
       slot.fn = &fn;
       // Sequentially consistent, as is the `parked` read after it, so a
       // worker that parks after that read still sees this ticket before
@@ -258,10 +283,16 @@ class Pool {
     }
     g_in_region = false;
     int spins = 0;
-    for (int w = 1; w < slices; ++w) {
-      SliceSlot& slot = slots_[static_cast<size_t>(w)];
-      const uint64_t ticket = slot.ticket.load(std::memory_order_relaxed);
-      while (slot.done.load(std::memory_order_acquire) != ticket) {
+    for (int w = 1; w < width; ++w) {
+      Slot& slot = slots_[static_cast<size_t>(w)];
+      const uint64_t finished = 2 * slot.ticket.load(std::memory_order_relaxed);
+      uint64_t unclaimed = finished - 2;
+      if (withdraw && slot.done.compare_exchange_strong(
+                          unclaimed, finished, std::memory_order_acq_rel,
+                          std::memory_order_relaxed)) {
+        continue;
+      }
+      while (slot.done.load(std::memory_order_acquire) != finished) {
         if (++spins < kCallerSpins) {
           CpuRelax();
         } else {
@@ -296,45 +327,38 @@ class Pool {
     shutdown_.store(false, std::memory_order_relaxed);
   }
 
-  /// Worker w: runs the slices posted to its slot and helps ParallelFor
-  /// regions. After a slice it polls both for kSliceSpin, then parks on
-  /// the condvar until a region or shutdown wakes it.
+  /// Worker w: claims and runs what is posted to its slot. After a posting
+  /// it polls the slot for kWorkerSpin, then parks on the condvar until a
+  /// posting or shutdown wakes it.
   void WorkerLoop(int w) {
-    SliceSlot* slot = &slots_[static_cast<size_t>(w)];
-    uint64_t seen_epoch = 0;
-    uint64_t seen_ticket = 0;
+    Slot* slot = &slots_[static_cast<size_t>(w)];
+    uint64_t seen = 0;
     Clock::time_point pause_until;
     Clock::time_point spin_until;
     for (;;) {
       const uint64_t ticket = slot->ticket.load(std::memory_order_acquire);
-      if (ticket != seen_ticket) {
-        seen_ticket = ticket;
-        std::exception_ptr error;
+      if (ticket != seen) {
+        seen = ticket;
+        uint64_t unclaimed = 2 * ticket - 2;
+        if (!slot->done.compare_exchange_strong(unclaimed, 2 * ticket - 1,
+                                                std::memory_order_acquire,
+                                                std::memory_order_relaxed)) {
+          continue;  // withdrawn by its caller
+        }
+        slot->error = nullptr;
         g_in_region = true;
         try {
           (*slot->fn)(w);
         } catch (...) {
-          error = std::current_exception();
+          slot->error = std::current_exception();
         }
         g_in_region = false;
-        slot->error = std::move(error);
-        slot->done.store(ticket, std::memory_order_release);
-        pause_until = Clock::now() + kSlicePause;
-        spin_until = pause_until + (kSliceSpin - kSlicePause);
+        slot->done.store(2 * ticket, std::memory_order_release);
+        pause_until = Clock::now() + kWorkerPause;
+        spin_until = pause_until + (kWorkerSpin - kWorkerPause);
         continue;
       }
-      if (epoch_.load(std::memory_order_acquire) != seen_epoch ||
-          shutdown_.load(std::memory_order_relaxed)) {
-        std::shared_ptr<Job> job;
-        {
-          std::lock_guard<std::mutex> lock(mu_);
-          if (shutdown_.load(std::memory_order_relaxed)) return;
-          seen_epoch = epoch_.load(std::memory_order_relaxed);
-          job = current_;
-        }
-        if (job) RunChunks(*job);
-        continue;
-      }
+      if (shutdown_.load(std::memory_order_relaxed)) return;
       const Clock::time_point now = Clock::now();
       if (now < pause_until) {
         CpuRelax();
@@ -348,61 +372,25 @@ class Pool {
       slot->parked.store(true, std::memory_order_seq_cst);
       work_cv_.wait(lock, [&] {
         return shutdown_.load(std::memory_order_relaxed) ||
-               epoch_.load(std::memory_order_relaxed) != seen_epoch ||
-               slot->ticket.load(std::memory_order_seq_cst) != seen_ticket;
+               slot->ticket.load(std::memory_order_seq_cst) != seen;
       });
       slot->parked.store(false, std::memory_order_relaxed);
     }
   }
 
-  static void RunChunks(Job& job) {
-    g_in_region = true;
-    const bool sampled = obs::LatencySamplingEnabled();
-    const int64_t t0 = sampled ? NowMicros() : 0;
-    int64_t done_here = 0;
-    std::exception_ptr err;
-    for (;;) {
-      const int64_t c = job.next.fetch_add(1, std::memory_order_relaxed);
-      if (c >= job.nchunks) break;
-      if (!job.failed.load(std::memory_order_relaxed)) {
-        try {
-          const int64_t lo = job.begin + c * job.grain;
-          (*job.fn)(c, lo, std::min(job.end, lo + job.grain));
-        } catch (...) {
-          if (!err) err = std::current_exception();
-          job.failed.store(true, std::memory_order_relaxed);
-        }
-      }
-      ++done_here;
-    }
-    g_in_region = false;
-    if (sampled) {
-      job.busy_us.fetch_add(NowMicros() - t0, std::memory_order_relaxed);
-    }
-    if (done_here > 0 || err) {
-      std::lock_guard<std::mutex> lock(job.mu);
-      if (err && !job.error) job.error = err;
-      job.done += done_here;
-      if (job.done == job.nchunks) job.done_cv.notify_all();
-    }
-  }
-
-  /// Guards workers_ and current_, and every write to threads_, slots_,
-  /// epoch_ and shutdown_ (which spinning workers read without it).
+  /// Guards workers_ and the condvar, and every write to threads_, slots_
+  /// and shutdown_ (which spinning workers read without it).
   std::mutex mu_;
   std::condition_variable work_cv_;
   std::atomic<int> threads_;
   std::vector<std::thread> workers_;
   std::atomic<bool> workers_ready_{false};
-  std::shared_ptr<Job> current_;
-  std::atomic<uint64_t> epoch_{0};
   std::atomic<bool> shutdown_{false};
 
-  /// Slice regions: slot w belongs to worker w (slot 0, to the caller, is
-  /// unused). The team flag admits one slice region (or Resize) at a time.
-  std::unique_ptr<SliceSlot[]> slots_;
-  /// On a line of its own: each slice region writes it twice, and the
-  /// spinning workers poll epoch_ and shutdown_.
+  /// Slot w belongs to worker w (slot 0, the caller's, is unused).
+  std::unique_ptr<Slot[]> slots_;
+  /// Admits one pooled region (or Resize) at a time. On a line of its own:
+  /// each region writes it twice, and the spinning workers poll shutdown_.
   alignas(64) std::atomic<bool> team_busy_{false};
 };
 

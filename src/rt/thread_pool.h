@@ -9,9 +9,12 @@ namespace rt {
 
 /// Number of threads parallel regions may use (>= 1). Initialized from the
 /// VIST5_THREADS env var on first use; unset, empty, or invalid values fall
-/// back to std::thread::hardware_concurrency(). 1 disables the pool: every
-/// ParallelFor runs inline on the caller with no atomics and no worker
-/// wake-ups.
+/// back to the number of CPUs in the process's affinity mask (or
+/// std::thread::hardware_concurrency() when the mask cannot be read). 1
+/// disables the pool: every ParallelFor runs inline on the caller with no
+/// atomics and no worker wake-ups. ParallelFor and RunSlices hand regions
+/// to the workers the same way, one region at a time (docs/PARALLELISM.md,
+/// "The hand-off").
 int MaxThreads();
 
 /// Resizes the pool (bench/test hook; VIST5_THREADS covers production).
@@ -34,7 +37,10 @@ int64_t NumChunks(int64_t grain, int64_t begin, int64_t end);
 /// most `grain` consecutive indices. Chunks are claimed dynamically by up
 /// to MaxThreads() threads (the caller participates); chunk BOUNDARIES
 /// depend only on `grain`, so any reduction keyed by chunk_index is
-/// bit-identical for every thread count. Blocks until all chunks finish.
+/// bit-identical for every thread count. Blocks until all chunks finish,
+/// but not for a worker that has not started once every chunk is claimed.
+/// One chunk, one thread, a nested call or the workers busy with another
+/// thread's region runs every chunk inline, in chunk order.
 /// If any chunk throws, the first exception (in completion order) is
 /// rethrown on the caller after the region drains; remaining unclaimed
 /// chunks are skipped.
@@ -51,15 +57,13 @@ void ParallelFor(int64_t grain, int64_t begin, int64_t end,
 /// the caller runs slice 0 and worker s runs slice s, the same thread for
 /// the same index in every region, so each thread keeps what its slice
 /// reads in its own core's cache (docs/PARALLELISM.md, "Column slices").
-/// Blocks until every slice has finished. The hand-off is a spin, not a
-/// condvar wake: the caller spins until its slices finish, and after a
-/// slice region the workers poll for the next one for a bounded time
-/// before they park. Every slice runs inline on the caller, in index
-/// order, when `slices` is 1 or exceeds MaxThreads(), inside a parallel
-/// region, or while another thread's slice region holds the workers; the
-/// slices must not depend on which thread runs them. If any slice throws,
-/// the exception of the lowest failing slice reaches the caller once every
-/// slice has finished, and the pool stays usable.
+/// Blocks until every slice has finished: unlike ParallelFor, the caller
+/// waits for each slice's own thread. Every slice runs inline on the
+/// caller, in index order, when `slices` is 1 or exceeds MaxThreads(),
+/// inside a parallel region, or while another thread's region holds the
+/// workers; the slices must not depend on which thread runs them. If any
+/// slice throws, the exception of the lowest failing slice reaches the
+/// caller once every slice has finished, and the pool stays usable.
 void RunSlices(int slices, const std::function<void(int slice)>& fn);
 
 /// The per-core L2 cache size the host reports, in bytes; 0 when it

@@ -14,7 +14,8 @@
 // to the same allocation bound, and its slice hand-offs per step are
 // pinned. It also counts the bytes that admitting a row
 // (DecodeState::MergeFrom) and evicting one (Reorder) allocate: both move
-// row handles, so each stays below one row's self-K/V slab.
+// row handles, so each stays below one row's self-K/V slab. And a warmed
+// ParallelFor region that splits across two threads allocates nothing.
 
 #include <algorithm>
 #include <atomic>
@@ -246,6 +247,30 @@ TEST(DecodeAllocSliced, WarmedBaseStepAllocatesOnlyItsResultAndHandsOffSix) {
   for (const StepCost& cost : WarmedStepCosts(cases[0], base)) {
     EXPECT_EQ(cost.handoffs, 0) << "at 1 thread";
   }
+  rt::SetThreads(previous);
+}
+
+// A pooled ParallelFor region posts its chunk loop to the workers' slots
+// and keeps its state on the caller's stack, so once the worker is
+// started a region that splits across two threads allocates nothing.
+TEST(PoolAlloc, WarmedSplitParallelForAllocatesNothing) {
+  const int previous = rt::MaxThreads();
+  rt::SetThreads(2);
+  std::atomic<int64_t> covered{0};
+  // Captures one pointer, so the std::function it converts to allocates
+  // nothing either.
+  const auto count = [&covered](int64_t lo, int64_t hi) {
+    covered.fetch_add(hi - lo, std::memory_order_relaxed);
+  };
+  rt::ParallelFor(1, 0, 64, count);  // warm-up: starts the worker
+  static const obs::Counter* pooled = obs::GetCounter("rt/regions");
+  constexpr int kRegions = 1000;
+  const int64_t regions = pooled->value();
+  const int64_t allocations = g_allocations.load(std::memory_order_relaxed);
+  for (int i = 0; i < kRegions; ++i) rt::ParallelFor(1, 0, 64, count);
+  EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - allocations, 0);
+  EXPECT_EQ(pooled->value() - regions, kRegions) << "a region ran inline";
+  EXPECT_EQ(covered.load(), 64 * (kRegions + 1));
   rt::SetThreads(previous);
 }
 

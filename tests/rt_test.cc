@@ -1,6 +1,7 @@
 // Tests for the vist5::rt thread pool: coverage and partition invariants,
-// exception propagation, nested-region behavior, degenerate ranges, and
-// pool reuse/resizing, for ParallelFor and for slice regions (RunSlices).
+// exception propagation, nested-region behavior, degenerate ranges, pool
+// reuse/resizing, concurrent callers and the default width, for
+// ParallelFor and for slice regions (RunSlices).
 // Everything here must also run clean under ThreadSanitizer
 // (scripts/run_tsan.sh).
 
@@ -8,13 +9,17 @@
 
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <mutex>
 #include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include <sched.h>
 
 #include <gtest/gtest.h>
 
@@ -23,6 +28,20 @@
 namespace vist5 {
 namespace rt {
 namespace {
+
+// With VIST5_THREADS unset the pool is as wide as the process's CPU
+// affinity mask, not the host. It must run before anything resizes the
+// pool, so it comes first in the file; its ctest entry
+// `rt_default_width_pinned` runs it alone under `taskset -c 0`, where the
+// width must be 1.
+TEST(RtDefaultWidth, FollowsTheAffinityMask) {
+  if (std::getenv("VIST5_THREADS") != nullptr) {
+    GTEST_SKIP() << "VIST5_THREADS sets the width";
+  }
+  cpu_set_t allowed;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(allowed), &allowed), 0);
+  EXPECT_EQ(MaxThreads(), CPU_COUNT(&allowed));
+}
 
 // Every index in [begin, end) is visited exactly once, for a grid of grains
 // and ranges straddling the thread count.
@@ -351,6 +370,143 @@ TEST(RtTest, SliceRegionMetricsAdvance) {
   RunSlices(3, [](int) {});  // more slices than threads
   EXPECT_EQ(inline_regions->value(), inline_before + 2);
   EXPECT_EQ(handed->value(), handed_before + 1);
+}
+
+/// Pooled plus inline regions of each kind, as the counters read them.
+struct RegionCounts {
+  int64_t pooled = 0;
+  int64_t serial = 0;
+  int64_t sliced = 0;
+  int64_t serial_sliced = 0;
+
+  static RegionCounts Now() {
+    return {obs::GetCounter("rt/regions")->value(),
+            obs::GetCounter("rt/serial_regions")->value(),
+            obs::GetCounter("rt/slice_regions")->value(),
+            obs::GetCounter("rt/serial_slice_regions")->value()};
+  }
+};
+
+// Two threads interleave ParallelFor and slice regions. Each region holds
+// the workers or, finding them busy, runs inline; either way every index
+// and every slice runs exactly once, and every region is counted once.
+TEST(RtTest, ConcurrentParallelForAndSliceRegionsEachRunOnce) {
+  SetThreads(4);
+  constexpr int kRegions = 3000;
+  const RegionCounts before = RegionCounts::Now();
+  std::atomic<int> missed{0};
+  std::vector<std::thread> callers;
+  for (int c = 0; c < 2; ++c) {
+    callers.emplace_back([&missed, c] {
+      std::array<std::atomic<int>, 40> hits{};
+      for (int region = 0; region < kRegions; ++region) {
+        if ((region + c) % 2 == 0) {
+          const int64_t end = 2 + (region * 7 + c) % 39;
+          for (auto& h : hits) h.store(0, std::memory_order_relaxed);
+          ParallelFor(1 + region % 3, 0, end, [&hits](int64_t lo, int64_t hi) {
+            for (int64_t i = lo; i < hi; ++i) hits[static_cast<size_t>(i)]++;
+          });
+          for (int64_t i = 0; i < end; ++i) {
+            if (hits[static_cast<size_t>(i)].load() != 1) missed++;
+          }
+        } else {
+          const int slices = 2 + region % 3;
+          std::array<std::atomic<int>, 4> seen{};
+          RunSlices(slices, [&seen](int s) { seen[static_cast<size_t>(s)]++; });
+          for (int s = 0; s < slices; ++s) {
+            if (seen[static_cast<size_t>(s)].load() != 1) missed++;
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& t : callers) t.join();
+  EXPECT_EQ(missed.load(), 0);
+  const RegionCounts after = RegionCounts::Now();
+  EXPECT_EQ(after.pooled + after.serial - before.pooled - before.serial,
+            kRegions);
+  EXPECT_EQ(after.sliced + after.serial_sliced - before.sliced -
+                before.serial_sliced,
+            kRegions);
+}
+
+// While one thread's region (ParallelFor or slices) holds the workers, a
+// second thread's regions of either kind run inline on that thread, in
+// order, and count as inline regions. The holding chunk gives up after
+// 10 s, so a pool that hands the second thread's work to the blocked
+// worker fails the checks instead of hanging.
+TEST(RtTest, RegionFindingTheTeamBusyRunsInline) {
+  SetThreads(4);
+  for (const bool hold_with_slices : {false, true}) {
+    std::atomic<bool> holding{false};
+    std::atomic<bool> release{false};
+    const auto hold = [&] {
+      holding = true;
+      const auto give_up =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (!release && std::chrono::steady_clock::now() < give_up) {
+        std::this_thread::yield();
+      }
+    };
+    std::thread holder([&] {
+      if (hold_with_slices) {
+        RunSlices(2, [&](int s) {
+          if (s == 0) hold();
+        });
+      } else {
+        ParallelFor(1, 0, 2, [&](int64_t lo, int64_t) {
+          if (lo == 0) hold();
+        });
+      }
+    });
+    while (!holding) std::this_thread::yield();
+    const RegionCounts before = RegionCounts::Now();
+    const std::thread::id self = std::this_thread::get_id();
+    std::vector<int64_t> order;
+    std::atomic<int> foreign{0};
+    ParallelFor(1, 0, 6, [&](int64_t lo, int64_t) {
+      if (std::this_thread::get_id() != self) foreign++;
+      order.push_back(lo);
+    });
+    std::vector<int> slice_order;
+    RunSlices(3, [&](int s) {
+      if (std::this_thread::get_id() != self) foreign++;
+      slice_order.push_back(s);
+    });
+    const RegionCounts after = RegionCounts::Now();
+    release = true;
+    holder.join();
+    EXPECT_EQ(foreign.load(), 0) << "held with slices: " << hold_with_slices;
+    EXPECT_EQ(order, (std::vector<int64_t>{0, 1, 2, 3, 4, 5}));
+    EXPECT_EQ(slice_order, (std::vector<int>{0, 1, 2}));
+    EXPECT_EQ(after.serial - before.serial, 1);
+    EXPECT_EQ(after.serial_sliced - before.serial_sliced, 1);
+    EXPECT_EQ(after.pooled - before.pooled, 0);
+    EXPECT_EQ(after.sliced - before.sliced, 0);
+  }
+}
+
+// Regions separated by idle gaps longer than the workers' 500 µs spin find
+// them parked: the caller may claim every chunk before a woken worker
+// starts, and then takes its posting back. Short and slow chunks alike
+// still cover every index once, and the next region still finds the
+// worker's slot usable.
+TEST(RtTest, ParallelForAfterIdleGapsCoversEveryIndexOnce) {
+  SetThreads(4);
+  for (int region = 0; region < 30; ++region) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    const int64_t end = 2 + region % 11;
+    const bool slow = region % 3 == 0;
+    std::array<std::atomic<int>, 12> hits{};
+    ParallelFor(1, 0, end, [&](int64_t lo, int64_t hi) {
+      if (slow) std::this_thread::sleep_for(std::chrono::microseconds(100));
+      for (int64_t i = lo; i < hi; ++i) hits[static_cast<size_t>(i)]++;
+    });
+    for (int64_t i = 0; i < 12; ++i) {
+      EXPECT_EQ(hits[static_cast<size_t>(i)].load(), i < end ? 1 : 0)
+          << "region " << region << " index " << i;
+    }
+  }
 }
 
 TEST(RtTest, SlicesForFitsEachShareInL2) {
