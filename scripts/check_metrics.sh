@@ -8,7 +8,9 @@
 # GET /metrics and GET /healthz over plain /dev/tcp, validates the
 # Prometheus exposition with a self-contained awk checker (cumulative
 # buckets monotone, +Inf bucket == _count, serve histograms populated),
-# exercises POST /admin/drain + /admin/resume, and shuts the server down.
+# exercises POST /admin/drain + /admin/resume, reloads a missing checkpoint
+# through POST /admin/reload (500, and serving continues), and shuts the
+# server down.
 #
 # Usage: check_metrics.sh [path-to-vist5_cli]   (default: build/examples/vist5_cli)
 set -u
@@ -250,5 +252,18 @@ case "$reply" in
   *) fail "request after resume did not return ok: $reply" ;;
 esac
 echo "check_metrics: drain rejects new requests, resume restores service"
+
+# --- reload of a missing checkpoint ------------------------------------------
+# The decode loop answers the reload through the scheduler's callback; a
+# load error keeps the old weights in place and serving continues.
+http_request POST /admin/reload "{\"path\":\"$WORK/missing.vt5c\"}" >"$WORK/reload.txt"
+[ "$(head -1 "$WORK/reload.txt")" = "500" ] || \
+  fail "POST /admin/reload of a missing file returned $(head -1 "$WORK/reload.txt")"
+reply="$(line_request '{"id":"after-reload","tokens":[2,3,4],"max_len":8}')"
+case "$reply" in
+  *'"status":"ok"'*) ;;
+  *) fail "request after a failed reload did not return ok: $reply" ;;
+esac
+echo "check_metrics: reload of a missing checkpoint answers 500, serving continues"
 
 echo "check_metrics: PASS"

@@ -301,23 +301,29 @@ std::string AnnotatorStyle(const DvQuery& q, Rng* rng) {
     return fn + "(" + ref_str(e.col) + ")";
   };
 
+  // Chained appends rather than `" " + ...` chains, on which GCC 12 at -O3
+  // reports a false -Wrestrict; a chained append also evaluates left to
+  // right, so the draws keep their order.
   std::string out = kw("visualize", "VISUALIZE");
-  out += " " + std::string(dv::ChartTypeName(q.chart));
-  out += " " + kw("select", "SELECT") + " ";
+  out.append(" ").append(dv::ChartTypeName(q.chart));
+  out.append(" ").append(kw("select", "SELECT")).append(" ");
   for (size_t i = 0; i < q.select.size(); ++i) {
     if (i) out += ", ";
     out += expr_str(q.select[i]);
   }
-  out += " " + kw("from", "FROM") + " " + q.from_table;
-  if (use_alias) out += " " + kw("as", "AS") + " T1";
+  out.append(" ").append(kw("from", "FROM")).append(" ").append(q.from_table);
+  if (use_alias) out.append(" ").append(kw("as", "AS")).append(" T1");
   if (q.join.has_value()) {
-    out += " " + kw("join", "JOIN") + " " + q.join->table;
-    if (use_alias) out += " " + kw("as", "AS") + " T2";
-    out += " " + kw("on", "ON") + " " + ref_str(q.join->left) + " = " +
-           ref_str(q.join->right);
+    out.append(" ").append(kw("join", "JOIN")).append(" ");
+    out += q.join->table;
+    if (use_alias) out.append(" ").append(kw("as", "AS")).append(" T2");
+    out.append(" ").append(kw("on", "ON")).append(" ");
+    out += ref_str(q.join->left) + " = " + ref_str(q.join->right);
   }
   for (size_t i = 0; i < q.where.size(); ++i) {
-    out += i == 0 ? " " + kw("where", "WHERE") + " " : " " + kw("and", "AND") + " ";
+    out.append(" ")
+        .append(i == 0 ? kw("where", "WHERE") : kw("and", "AND"))
+        .append(" ");
     const dv::DvPredicate& p = q.where[i];
     out += ref_str(p.col) + " " + db::CmpOpName(p.op) + " ";
     if (p.is_number) {
@@ -328,16 +334,20 @@ std::string AnnotatorStyle(const DvQuery& q, Rng* rng) {
     }
   }
   if (q.group_by.has_value()) {
-    out += " " + kw("group by", "GROUP BY") + " ";
+    out.append(" ").append(kw("group by", "GROUP BY")).append(" ");
     // Annotators frequently drop the qualifier on the group key.
     out += rng->Bernoulli(0.5) ? q.group_by->column : ref_str(*q.group_by);
   }
   if (q.order_by.has_value()) {
-    out += " " + kw("order by", "ORDER BY") + " " + expr_str(q.order_by->target);
+    // The target draws before the keyword: the generated corpus depends on
+    // the order of the draws.
+    const std::string target = expr_str(q.order_by->target);
+    out.append(" ").append(kw("order by", "ORDER BY")).append(" ");
+    out += target;
     if (!q.order_by->ascending) {
-      out += " " + kw("desc", "DESC");
+      out.append(" ").append(kw("desc", "DESC"));
     } else if (rng->Bernoulli(0.5)) {
-      out += " " + kw("asc", "ASC");
+      out.append(" ").append(kw("asc", "ASC"));
     }
   }
   return out;

@@ -59,7 +59,7 @@ std::string DvQuery::ToString() const {
     out += where[i].ToString();
   }
   if (bin.has_value()) {
-    out += " " + bin->ToString();
+    out.append(" ").append(bin->ToString());
   }
   if (group_by.has_value()) {
     out += " group by " + group_by->ToString();

@@ -10,7 +10,7 @@ namespace {
 
 /// R string literal with escaped quotes.
 std::string RString(const std::string& s) {
-  return "\"" + ReplaceAll(s, "\"", "\\\"") + "\"";
+  return std::string("\"").append(ReplaceAll(s, "\"", "\\\"")).append("\"");
 }
 
 /// R vector literal for one result column: c(...) of numbers or strings.

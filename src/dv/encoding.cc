@@ -101,7 +101,7 @@ std::string EncodeTable(const std::vector<std::string>& column_names,
   std::string out = "col :";
   for (size_t i = 0; i < column_names.size(); ++i) {
     if (i > 0) out += " |";
-    out += " " + ToLower(column_names[i]);
+    out.append(" ").append(ToLower(column_names[i]));
   }
   int count = 0;
   for (const auto& row : rows) {
@@ -110,7 +110,7 @@ std::string EncodeTable(const std::vector<std::string>& column_names,
     out += " row " + std::to_string(count) + " :";
     for (size_t i = 0; i < row.size(); ++i) {
       if (i > 0) out += " |";
-      out += " " + ToLower(row[i].ToString());
+      out.append(" ").append(ToLower(row[i].ToString()));
     }
   }
   return out;

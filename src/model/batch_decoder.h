@@ -110,12 +110,12 @@ class ContinuousDecoder {
   /// Admits one request into the batch. Its weight_dtype must match
   /// batch_dtype() when requests are already active — the dtype is a
   /// per-batch property because every row shares each step's weight
-  /// reads; the serve scheduler parks mismatched requests until the batch
-  /// drains. A speculative request (draft_k > 0 with a draft model) must
-  /// be greedy and decodes alone: it is admitted only into an empty
-  /// decoder, and nothing joins it. A request with temperature > 0 must
-  /// set `options.rng`. `deadline` of Clock::time_point::max() disables
-  /// the per-request deadline.
+  /// reads; the serve scheduler leaves a mismatched request at the head of
+  /// its queue until the batch drains. A speculative request (draft_k > 0
+  /// with a draft model) must be greedy and decodes alone: it is admitted
+  /// only into an empty decoder, and nothing joins it. A request with
+  /// temperature > 0 must set `options.rng`. `deadline` of
+  /// Clock::time_point::max() disables the per-request deadline.
   ///
   /// When `prefill` is non-null it must hold exactly `src` at the batch's
   /// weight dtype; the encoder forward and cross K/V projection are then

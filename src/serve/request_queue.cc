@@ -79,6 +79,13 @@ bool RequestQueue::TryPop(Entry* out) {
   return PopLocked(out);
 }
 
+bool RequestQueue::TryPopIf(const std::function<bool(const Request&)>& pred,
+                            Entry* out) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (heap_.empty() || !pred(heap_.front().entry.request)) return false;
+  return PopLocked(out);
+}
+
 void RequestQueue::Close() {
   {
     std::lock_guard<std::mutex> lock(mu_);

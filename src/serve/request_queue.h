@@ -166,6 +166,11 @@ class RequestQueue {
   /// Non-blocking pop; false when empty (or closed-and-empty).
   bool TryPop(Entry* out);
 
+  /// Non-blocking pop of the head only when `pred` holds for its request;
+  /// otherwise the head stays where it is, and so does everything behind
+  /// it. `pred` runs under the queue's lock.
+  bool TryPopIf(const std::function<bool(const Request&)>& pred, Entry* out);
+
   /// Rejects future pushes and wakes blocked poppers. Entries already
   /// queued remain poppable (graceful drain).
   void Close();

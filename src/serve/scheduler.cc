@@ -67,6 +67,12 @@ std::string OptionRangeError(const model::GenerationOptions& options) {
   return "";
 }
 
+/// Beam and speculative requests decode alone: nothing joins their batch,
+/// and they join none.
+bool DecodesAlone(const model::GenerationOptions& options) {
+  return options.beam_size > 1 || options.draft_k > 0;
+}
+
 /// Emits the serve/req<id>/* span family reconstructing one request in the
 /// Chrome trace: queue wait, prefill (admit -> first token), decode, and a
 /// parent span covering the whole request. All on the scheduler thread, so
@@ -104,13 +110,6 @@ struct BatchScheduler::Track {
   bool alone = false;
 };
 
-/// One parked Reload call: the path to load and the promise its caller
-/// blocks on.
-struct BatchScheduler::PendingReload {
-  std::string path;
-  std::promise<Status> done;
-};
-
 BatchScheduler::BatchScheduler(model::TransformerSeq2Seq* model,
                                const SchedulerOptions& options)
     : model_(model),
@@ -127,7 +126,9 @@ BatchScheduler::BatchScheduler(model::TransformerSeq2Seq* model,
 BatchScheduler::~BatchScheduler() { Shutdown(/*drain=*/false); }
 
 void BatchScheduler::Start() {
-  VIST5_CHECK(!started_.exchange(true)) << "BatchScheduler started twice";
+  std::lock_guard<std::mutex> lock(control_mu_);
+  VIST5_CHECK(!started_) << "BatchScheduler started twice";
+  started_ = true;
   loop_ = std::thread(&BatchScheduler::Loop, this);
 }
 
@@ -204,48 +205,48 @@ Response BatchScheduler::SubmitAndWait(Request req) {
   return fut.get();
 }
 
-Status BatchScheduler::Reload(const std::string& path) {
+void BatchScheduler::Reload(const std::string& path, ReloadCompletion done) {
+  Status answer;
   {
-    std::lock_guard<std::mutex> shutdown_lock(shutdown_mu_);
-    if (shut_down_ || !started_.load()) {
-      // No decode loop is (or will be) stepping, so the swap is safe to
-      // run inline on the caller's thread.
-      return model::LoadCheckpoint(model_->CheckpointModule(), path);
+    std::lock_guard<std::mutex> lock(control_mu_);
+    if (shut_down_) {
+      // A draining loop may still be stepping, so the weights cannot swap
+      // under it; and it may be past its last look for a reload.
+      answer = Status::Unavailable("scheduler is shut down");
+    } else if (!started_) {
+      // No decode loop is stepping yet, so the swap runs inline.
+      answer = model::LoadCheckpoint(model_->CheckpointModule(), path);
+    } else if (reload_done_ != nullptr) {
+      answer = Status::Unavailable("another reload is already in progress");
+    } else {
+      reload_path_ = path;
+      reload_done_ = std::move(done);
+      reload_pending_.store(true, std::memory_order_release);
+      return;
     }
   }
-  std::future<Status> done;
-  {
-    std::lock_guard<std::mutex> lock(reload_mu_);
-    if (pending_reload_ != nullptr) {
-      return Status::Unavailable("another reload is already in progress");
-    }
-    pending_reload_ = std::make_unique<PendingReload>();
-    pending_reload_->path = path;
-    done = pending_reload_->done.get_future();
-    reload_pending_.store(true, std::memory_order_release);
-  }
-  return done.get();
+  done(std::move(answer));
 }
 
 void BatchScheduler::ServiceReload(bool aborting) {
   static obs::Counter* reloads = obs::GetCounter("serve/reloads");
   static obs::Histogram* reload_ms = obs::GetHistogram("serve/reload_ms");
-  std::unique_ptr<PendingReload> pending;
+  std::string path;
+  ReloadCompletion done;
   {
-    std::lock_guard<std::mutex> lock(reload_mu_);
-    pending = std::move(pending_reload_);
+    std::lock_guard<std::mutex> lock(control_mu_);
+    path = std::move(reload_path_);
+    done = std::exchange(reload_done_, nullptr);
     reload_pending_.store(false, std::memory_order_release);
   }
-  if (pending == nullptr) return;
+  if (done == nullptr) return;
   if (aborting) {
-    pending->done.set_value(
-        Status::Unavailable("scheduler shut down before the reload ran"));
+    done(Status::Unavailable("scheduler shut down before the reload ran"));
     return;
   }
   VIST5_TRACE_SPAN("serve/reload");
   const Clock::time_point t0 = Clock::now();
-  Status status = model::LoadCheckpoint(model_->CheckpointModule(),
-                                        pending->path);
+  Status status = model::LoadCheckpoint(model_->CheckpointModule(), path);
   if (status.ok()) {
     reloads->Add();
     reload_ms->Observe(Ms(Clock::now() - t0));
@@ -256,12 +257,12 @@ void BatchScheduler::ServiceReload(bool aborting) {
       prefix_cache_->Clear();
     }
   }
-  pending->done.set_value(std::move(status));
+  done(std::move(status));
 }
 
 void BatchScheduler::Shutdown(bool drain) {
   {
-    std::lock_guard<std::mutex> lock(shutdown_mu_);
+    std::lock_guard<std::mutex> lock(control_mu_);
     if (shut_down_) return;
     shut_down_ = true;
   }
@@ -272,14 +273,20 @@ void BatchScheduler::Shutdown(bool drain) {
     return;
   }
   // Never started: there is no loop to run the cleanup path, but queued
-  // requests still owe their callers exactly one completion each.
-  ServiceReload(/*aborting=*/true);
+  // requests still owe their callers exactly one completion each. (No
+  // reload can be pending: before Start, Reload loads inline.)
+  ShutDownQueued();
+}
+
+void BatchScheduler::ShutDownQueued() {
   RequestQueue::Entry entry;
   while (queue_.TryPop(&entry)) {
-    Response r;
-    r.id = entry.request.id;
-    r.status = ResponseStatus::kShutdown;
-    entry.done(std::move(r));
+    Track track;
+    track.id = entry.request.id;
+    track.done = std::move(entry.done);
+    track.timeline.enqueue = entry.request.enqueue_time;
+    track.timeline.admit = Clock::now();
+    Finish(&track, ResponseStatus::kShutdown, {});
   }
 }
 
@@ -343,7 +350,7 @@ void BatchScheduler::Admit(RequestQueue::Entry entry,
   track.timeline.admitted = true;
   queue_wait->Observe(track.timeline.queue_wait_ms());
   if (decoder_.active() > 0) joined->Add();
-  track.alone = req.options.beam_size > 1 || req.options.draft_k > 0;
+  track.alone = DecodesAlone(req.options);
   if (track.alone) exclusive->Add();
   if (req.options.draft_k > 0) spec_requests->Add();
   if (prefix_cache_ != nullptr) {
@@ -363,15 +370,17 @@ void BatchScheduler::Admit(RequestQueue::Entry entry,
   tracks->push_back(std::move(track));
 }
 
-bool BatchScheduler::FillBatch(std::vector<Track>* tracks,
-                               RequestQueue::Entry* parked,
-                               bool* have_parked) {
-  while (!*have_parked && decoder_.active() < options_.max_batch) {
+bool BatchScheduler::FillBatch(std::vector<Track>* tracks) {
+  // The head joins the running batch when neither decodes alone
+  // (docs/SERVING.md) and it reads the batch's weight dtype.
+  const auto joins = [&](const Request& req) {
+    return !tracks->front().alone && !DecodesAlone(req.options) &&
+           req.options.weight_dtype == decoder_.batch_dtype();
+  };
+  while (decoder_.active() < options_.max_batch) {
     // A pending reload waits for a batch-empty boundary; admitting more
     // work would starve it, so pause admissions until it has run.
     if (reload_pending_.load(std::memory_order_acquire)) return false;
-    // Beam and speculative requests decode alone (docs/SERVING.md).
-    if (!tracks->empty() && tracks->front().alone) return false;
     RequestQueue::Entry entry;
     if (decoder_.active() == 0) {
       // Idle: block until work arrives, the queue closes for good, or the
@@ -384,24 +393,12 @@ bool BatchScheduler::FillBatch(std::vector<Track>* tracks,
         case RequestQueue::PopStatus::kItem:
           break;
       }
-    } else {
-      // Mid-flight: join whatever is already queued at this step
-      // boundary, but never stall the running batch to wait for more.
-      if (!queue_.TryPop(&entry)) return false;
+    } else if (!queue_.TryPopIf(joins, &entry)) {
+      // Mid-flight: never stall the running batch to wait for more, and
+      // leave a head that cannot join where it is until the batch drains.
+      return false;
     }
-    const model::GenerationOptions& options = entry.request.options;
-    if (decoder_.active() > 0 &&
-        (options.beam_size > 1 || options.draft_k > 0 ||
-         options.weight_dtype != decoder_.batch_dtype())) {
-      // Cannot join the running batch: a beam or speculative request (it
-      // decodes alone), or a different weight dtype. Park it — later
-      // arrivals wait behind it so admission order stays FIFO — and let
-      // the batch drain.
-      *parked = std::move(entry);
-      *have_parked = true;
-    } else {
-      Admit(std::move(entry), tracks);
-    }
+    Admit(std::move(entry), tracks);
   }
   return false;
 }
@@ -461,24 +458,13 @@ void BatchScheduler::StepBatch(std::vector<Track>* tracks) {
 void BatchScheduler::Loop() {
   VIST5_TRACE_SPAN("serve/loop");
   std::vector<Track> tracks;
-  RequestQueue::Entry parked;
-  bool have_parked = false;
   while (!abort_.load()) {
     if (reload_pending_.load(std::memory_order_acquire) &&
-        decoder_.active() == 0 && !have_parked) {
+        decoder_.active() == 0) {
       ServiceReload(/*aborting=*/false);
     }
-    const bool closed = FillBatch(&tracks, &parked, &have_parked);
+    const bool closed = FillBatch(&tracks);
     if (abort_.load()) break;
-    if (have_parked && decoder_.active() == 0) {
-      // The old batch has drained, so a beam or speculative request can
-      // decode alone and a dtype-mismatched request seeds a batch at its
-      // own dtype.
-      Admit(std::move(parked), &tracks);
-      parked = RequestQueue::Entry{};
-      have_parked = false;
-      continue;
-    }
     if (decoder_.active() == 0) {
       if (closed) break;  // drain complete
       continue;
@@ -490,26 +476,9 @@ void BatchScheduler::Loop() {
   for (Track& track : tracks) {
     Finish(&track, ResponseStatus::kShutdown, {});
   }
-  if (have_parked) {
-    Track track;
-    track.id = parked.request.id;
-    track.done = std::move(parked.done);
-    track.timeline.enqueue = parked.request.enqueue_time;
-    track.timeline.admit = Clock::now();
-    Finish(&track, ResponseStatus::kShutdown, {});
-  }
-  RequestQueue::Entry entry;
-  while (queue_.TryPop(&entry)) {
-    Track track;
-    track.id = entry.request.id;
-    track.done = std::move(entry.done);
-    track.timeline.enqueue = entry.request.enqueue_time;
-    track.timeline.admit = Clock::now();
-    Finish(&track, ResponseStatus::kShutdown, {});
-  }
-  // A reload parked after the final FillBatch would otherwise strand its
-  // caller; fail it explicitly. (A drain shutdown may legitimately still
-  // hold one if Reload raced Close.)
+  ShutDownQueued();
+  // A reload registered before Shutdown that the loop did not reach is
+  // answered here, so its caller is never left waiting.
   ServiceReload(/*aborting=*/true);
 }
 

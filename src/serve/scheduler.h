@@ -2,8 +2,8 @@
 #define VIST5_SERVE_SCHEDULER_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -38,6 +38,9 @@ struct SchedulerOptions {
   model::TransformerSeq2Seq* draft_model = nullptr;
 };
 
+/// BatchScheduler::Reload's callback: the load's status, or why none ran.
+using ReloadCompletion = std::function<void(Status)>;
+
 /// Persistent decode loop implementing continuous (in-flight) batching.
 ///
 /// One thread owns a ContinuousDecoder and repeatedly: (1) admits queued
@@ -50,11 +53,13 @@ struct SchedulerOptions {
 ///
 /// Greedy and sampled requests batch together. A beam request and a
 /// speculative request (draft_k > 0) each decode alone in the same
-/// decoder: they wait for the batch to drain, and nothing joins the batch
-/// while they decode. A request whose weight_dtype differs from the
-/// running batch's also parks until the batch drains, then starts a batch
-/// at its dtype — a decode batch reads one weight representation per
-/// step. Parking keeps admission FIFO (docs/SERVING.md).
+/// decoder, and a decode batch reads one weight dtype per step. So the
+/// queue's head joins a running batch only when neither it nor the batch
+/// decodes alone and it reads the batch's weight dtype. A head that cannot
+/// join stays at the head, with everything behind it, until the batch
+/// drains; it then starts the next batch. The queue is the only place a
+/// request waits, so admission order is the queue's: priority, then FIFO
+/// (docs/SERVING.md).
 ///
 /// Per-request token streams are bit-identical to decoding each request
 /// alone, regardless of batch composition (the determinism contract
@@ -83,10 +88,13 @@ class BatchScheduler {
   /// into the model *between* decode steps: the loop stops admitting,
   /// lets in-flight rows finish (their tokens stay consistent — every step
   /// of a given request runs against one set of weights), loads `path`,
-  /// and resumes admissions. Blocks until the swap happened (or failed —
-  /// on any load error the old weights remain and serving continues).
-  /// Queued requests are *not* dropped; they decode under the new weights.
-  Status Reload(const std::string& path);
+  /// and resumes admissions. Queued requests are *not* dropped; they
+  /// decode under the new weights. `done` fires exactly once: on the
+  /// decode thread with the load's status (on any load error the old
+  /// weights remain and serving continues), or inline with Unavailable
+  /// when another reload is pending or Shutdown has begun. Before Start
+  /// the load runs inline.
+  void Reload(const std::string& path, ReloadCompletion done);
 
   /// Stops the scheduler. With `drain` the decode loop first finishes
   /// every queued and in-flight request; without it, queued and active
@@ -103,21 +111,20 @@ class BatchScheduler {
 
  private:
   struct Track;
-  struct PendingReload;
 
   void Loop();
-  /// Admits queued requests until the batch is full, and none while a
-  /// request that decodes alone runs. A request that cannot join the
-  /// running batch (beam, speculative, or a dtype mismatch) is parked in
-  /// `*parked` and admissions stop — FIFO order is preserved while the
-  /// batch drains. Returns true when the queue closed.
-  bool FillBatch(std::vector<Track>* tracks, RequestQueue::Entry* parked,
-                 bool* have_parked);
+  /// Admits queued requests until the batch is full. An idle decoder takes
+  /// whatever heads the queue; a running batch takes the head only while
+  /// it joins (see the class comment), so a head that cannot join waits in
+  /// the queue until the batch drains. Returns true when the queue closed.
+  bool FillBatch(std::vector<Track>* tracks);
   void Admit(RequestQueue::Entry entry, std::vector<Track>* tracks);
   void StepBatch(std::vector<Track>* tracks);
   void Finish(Track* track, ResponseStatus status, std::vector<int> tokens);
-  /// Performs the pending reload (loop thread, no batch active) or fails
-  /// it during shutdown so Reload callers never hang.
+  /// Answers every request still queued "shutdown".
+  void ShutDownQueued();
+  /// Performs the pending reload (loop thread, no batch active) or, when
+  /// `aborting`, answers it Unavailable, so every Reload is answered.
   void ServiceReload(bool aborting);
 
   model::TransformerSeq2Seq* model_;
@@ -130,16 +137,20 @@ class BatchScheduler {
   std::unique_ptr<PrefixCache> prefix_cache_;
   RequestQueue queue_;
   std::thread loop_;
-  std::atomic<bool> started_{false};
   std::atomic<bool> abort_{false};  ///< non-drain shutdown
   std::atomic<uint64_t> next_id_{1};
-  std::mutex shutdown_mu_;
+  /// Guards started_, shut_down_ and the pending reload, so a Reload loads
+  /// inline only before Start, and otherwise either registers before
+  /// Shutdown begins, and the loop then answers it, or is refused.
+  std::mutex control_mu_;
+  bool started_ = false;
   bool shut_down_ = false;
-  /// Reload handshake: Reload parks a request here and the decode loop
-  /// services it at a batch-empty boundary. `reload_pending_` is the
-  /// loop's cheap gate for pausing admissions.
-  std::mutex reload_mu_;
-  std::unique_ptr<PendingReload> pending_reload_;
+  /// The registered Reload, which the decode loop services at a
+  /// batch-empty boundary; `reload_done_` is empty when none is pending.
+  std::string reload_path_;
+  ReloadCompletion reload_done_;
+  /// Set while a reload is pending: the loop's cheap gate for pausing
+  /// admissions.
   std::atomic<bool> reload_pending_{false};
 };
 

@@ -14,7 +14,9 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <mutex>
 #include <utility>
+#include <vector>
 
 #include "obs/exposition.h"
 #include "obs/metrics.h"
@@ -281,16 +283,6 @@ struct Server::LoopShared {
   bool wake_pending = false;  ///< eventfd written since the last TakeDirty
 };
 
-/// One in-flight POST /admin/reload. BatchScheduler::Reload blocks until
-/// the decode loop reaches a batch-empty boundary, which can be seconds —
-/// far too long to run on the event loop — so each reload gets a helper
-/// thread that parks on Reload and enqueues the HTTP response when it
-/// resolves.
-struct Server::ReloadWorker {
-  std::thread thread;
-  std::atomic<bool> finished{false};
-};
-
 Server::Server(BatchScheduler* scheduler, const text::Tokenizer* tokenizer,
                const ServerOptions& options)
     : scheduler_(scheduler), tokenizer_(tokenizer), options_(options) {}
@@ -384,26 +376,6 @@ void Server::Stop(bool drain) {
   drain_on_stop_.store(drain);
   if (shared_ != nullptr) shared_->Wake();
   if (loop_thread_.joinable()) loop_thread_.join();
-  ReapReloadThreads(/*all=*/true);
-}
-
-void Server::ReapReloadThreads(bool all) {
-  std::vector<std::unique_ptr<ReloadWorker>> reap;
-  {
-    std::lock_guard<std::mutex> lock(reload_mu_);
-    auto it = reload_workers_.begin();
-    while (it != reload_workers_.end()) {
-      if (all || (*it)->finished.load(std::memory_order_acquire)) {
-        reap.push_back(std::move(*it));
-        it = reload_workers_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
-  for (const std::unique_ptr<ReloadWorker>& w : reap) {
-    if (w->thread.joinable()) w->thread.join();
-  }
 }
 
 void Server::Loop() {
@@ -477,8 +449,6 @@ void Server::Loop() {
         CloseConn(conn);
       }
     }
-
-    ReapReloadThreads(/*all=*/false);
 
     if (stopping_.load()) {
       if (!drain_on_stop_.load()) break;
@@ -835,16 +805,12 @@ void Server::DispatchHttp(const std::shared_ptr<Conn>& conn,
                        FinalKind::kHttpResponse);
       return;
     }
-    // Reload blocks until the decode loop reaches a batch-empty boundary;
-    // park it on a helper thread so the event loop keeps serving streams
-    // and scrapes meanwhile.
+    // The reload runs once the decode loop reaches a batch-empty boundary,
+    // which can be seconds away; its callback queues the answer like a
+    // completion, so the event loop keeps serving streams and scrapes.
     VIST5_LOG(Info) << "serve: reloading checkpoint " << path;
-    auto worker = std::make_unique<ReloadWorker>();
-    ReloadWorker* raw = worker.get();
     std::shared_ptr<LoopShared> ls = shared_;
-    BatchScheduler* scheduler = scheduler_;
-    raw->thread = std::thread([ls, conn, scheduler, path, raw]() {
-      const Status status = scheduler->Reload(path);
+    scheduler_->Reload(path, [ls, conn, path](Status status) {
       std::string response;
       if (status.ok()) {
         JsonValue out = JsonValue::Object();
@@ -857,10 +823,7 @@ void Server::DispatchHttp(const std::shared_ptr<Conn>& conn,
                                      JsonError(std::string(status.message())));
       }
       ls->Enqueue(conn, response, FinalKind::kHttpResponse);
-      raw->finished.store(true, std::memory_order_release);
     });
-    std::lock_guard<std::mutex> lock(reload_mu_);
-    reload_workers_.push_back(std::move(worker));
     return;
   }
 

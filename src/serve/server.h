@@ -4,11 +4,9 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <unordered_map>
-#include <vector>
 
 #include "serve/scheduler.h"
 #include "text/tokenizer.h"
@@ -181,9 +179,9 @@ class Server {
   /// completion (and, for "stream": true, per-token) callbacks.
   void DispatchLine(const std::shared_ptr<Conn>& conn,
                     const std::string& line);
-  /// Routes a complete HTTP request (inline for everything except
-  /// /admin/reload, which blocks on a batch boundary and therefore runs
-  /// on a short-lived helper thread).
+  /// Routes a complete HTTP request. Every route answers inline except
+  /// /admin/reload, whose answer the scheduler's reload callback queues
+  /// once the swap has run at a batch boundary.
   void DispatchHttp(const std::shared_ptr<Conn>& conn,
                     const std::string& method, const std::string& target,
                     const std::string& body);
@@ -195,9 +193,6 @@ class Server {
   int EvaluateHealth(std::string* body) const;
   void CloseConn(const std::shared_ptr<Conn>& conn);
   void UpdateInterest(const std::shared_ptr<Conn>& conn, bool want_write);
-  /// Joins finished /admin/reload helper threads; `all` waits for every
-  /// one (Stop), otherwise only already-finished ones are reaped.
-  void ReapReloadThreads(bool all);
 
   BatchScheduler* scheduler_;
   const text::Tokenizer* tokenizer_;
@@ -216,10 +211,6 @@ class Server {
   std::unordered_map<int, std::shared_ptr<Conn>> conns_;
   bool accept_registered_ = false;
   std::chrono::steady_clock::time_point accept_backoff_until_{};
-
-  struct ReloadWorker;
-  std::mutex reload_mu_;
-  std::vector<std::unique_ptr<ReloadWorker>> reload_workers_;
 };
 
 }  // namespace serve

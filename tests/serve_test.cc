@@ -13,6 +13,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -22,6 +23,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <functional>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -1456,7 +1458,8 @@ TEST(ServeInt8, ConstrainedDecodeYieldsParseableDvQuery) {
 }
 
 // Mixed float32/int8 traffic: requests at different weight dtypes never
-// share a batch (the mismatched one parks until the batch drains), and
+// share a batch (the mismatched one waits at the head of the queue until
+// the batch drains), and
 // every response still matches its own-dtype sequential reference.
 TEST(ServeInt8, MixedDtypeRequestsMatchSequentialPerDtype) {
   model::TransformerSeq2Seq m = MakeSmallModel();
@@ -1574,6 +1577,223 @@ TEST(BatchScheduler, PrefixCacheOnAdmitsFifo) {
   EXPECT_EQ(out[2].tokens, out[0].tokens);
   ASSERT_NE(scheduler.prefix_cache(), nullptr);
   EXPECT_EQ(scheduler.prefix_cache()->stats().hits, 1u);
+}
+
+// ------------------------------------------------ one place to wait
+
+// Holds the scheduler's decode loop inside a streaming request's on_token
+// at chosen sequence numbers, so a test can submit or reload between two
+// step boundaries without sleeping. Destroying the hold lets the loop go
+// for good.
+class LoopHold {
+ public:
+  LoopHold() = default;
+  LoopHold(const LoopHold&) = delete;
+  LoopHold& operator=(const LoopHold&) = delete;
+  ~LoopHold() {
+    std::lock_guard<std::mutex> lock(state_->mu);
+    state_->finished = true;
+    state_->cv.notify_all();
+  }
+
+  /// An on_token that holds the loop at each of `seqs` until Release.
+  serve::TokenCallback At(std::vector<size_t> seqs) const {
+    return [state = state_, seqs](int, size_t seq) {
+      if (std::find(seqs.begin(), seqs.end(), seq) == seqs.end()) return;
+      std::unique_lock<std::mutex> lock(state->mu);
+      state->held = seq;
+      state->holding = true;
+      state->cv.notify_all();
+      state->cv.wait(lock, [&] { return !state->holding || state->finished; });
+    };
+  }
+
+  /// Blocks until the loop is held at `seq`.
+  void WaitAt(size_t seq) {
+    std::unique_lock<std::mutex> lock(state_->mu);
+    state_->cv.wait(lock,
+                    [&] { return state_->holding && state_->held == seq; });
+  }
+
+  void Release() {
+    std::lock_guard<std::mutex> lock(state_->mu);
+    state_->holding = false;
+    state_->cv.notify_all();
+  }
+
+ private:
+  struct State {
+    std::mutex mu;
+    std::condition_variable cv;
+    size_t held = 0;
+    bool holding = false;
+    bool finished = false;
+  };
+  std::shared_ptr<State> state_ = std::make_shared<State>();
+};
+
+// A started scheduler over the small model, a second model's checkpoint to
+// reload, and one response slot per submitted request.
+struct WaitFixture {
+  explicit WaitFixture(const std::string& name, size_t queue_capacity = 64)
+      : path(::testing::TempDir() + "/vist5_" + name + ".vt5c") {
+    VIST5_CHECK(model::SaveCheckpoint(*other.CheckpointModule(), path).ok());
+    serve::SchedulerOptions options;
+    options.max_batch = 4;
+    options.queue_capacity = queue_capacity;
+    scheduler = std::make_unique<serve::BatchScheduler>(&model, options);
+    scheduler->Start();
+  }
+
+  /// EOS banned, so every request decodes exactly max_len tokens.
+  static model::GenerationOptions Gen(WeightDtype dtype) {
+    model::GenerationOptions gen;
+    gen.max_len = 8;
+    gen.weight_dtype = dtype;
+    gen.allowed = [](int token) { return token != kEos; };
+    return gen;
+  }
+
+  void Submit(size_t slot, const std::vector<int>& src,
+              const model::GenerationOptions& gen, int priority = 0,
+              serve::TokenCallback on_token = nullptr) {
+    serve::Request req;
+    req.tokens = src;
+    req.options = gen;
+    req.priority = priority;
+    req.on_token = std::move(on_token);
+    VIST5_CHECK(scheduler
+                    ->Submit(std::move(req),
+                             [this, slot](serve::Response r) {
+                               std::lock_guard<std::mutex> lock(mu);
+                               out[slot] = std::move(r);
+                             })
+                    .ok());
+  }
+
+  /// R (float32, slot 0) runs; W (int8, slot 1) cannot join it and waits
+  /// at the head of the queue across a step boundary; then a float32
+  /// request (slot 2) arrives at `priority`. Drains the scheduler.
+  void BehindWaitingHead(const std::vector<std::vector<int>>& srcs,
+                         int priority) {
+    Submit(0, srcs[0], Gen(WeightDtype::kFloat32), 0, hold.At({0, 1}));
+    hold.WaitAt(0);
+    Submit(1, srcs[1], Gen(WeightDtype::kInt8));
+    hold.Release();
+    hold.WaitAt(1);
+    Submit(2, srcs[2], Gen(WeightDtype::kFloat32), priority);
+    hold.Release();
+    scheduler->Shutdown(/*drain=*/true);
+    std::lock_guard<std::mutex> lock(mu);
+    for (size_t i = 0; i < out.size(); ++i) {
+      const WeightDtype dtype =
+          i == 1 ? WeightDtype::kInt8 : WeightDtype::kFloat32;
+      EXPECT_EQ(out[i].status, serve::ResponseStatus::kOk) << "request " << i;
+      EXPECT_EQ(out[i].tokens, model.Generate(srcs[i], Gen(dtype)))
+          << "request " << i;
+    }
+  }
+
+  model::TransformerSeq2Seq model = MakeSmallModel();
+  model::TransformerSeq2Seq other = MakeSmallModel(/*seed=*/99);
+  const std::string path;
+  std::mutex mu;
+  std::vector<serve::Response> out = std::vector<serve::Response>(3);
+  std::unique_ptr<serve::BatchScheduler> scheduler;
+  LoopHold hold;  // destroyed first, so a failed test cannot hang the loop
+};
+
+// A float32 request F queued behind a waiting int8 head W could join R's
+// batch, but admission stays FIFO within a priority: F is admitted after W.
+TEST(BatchScheduler, RequestBehindWaitingHeadAdmitsFifo) {
+  WaitFixture f("fifo_behind_head");
+  f.BehindWaitingHead(MixedSources(23, 3), /*priority=*/0);
+  std::lock_guard<std::mutex> lock(f.mu);
+  EXPECT_TRUE(f.out[1].timeline.admit < f.out[2].timeline.admit)
+      << "a request jumped the waiting head of its priority level";
+}
+
+// The queue's priority order is the whole admission order: a priority-5
+// float32 request that can join R's running batch is admitted ahead of the
+// priority-0 int8 request waiting at the head, while R still decodes.
+TEST(BatchScheduler, HigherPriorityJoinsAheadOfWaitingHead) {
+  WaitFixture f("priority_past_head");
+  f.BehindWaitingHead(MixedSources(29, 3), /*priority=*/5);
+  std::lock_guard<std::mutex> lock(f.mu);
+  EXPECT_TRUE(f.out[2].timeline.admit < f.out[1].timeline.admit)
+      << "the higher-priority request waited behind the lower-priority head";
+  EXPECT_TRUE(f.out[2].timeline.admit < f.out[0].timeline.finish)
+      << "the higher-priority request did not join the running batch";
+}
+
+// A reload that arrives while W waits at the head of the queue runs once
+// R's batch drains and before W is admitted, so R decodes under the old
+// weights and W under the new ones.
+TEST(BatchScheduler, WaitingRequestDecodesUnderReloadedWeights) {
+  WaitFixture f("reload_while_waiting");
+  const auto srcs = MixedSources(31, 2);
+  const auto gen_f32 = f.Gen(WeightDtype::kFloat32);
+  const auto gen_i8 = f.Gen(WeightDtype::kInt8);
+  const std::vector<int> r_old = f.model.Generate(srcs[0], gen_f32);
+  const std::vector<int> w_new = f.other.Generate(srcs[1], gen_i8);
+  ASSERT_NE(w_new, f.model.Generate(srcs[1], gen_i8));
+
+  f.Submit(0, srcs[0], gen_f32, 0, f.hold.At({0, 1}));
+  f.hold.WaitAt(0);
+  f.Submit(1, srcs[1], gen_i8);
+  f.hold.Release();
+  f.hold.WaitAt(1);
+  std::promise<Status> reloaded;
+  f.scheduler->Reload(f.path,
+                      [&](Status s) { reloaded.set_value(std::move(s)); });
+  f.hold.Release();
+  const Status status = reloaded.get_future().get();
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  f.scheduler->Shutdown(/*drain=*/true);
+
+  std::lock_guard<std::mutex> lock(f.mu);
+  ASSERT_EQ(f.out[0].status, serve::ResponseStatus::kOk);
+  ASSERT_EQ(f.out[1].status, serve::ResponseStatus::kOk);
+  EXPECT_EQ(f.out[0].tokens, r_old) << "the running request saw new weights";
+  EXPECT_EQ(f.out[1].tokens, w_new)
+      << "the waiting request decoded under the old weights";
+}
+
+// Once a draining Shutdown has begun, the loop may still be stepping: a
+// Reload then answers Unavailable instead of swapping the weights under the
+// in-flight request, whose tokens stay those of the old weights.
+TEST(BatchScheduler, ReloadAfterShutdownBeganIsRefused) {
+  WaitFixture f("reload_after_shutdown", /*queue_capacity=*/1);
+  const std::vector<int> src = MixedSources(37, 1)[0];
+  const auto gen = f.Gen(WeightDtype::kFloat32);
+  const std::vector<int> expected = f.model.Generate(src, gen);
+  ASSERT_NE(f.other.Generate(src, gen), expected);
+
+  f.Submit(0, src, gen, 0, f.hold.At({0}));
+  f.hold.WaitAt(0);
+  std::thread stopper([&] { f.scheduler->Shutdown(/*drain=*/true); });
+  // Submit is refused "closed" once Shutdown has begun. The queue holds
+  // one entry, so at most one probe waits to be drained.
+  for (;;) {
+    serve::Request probe;
+    probe.tokens = src;
+    probe.options.max_len = 2;
+    const Status s = f.scheduler->Submit(std::move(probe), [](serve::Response) {});
+    if (s.message() == "request queue is closed") break;
+    std::this_thread::yield();
+  }
+  std::promise<Status> reloaded;
+  f.scheduler->Reload(f.path,
+                      [&](Status s) { reloaded.set_value(std::move(s)); });
+  f.hold.Release();
+  stopper.join();
+  const Status status = reloaded.get_future().get();
+
+  EXPECT_EQ(status.code(), StatusCode::kUnavailable) << status.ToString();
+  std::lock_guard<std::mutex> lock(f.mu);
+  ASSERT_EQ(f.out[0].status, serve::ResponseStatus::kOk);
+  EXPECT_EQ(f.out[0].tokens, expected)
+      << "the weights changed under an in-flight request";
 }
 
 // TSan-targeted (scripts/run_tsan.sh runs this suite explicitly):
